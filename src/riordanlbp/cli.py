@@ -12,6 +12,8 @@ per line) or json (object with kind, params, order and data, every value
 rendered as a string so exactness survives serialization).
 
 Exit codes: 0 success, 1 verification failure, 2 usage or parameter error.
+``--order`` is checked against the smallest order each generate kind and
+verify scenario accepts (``MIN_ORDER``, also listed in ``--help``).
 """
 
 from __future__ import annotations
@@ -46,6 +48,21 @@ GENERATE_KINDS = (
     "cfrac-expand",
     "ortho-array",
 )
+
+#: smallest --order each generate kind and verify scenario accepts; 0 if unlisted
+MIN_ORDER = {
+    "generate": {"toeplitz": 1, "cfrac-expand": 1, "ortho-array": 1},
+    "verify": {"all": 8, "example1": 8, "factorizations": 1, "cfrac": 1},
+}
+
+
+def _order_help(command: str) -> str:
+    by_floor: dict[int, list[str]] = {}
+    for name, floor in MIN_ORDER[command].items():
+        by_floor.setdefault(floor, []).append(name)
+    floors = "; ".join(f"at least {floor} for {', '.join(names)}"
+                       for floor, names in by_floor.items())
+    return f"order of the computation; {floors}; at least 0 otherwise"
 
 
 def _parse_param(text: str, symbol):
@@ -151,7 +168,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="rational string or 'sym'; write negatives as --b=-1/3")
     gen.add_argument("--c", default="sym",
                      help="rational string or 'sym'; write negatives as --c=-1/3")
-    gen.add_argument("--order", type=int, default=12)
+    gen.add_argument("--order", type=int, default=12,
+                     help=_order_help("generate"))
     gen.add_argument("--format", choices=("csv", "json"), default="csv")
     gen.add_argument("--route", choices=MOMENT_ROUTES, default="matrix_inverse",
                      help="moment computation route (moments kind only)")
@@ -166,7 +184,8 @@ def build_parser() -> argparse.ArgumentParser:
                      choices=("all", "example1", "example2", "example3",
                               "example4", "factorizations", "hankel",
                               "toeplitz", "cfrac"))
-    ver.add_argument("--order", type=int, default=12)
+    ver.add_argument("--order", type=int, default=12,
+                     help=_order_help("verify"))
     ver.add_argument("--format", choices=("text", "json"), default="text")
     ver.set_defaults(func=cmd_verify)
 
@@ -182,10 +201,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command in MIN_ORDER:
+        target = args.kind if args.command == "generate" else args.scenario
+        floor = MIN_ORDER[args.command].get(target, 0)
+        if args.order < floor:
+            parser.error(f"--order must be at least {floor} for {args.command} {target}")
     try:
         return args.func(args)
-    except (ValueError, KeyError, FileNotFoundError, ZeroDivisionError,
-            IndexError) as exc:
+    except (ValueError, KeyError, FileNotFoundError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

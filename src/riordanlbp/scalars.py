@@ -4,7 +4,8 @@ Four kinds of scalar circulate here:
 
 * ``Rational``        -- arbitrary-precision rationals (stdlib Fraction);
 * ``BivarPoly``       -- sparse polynomials in the two recurrence parameters
-                         b and c, with Rational coefficients;
+                         b and c, with exact coefficients stored as ``int``
+                         when integral and as ``Fraction`` otherwise;
 * ``RationalFunction``-- quotients of two BivarPoly, the field the symbolic
                          identities live in;
 * ``XPoly``           -- dense polynomials in the indeterminate x over either
@@ -35,7 +36,7 @@ def parse_rational(text: str) -> Fraction:
 
 
 def _fraction_content(values) -> Fraction:
-    """gcd of a nonempty collection of Fractions, normalized positive."""
+    """gcd of a nonempty collection of exact coefficients, normalized positive."""
     num = 0
     den = 1
     for v in values:
@@ -44,36 +45,55 @@ def _fraction_content(values) -> Fraction:
     return Fraction(num, den) if num else Fraction(1)
 
 
+def _exact(q):
+    """q in coefficient normal form: an integral Fraction becomes its int."""
+    if type(q) is Fraction and q.denominator == 1:
+        return q.numerator
+    return q
+
+
+def _quotient(a, b):
+    """Exact a / b of two coefficients, in coefficient normal form."""
+    if type(a) is int and type(b) is int and not a % b:
+        return a // b
+    return _exact(Fraction(a, b))
+
+
 class BivarPoly:
-    """Sparse polynomial in b and c: maps exponent pairs (i, j) to Fractions."""
+    """Sparse polynomial in b and c: maps exponent pairs (i, j) to coefficients.
+
+    Every value of ``terms`` is an ``int`` when the coefficient is integral and
+    a ``Fraction`` with denominator > 1 otherwise, and every operation
+    restores that form.  The paper's moments, coefficient arrays and
+    determinants have integer coefficients, so their arithmetic builds no
+    Fraction at all.  ``terms`` is the public map from exponent pair to exact
+    value, never a float: equality and hashing of polynomials are those of
+    the dict, and callers compare it with dicts of Fractions, which works
+    because an int compares and hashes equal to the integral Fraction.
+    """
 
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
-        cleaned: dict[tuple[int, int], Fraction] = {}
+        cleaned: dict[tuple[int, int], int | Fraction] = {}
         if terms:
             items = terms.items() if isinstance(terms, dict) else terms
             for key, val in items:
-                q = val if isinstance(val, Fraction) else Fraction(val)
-                if not q:
-                    continue
+                if not isinstance(val, (int, Fraction)):
+                    val = Fraction(val)
                 key = (int(key[0]), int(key[1]))
-                acc = cleaned.get(key)
-                if acc is None:
-                    cleaned[key] = q
+                acc = cleaned.get(key, 0) + val
+                if acc:
+                    cleaned[key] = _exact(acc)
                 else:
-                    acc = acc + q
-                    if acc:
-                        cleaned[key] = acc
-                    else:
-                        del cleaned[key]
+                    cleaned.pop(key, None)
         self.terms = cleaned
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def const(cls, value) -> "BivarPoly":
-        return cls({(0, 0): Fraction(value)})
+        return cls({(0, 0): value})
 
     @classmethod
     def zero(cls) -> "BivarPoly":
@@ -93,7 +113,7 @@ class BivarPoly:
 
     @classmethod
     def monomial(cls, i: int, j: int, coeff=1) -> "BivarPoly":
-        return cls({(i, j): Fraction(coeff)})
+        return cls({(i, j): coeff})
 
     # -- predicates --------------------------------------------------------
 
@@ -109,10 +129,10 @@ class BivarPoly:
     def is_one(self) -> bool:
         return self.terms == {(0, 0): 1}
 
-    def constant_value(self) -> Fraction:
+    def constant_value(self) -> int | Fraction:
         if not self.is_constant:
             raise ValueError(f"not a constant polynomial: {self}")
-        return self.terms.get((0, 0), Fraction(0))
+        return self.terms.get((0, 0), 0)
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -149,15 +169,11 @@ class BivarPoly:
             return NotImplemented
         out = dict(self.terms)
         for key, val in other.terms.items():
-            acc = out.get(key)
-            if acc is None:
-                out[key] = val
+            acc = out.get(key, 0) + val
+            if acc:
+                out[key] = _exact(acc)
             else:
-                acc = acc + val
-                if acc:
-                    out[key] = acc
-                else:
-                    del out[key]
+                del out[key]
         res = BivarPoly.__new__(BivarPoly)
         res.terms = out
         return res
@@ -190,22 +206,13 @@ class BivarPoly:
         small, large = self.terms, other.terms
         if len(small) > len(large):
             small, large = large, small
-        out: dict[tuple[int, int], Fraction] = {}
+        out: dict[tuple[int, int], int | Fraction] = {}
         for (i1, j1), v1 in small.items():
             for (i2, j2), v2 in large.items():
                 key = (i1 + i2, j1 + j2)
-                prod = v1 * v2
-                acc = out.get(key)
-                if acc is None:
-                    out[key] = prod
-                else:
-                    acc = acc + prod
-                    if acc:
-                        out[key] = acc
-                    else:
-                        del out[key]
+                out[key] = out.get(key, 0) + v1 * v2
         res = BivarPoly.__new__(BivarPoly)
-        res.terms = out
+        res.terms = {k: _exact(v) for k, v in out.items() if v}
         return res
 
     __rmul__ = __mul__
@@ -228,7 +235,7 @@ class BivarPoly:
                 raise ZeroDivisionError("division by zero")
             inv = Fraction(1) / Fraction(other)
             res = BivarPoly.__new__(BivarPoly)
-            res.terms = {k: v * inv for k, v in self.terms.items()}
+            res.terms = {k: _exact(v * inv) for k, v in self.terms.items()}
             return res
         if isinstance(other, BivarPoly):
             return RationalFunction(self, other)
@@ -257,7 +264,7 @@ class BivarPoly:
         if other.is_constant:
             return self / other.constant_value()
         rem = dict(self.terms)
-        out: dict[tuple[int, int], Fraction] = {}
+        out: dict[tuple[int, int], int | Fraction] = {}
         lead = other.leading_key()
         lead_coeff = other.terms[lead]
         while rem:
@@ -265,11 +272,11 @@ class BivarPoly:
             qi, qj = key[0] - lead[0], key[1] - lead[1]
             if qi < 0 or qj < 0:
                 raise ValueError("inexact polynomial division")
-            q = rem[key] / lead_coeff
+            q = _quotient(rem[key], lead_coeff)
             out[(qi, qj)] = q
             for (oi, oj), oc in other.terms.items():
                 k = (oi + qi, oj + qj)
-                acc = rem.get(k, Fraction(0)) - q * oc
+                acc = rem.get(k, 0) - q * oc
                 if acc:
                     rem[k] = acc
                 else:
@@ -296,12 +303,12 @@ class BivarPoly:
             total += v * bq ** i * cq ** j
         return total
 
-    def c_coefficients(self) -> list[Fraction]:
+    def c_coefficients(self) -> list[int | Fraction]:
         """Coefficient list in c (ascending), for polynomials free of b."""
         if any(i for i, _ in self.terms):
             raise ValueError("polynomial still involves b")
         deg = max((j for _, j in self.terms), default=0)
-        out = [Fraction(0)] * (deg + 1)
+        out = [0] * (deg + 1)
         for (_, j), v in self.terms.items():
             out[j] = v
         return out

@@ -195,6 +195,17 @@ class TestErrorHandling:
             main([])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("argv, floor", [
+        (("generate", "moments", "--order", "-1"), 0),
+        (("generate", "cfrac-expand", "--order", "0", "--shape", "j"), 1),
+        (("verify", "all", "--order", "0"), 8),
+    ])
+    def test_order_below_minimum_is_usage_error(self, capsys, argv, floor):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2
+        assert f"--order must be at least {floor}" in capsys.readouterr().err
+
 
 class TestConsoleScript:
     def test_module_entry_point(self):

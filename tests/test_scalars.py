@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from riordanlbp.hankel_toeplitz import hankel_transform
+from riordanlbp.lbp import LBPFamily, moments
 from riordanlbp.scalars import (
     PARAM_B,
     PARAM_C,
@@ -87,6 +89,51 @@ class TestBivarPoly:
         assert p.c_coefficients() == [Fraction(2), Fraction(0), Fraction(-1)]
         with pytest.raises(ValueError):
             BivarPoly.b().c_coefficients()
+
+
+exact_coefficients = st.one_of(
+    st.integers(-5, 5), st.fractions(min_value=-5, max_value=5, max_denominator=4)
+)
+exact_polys = st.dictionaries(
+    st.tuples(st.integers(0, 2), st.integers(0, 2)), exact_coefficients, max_size=4
+).map(BivarPoly)
+nonzero_scalars = exact_coefficients.filter(bool)
+
+
+def assert_normal_form(poly):
+    """Integral coefficients are ints; only non-integral ones are Fractions."""
+    for value in poly.terms.values():
+        assert type(value) is int or (
+            type(value) is Fraction and value.denominator > 1
+        ), f"{value!r} in {poly}"
+
+
+class TestCoefficientNormalForm:
+    def test_construction_unwraps_integral_fractions(self):
+        p = BivarPoly({(0, 0): Fraction(2), (1, 0): Fraction(1, 2)})
+        assert p.terms == {(0, 0): 2, (1, 0): Fraction(1, 2)}
+        assert_normal_form(p)
+
+    @given(exact_polys, exact_polys, st.integers(0, 3), nonzero_scalars)
+    @settings(max_examples=80, deadline=None)
+    def test_operations_restore_normal_form(self, p, q, k, s):
+        divisor = BivarPoly({(1, 0): 3, (0, 1): 2})  # 3b + 2c, not monic
+        quotient = (p * divisor).divexact(divisor)
+        assert quotient == p
+        for result in (p, p + q, p - q, p * q, p ** k, p / s, quotient):
+            assert_normal_form(result)
+
+    def test_inexact_division_by_non_monic_divisor_raises(self):
+        divisor = BivarPoly({(1, 0): 3, (0, 1): 2})
+        with pytest.raises(ValueError):
+            BivarPoly.b().divexact(divisor)
+
+    def test_symbolic_moments_and_hankel_determinants(self):
+        fam = LBPFamily.constant(PARAM_B, PARAM_C, order=12)
+        mu = list(moments(fam, "gf_expansion", 12))
+        for value in mu + hankel_transform(mu, 4):
+            assert_normal_form(value.num)
+            assert_normal_form(value.den)
 
 
 class TestRationalFunction:
