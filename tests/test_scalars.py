@@ -98,6 +98,7 @@ exact_polys = st.dictionaries(
     st.tuples(st.integers(0, 2), st.integers(0, 2)), exact_coefficients, max_size=4
 ).map(BivarPoly)
 nonzero_scalars = exact_coefficients.filter(bool)
+non_monic = BivarPoly({(1, 0): 3, (0, 1): 2})  # 3b + 2c
 
 
 def assert_normal_form(poly):
@@ -117,16 +118,14 @@ class TestCoefficientNormalForm:
     @given(exact_polys, exact_polys, st.integers(0, 3), nonzero_scalars)
     @settings(max_examples=80, deadline=None)
     def test_operations_restore_normal_form(self, p, q, k, s):
-        divisor = BivarPoly({(1, 0): 3, (0, 1): 2})  # 3b + 2c, not monic
-        quotient = (p * divisor).divexact(divisor)
+        quotient = (p * non_monic).divexact(non_monic)
         assert quotient == p
         for result in (p, p + q, p - q, p * q, p ** k, p / s, quotient):
             assert_normal_form(result)
 
     def test_inexact_division_by_non_monic_divisor_raises(self):
-        divisor = BivarPoly({(1, 0): 3, (0, 1): 2})
         with pytest.raises(ValueError):
-            BivarPoly.b().divexact(divisor)
+            BivarPoly.b().divexact(non_monic)
 
     def test_symbolic_moments_and_hankel_determinants(self):
         fam = LBPFamily.constant(PARAM_B, PARAM_C, order=12)
