@@ -22,12 +22,11 @@ through ratios of Hankel determinants.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .combinat import binomial, catalan
-from .hankel_toeplitz import determinant
-from .report import Check, ScenarioReport, check_equal
-from .scalars import coerce_scalar, scalar_inv, scalar_is_zero, zero_like
+from .hankel_toeplitz import determinant, hankel_transform
+from .report import Check, ScenarioReport
+from .scalars import coerce_scalar, scalar_inv
 from .series import DEFAULT_ORDER, TruncatedSeries
 
 
@@ -160,20 +159,9 @@ def tfraction_via_transform(b, c, order: int = DEFAULT_ORDER) -> TruncatedSeries
 def shifted_moment_sum(b, c, n: int):
     """mu~_n = sum_k binom(n+k, 2k) c^(n-k) b^k C_k."""
     b, c = coerce_scalar(b), coerce_scalar(c)
-    total = zero_like(b)
+    total = b * 0
     for k in range(n + 1):
         w = binomial(n + k, 2 * k) * catalan(k)
-        if w:
-            total = total + w * c ** (n - k) * b ** k
-    return total
-
-
-def moment_sum(b, c, n: int):
-    """mu_n = 0^n + sum_{k<n} binom(n+k-1, 2k) c^(n-k) b^k C_k."""
-    b, c = coerce_scalar(b), coerce_scalar(c)
-    total = coerce_scalar(1) if n == 0 else zero_like(b)
-    for k in range(n):
-        w = binomial(n + k - 1, 2 * k) * catalan(k)
         if w:
             total = total + w * c ** (n - k) * b ** k
     return total
@@ -191,13 +179,10 @@ def jfraction_from_moments(mu, depth: int | None = None) -> JFraction:
         depth = (len(values) - 2) // 2
     if len(values) < 2 * depth + 2:
         raise ValueError(f"need {2 * depth + 2} moments for depth {depth}")
-    h = []
+    h = hankel_transform(values, depth)
     s = []
     for n in range(depth + 1):
-        h.append(determinant(
-            [[values[i + j] for j in range(n + 1)] for i in range(n + 1)]
-        ))
-        if scalar_is_zero(h[n]):
+        if not h[n]:
             raise ZeroDivisionError(f"vanishing Hankel determinant at depth {n}")
         s.append(determinant(
             [[values[i + j] if j < n else values[i + n + 1] for j in range(n + 1)]

@@ -75,17 +75,13 @@ def _matrix_lines(rows) -> list[str]:
     return [",".join(str(v) for v in row) for row in rows]
 
 
-def _triangle(matrix, dim: int) -> list[list]:
-    return [[matrix.entry(n, k) for k in range(n + 1)] for n in range(dim)]
-
-
 def _generate_data(args) -> list[str]:
     b = _parse_param(args.b, PARAM_B)
     c = _parse_param(args.c, PARAM_C)
     order = args.order
     if args.kind == "lbp-coeffs":
         fam = LBPFamily.constant(b, c, order=order)
-        return _matrix_lines(_triangle(coefficient_matrix(fam, order + 1), order + 1))
+        return _matrix_lines(coefficient_matrix(fam, order + 1).rows)
     if args.kind == "moments":
         fam = LBPFamily.constant(b, c, order=order)
         return [str(v) for v in moments(fam, args.route, order)]
@@ -113,7 +109,7 @@ def _generate_data(args) -> list[str]:
         return [str(v) for v in series.coeffs]
     if args.kind == "ortho-array":
         arr = ortho_array(args.family, b, c, order)
-        return _matrix_lines(_triangle(arr.matrix(order + 1), order + 1))
+        return _matrix_lines(arr.matrix(order + 1).rows)
     raise ValueError(f"unknown kind {args.kind!r}")
 
 
@@ -185,13 +181,14 @@ def build_parser() -> argparse.ArgumentParser:
                               "example4", "factorizations", "hankel",
                               "toeplitz", "cfrac"))
     ver.add_argument("--order", type=int, default=12,
-                     help=_order_help("verify"))
+                     help=_order_help("verify") + "; only example1, factorizations "
+                     "(capped at 8) and cfrac read it, while example2-example4, "
+                     "hankel and toeplitz check fixed-size tables")
     ver.add_argument("--format", choices=("text", "json"), default="text")
     ver.set_defaults(func=cmd_verify)
 
     oc = sub.add_parser("oeis-check", help="compare against vendored fixtures")
-    oc.add_argument("sequence_id",
-                    help=f"sequence id ({', '.join(oeis.known_ids())}) or 'all'")
+    oc.add_argument("sequence_id", choices=(*oeis.known_ids(), "all"))
     oc.add_argument("--fixtures", default=None,
                     help="fixture directory (default: vendored files)")
     oc.set_defaults(func=cmd_oeis_check)
@@ -208,7 +205,7 @@ def main(argv=None) -> int:
             parser.error(f"--order must be at least {floor} for {args.command} {target}")
     try:
         return args.func(args)
-    except (ValueError, KeyError, FileNotFoundError, ZeroDivisionError) as exc:
+    except (ValueError, FileNotFoundError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

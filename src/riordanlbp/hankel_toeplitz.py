@@ -21,13 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .combinat import binomial
-from .scalars import (
-    BivarPoly,
-    RationalFunction,
-    coerce_scalar,
-    scalar_inv,
-    scalar_is_zero,
-)
+from .scalars import BivarPoly, RationalFunction, coerce_scalar, scalar_inv
 
 
 def _bareiss(mat: list[list], divide) -> object:
@@ -36,9 +30,9 @@ def _bareiss(mat: list[list], divide) -> object:
     sign = 1
     prev = None
     for k in range(n - 1):
-        if scalar_is_zero(mat[k][k]):
+        if not mat[k][k]:
             for r in range(k + 1, n):
-                if not scalar_is_zero(mat[r][k]):
+                if mat[r][k]:
                     mat[k], mat[r] = mat[r], mat[k]
                     sign = -sign
                     break
@@ -68,30 +62,14 @@ def determinant(rows) -> object:
     poly_rows: list[list[BivarPoly]] = []
     cleared = BivarPoly.one()
     for row in mat:
-        dens = [
-            v.den if isinstance(v, RationalFunction) else BivarPoly.one()
-            for v in row
-        ]
+        row = [v if isinstance(v, RationalFunction) else RationalFunction(v) for v in row]
         row_factor = BivarPoly.one()
-        for d in dens:
-            row_factor = row_factor * d
+        for v in row:
+            row_factor = row_factor * v.den
         cleared = cleared * row_factor
-        poly_row = []
-        for v, d in zip(row, dens):
-            rest = row_factor.divexact(d)
-            num = v.num if isinstance(v, RationalFunction) else _as_poly(v)
-            poly_row.append(num * rest)
-        poly_rows.append(poly_row)
+        poly_rows.append([v.num * row_factor.divexact(v.den) for v in row])
     det = _bareiss(poly_rows, lambda a, b: a.divexact(b))
     return RationalFunction(det, cleared)
-
-
-def _as_poly(v) -> BivarPoly:
-    if isinstance(v, BivarPoly):
-        return v
-    if isinstance(v, Fraction):
-        return BivarPoly.const(v)
-    raise TypeError(f"expected polynomial scalar, got {type(v).__name__}")
 
 
 def hankel_transform(mu, n_max: int) -> list:
@@ -149,7 +127,7 @@ class BiInfiniteMoments:
 def extend_moments(mu, c, depth: int) -> BiInfiniteMoments:
     values = [coerce_scalar(v) for v in mu]
     c = coerce_scalar(c)
-    if scalar_is_zero(c):
+    if not c:
         raise ValueError("extension to negative index requires invertible c")
     if len(values) < depth + 2:
         raise ValueError(f"need {depth + 2} moments for backward depth {depth}")
@@ -187,7 +165,7 @@ def recover_parameters(t_seq, tp_seq, n: int) -> tuple:
         raise ValueError(f"need determinants through index {n + 1}")
     for name, d in (("t_n t'_n", t_seq[n] * tp_seq[n]),
                     ("t_{n+1} t'_n", t_seq[n + 1] * tp_seq[n])):
-        if scalar_is_zero(d):
+        if not d:
             raise ZeroDivisionError(f"vanishing denominator {name}")
     b = -t_seq[n - 1] * tp_seq[n + 1] * scalar_inv(t_seq[n] * tp_seq[n])
     c = t_seq[n] * tp_seq[n + 1] * scalar_inv(t_seq[n + 1] * tp_seq[n])
@@ -207,7 +185,7 @@ def lbp_by_determinant(bm: BiInfiniteMoments, n: int) -> list:
         raise ValueError(f"backward depth {bm.depth} < {n - 1}")
     moment_rows = [[bm.moment(k - j) for k in range(n + 1)] for j in range(n)]
     t_prev = determinant([row[:n] for row in moment_rows])
-    if scalar_is_zero(t_prev):
+    if not t_prev:
         raise ZeroDivisionError("vanishing Toeplitz determinant")
     inv_prev = scalar_inv(t_prev)
     coeffs = []

@@ -28,7 +28,7 @@ from fractions import Fraction
 
 from .combinat import binomial, catalan
 from .riordan import LowerTriangularMatrix, RiordanArray
-from .scalars import XPoly, coerce_scalar, scalar_is_zero, zero_like
+from .scalars import XPoly, coerce_scalar
 from .series import DEFAULT_ORDER, TruncatedSeries
 
 MOMENT_ROUTES = (
@@ -54,7 +54,7 @@ class LBPFamily:
         if not self.b_seq or not self.c_seq:
             raise ValueError("coefficient sequences must be nonempty")
         for v in (*self.b_seq, *self.c_seq):
-            if scalar_is_zero(v):
+            if not v:
                 raise ValueError("recurrence coefficients must be nonzero")
 
     @classmethod
@@ -162,7 +162,7 @@ def entry_closed_form(n: int, k: int, b, c):
     if not 0 <= k <= n:
         raise IndexError("need 0 <= k <= n")
     b, c = coerce_scalar(b), coerce_scalar(c)
-    total = zero_like(b)
+    total = b * 0
     for j in range(n - k + 1):
         coeff = binomial(k, j) * binomial(n - j, n - k - j)
         if not coeff:
@@ -178,7 +178,7 @@ def inverse_entry_lagrange(n: int, k: int, b, c):
     b, c = coerce_scalar(b), coerce_scalar(c)
     if n == 0:
         return b ** 0
-    total = zero_like(b)
+    total = b * 0
     for j in range(n + 1):
         w = k * binomial(n, j) * binomial(2 * n - k - j - 1, n - k - j)
         if w:
@@ -214,7 +214,7 @@ def tfraction_fixed_point(b, c, order: int = DEFAULT_ORDER) -> TruncatedSeries:
     b, c = coerce_scalar(b), coerce_scalar(c)
     u = [b ** 0]
     for n in range(1, order + 1):
-        square = zero_like(u[0])
+        square = u[0] * 0
         for i in range(n):
             square = square + u[i] * u[n - 1 - i]
         u.append(c * u[n - 1] + b * square)
@@ -236,7 +236,7 @@ def moments(family: LBPFamily, route: str = "matrix_inverse",
     if route == "catalan_sum":
         values = []
         for n in range(n_max + 1):
-            acc = zero_like(b)
+            acc = b * 0
             for k in range(n + 1):
                 w = binomial(2 * n - k - 1, 2 * n - 2 * k) * catalan(n - k)
                 if w:
@@ -261,7 +261,7 @@ def bivariate_gf_rows(b, c, order: int = DEFAULT_ORDER) -> list[list]:
     b, c = coerce_scalar(b), coerce_scalar(c)
     one = XPoly([b ** 0])
     den = TruncatedSeries(
-        [one, XPoly([c, -(b ** 0)]), XPoly([zero_like(b), b])], order
+        [one, XPoly([c, -(b ** 0)]), XPoly([b * 0, b])], order
     )
     expansion = TruncatedSeries([one], order) / den
     return [expansion.coeffs[n].padded(n + 1) for n in range(order + 1)]

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 
-from .combinat import binomial, catalan, schroeder
+from .combinat import binomial, schroeder
 from .report import Check
 from .series import TruncatedSeries, catalan_series
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .combinat import binomial
-from .lbp import LBPFamily, rows_by_recurrence
+from .lbp import LBPFamily, coefficient_array, rows_by_recurrence
 from .report import Check, ScenarioReport
 from .riordan import RiordanArray, binomial_array
 from .scalars import XPoly, coerce_scalar
@@ -103,17 +103,11 @@ def ortho_inverse_f_closed_form(b, c, order: int = DEFAULT_ORDER) -> TruncatedSe
     return num.shift_down(1) / (2 * b * (b + c))
 
 
-def _lbp_array(b, c, order: int) -> RiordanArray:
-    return RiordanArray(
-        TruncatedSeries.ratio([1], [1, c], order),
-        TruncatedSeries.ratio([0, 1, -b], [1, c], order),
-    )
-
-
 def verify_factorizations(b, c, order: int = 8) -> ScenarioReport:
     """Split L off each companion array and cross-check the row identities."""
     b, c = coerce_scalar(b), coerce_scalar(c)
-    lbp = _lbp_array(b, c, order)
+    family = LBPFamily.constant(b, c)
+    lbp = coefficient_array(family, order)
     q = ortho_array("q", b, c, order)
     qtilde = ortho_array("qtilde", b, c, order)
     qhat = ortho_array("qhat", b, c, order)
@@ -134,7 +128,7 @@ def verify_factorizations(b, c, order: int = 8) -> ScenarioReport:
     ]
 
     n_max = min(order, 6)
-    p_rows = [XPoly(row) for row in rows_by_recurrence(LBPFamily.constant(b, c), n_max)]
+    p_rows = [XPoly(row) for row in rows_by_recurrence(family, n_max)]
     for name, rows, weight in (
         ("p_n = sum binom(n-1, n-k) b^(n-k) q_k",
          ortho_rows_by_recurrence("q", b, c, n_max),

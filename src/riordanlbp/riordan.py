@@ -14,7 +14,7 @@ that a matrix is NOT Riordan.
 
 from __future__ import annotations
 
-from .scalars import scalar_inv, scalar_is_zero, zero_like
+from .scalars import scalar_inv
 from .series import DEFAULT_ORDER, TruncatedSeries
 
 
@@ -40,14 +40,11 @@ class LowerTriangularMatrix:
 
     def entry(self, n: int, k: int):
         if k > n:
-            return zero_like(self.rows[0][0])
+            return self.rows[0][0] * 0
         return self.rows[n][k]
 
     def first_column(self) -> list:
         return [row[0] for row in self.rows]
-
-    def column(self, k: int) -> list:
-        return [self.entry(n, k) for n in range(self.dim)]
 
     def __eq__(self, other):
         if not isinstance(other, LowerTriangularMatrix):
@@ -76,7 +73,7 @@ class LowerTriangularMatrix:
         """Back-substitution down the triangle; exact in any field."""
         n = self.dim
         for i in range(n):
-            if scalar_is_zero(self.rows[i][i]):
+            if not self.rows[i][i]:
                 raise ZeroDivisionError(f"zero diagonal entry at {i}")
         inv_diag = [scalar_inv(self.rows[i][i]) for i in range(n)]
         out = [[None] * (i + 1) for i in range(n)]
@@ -99,11 +96,11 @@ class RiordanArray:
     __slots__ = ("g", "f")
 
     def __init__(self, g: TruncatedSeries, f: TruncatedSeries):
-        if scalar_is_zero(g.coeffs[0]):
+        if not g.coeffs[0]:
             raise ValueError("g(0) must be invertible")
-        if not scalar_is_zero(f.coeffs[0]):
+        if f.coeffs[0]:
             raise ValueError("f(0) must vanish")
-        if f.order < 1 or scalar_is_zero(f.coeffs[1]):
+        if f.order < 1 or not f.coeffs[1]:
             raise ValueError("f'(0) must be invertible")
         self.g = g
         self.f = f
@@ -178,7 +175,7 @@ def production_matrix(m: LowerTriangularMatrix) -> list[list]:
     if dim < 1:
         raise ValueError("need at least a 2x2 block")
     for i in range(dim):
-        if scalar_is_zero(m.rows[i][i]):
+        if not m.rows[i][i]:
             raise ZeroDivisionError(f"zero diagonal entry at {i}")
     inv_diag = [scalar_inv(m.rows[i][i]) for i in range(dim)]
     out = [[None] * dim for _ in range(dim)]
@@ -196,7 +193,7 @@ def has_column_shift(p: list[list]) -> bool:
     dim = len(p)
     if dim < 3:
         raise ValueError("block too small to test the shift structure")
-    zero = zero_like(p[0][0])
+    zero = p[0][0] * 0
     for k in range(2, dim):
         for i in range(dim):
             want = p[i - k + 1][1] if i - k + 1 >= 0 else zero

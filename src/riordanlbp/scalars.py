@@ -434,11 +434,6 @@ class RationalFunction:
     def is_polynomial(self) -> bool:
         return self.den.is_one
 
-    def as_poly(self) -> BivarPoly:
-        if not self.den.is_one:
-            raise ValueError(f"not a polynomial: {self}")
-        return self.num
-
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other):
@@ -557,10 +552,6 @@ def coerce_scalar(x):
     raise TypeError(f"not an exact scalar: {type(x).__name__}")
 
 
-def scalar_is_zero(s) -> bool:
-    return not s
-
-
 def scalar_inv(s):
     """Multiplicative inverse inside the ambient field of s."""
     if isinstance(s, Fraction):
@@ -576,10 +567,6 @@ def scalar_inv(s):
     raise TypeError(f"not an exact scalar: {type(s).__name__}")
 
 
-def zero_like(s):
-    return s * 0
-
-
 class XPoly:
     """Dense polynomial in x over Fraction / RationalFunction scalars."""
 
@@ -587,7 +574,7 @@ class XPoly:
 
     def __init__(self, coeffs=()):
         cs = [coerce_scalar(v) if isinstance(v, int) else v for v in coeffs]
-        while cs and scalar_is_zero(cs[-1]):
+        while cs and not cs[-1]:
             cs.pop()
         self.coeffs = tuple(cs)
 
@@ -693,7 +680,7 @@ class XPoly:
             return "0"
         parts = []
         for k, v in enumerate(self.coeffs):
-            if scalar_is_zero(v):
+            if not v:
                 continue
             if k == 0:
                 parts.append(str(v))

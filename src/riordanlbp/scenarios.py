@@ -22,7 +22,6 @@ from .combinat import (
 )
 from .lbp import (
     LBPFamily,
-    MOMENT_ROUTES,
     coefficient_array,
     coefficient_matrix,
     moment_gf,
@@ -176,9 +175,8 @@ def scenario_example2(order: int = 12) -> ScenarioReport:
     checks = []
     fam = LBPFamily.periodic([1, 2], [1], order=order)
     table = moment_matrix(fam, 8)
-    got_rows = [[table.entry(n, k) for k in range(n + 1)] for n in range(8)]
     checks.append(check_equal("periodic moment matrix rows 0..7",
-                              got_rows, [list(r) for r in PERIODIC_MOMENT_TABLE]))
+                              table.rows, [list(r) for r in PERIODIC_MOMENT_TABLE]))
 
     prod = production_matrix(moment_matrix(fam, 9))
     checks.append(check_equal("periodic production block 7x7",
@@ -252,18 +250,16 @@ def scenario_example4(order: int = 12) -> ScenarioReport:
         [int(v) * _C ** (n - k) for k, v in enumerate(row)]
         for n, row in enumerate(DELANNOY_SIGNED_TABLE)
     ]
-    got = [[coeff.entry(n, k) for k in range(n + 1)] for n in range(6)]
     checks.append(check_equal("coefficient rows are the signed Delannoy triangle",
-                              got, expected))
+                              coeff.rows, expected))
 
     inv = moment_matrix(fam, 6)
     expected_inv = [
         [int(v) * _C ** (n - k) for k, v in enumerate(row)]
         for n, row in enumerate(SCALED_SCHROEDER_MOMENT_TABLE)
     ]
-    got_inv = [[inv.entry(n, k) for k in range(n + 1)] for n in range(6)]
     checks.append(check_equal("moment rows are scaled Schroeder tables",
-                              got_inv, expected_inv))
+                              inv.rows, expected_inv))
 
     mu = moments(fam, "gf_expansion", 8)
     shifted_schroeder = [1] + [schroeder(n) for n in range(8)]
@@ -288,10 +284,7 @@ def scenario_factorizations(order: int = 12) -> ScenarioReport:
     for kind in orthopoly.ORTHO_KINDS:
         arr = orthopoly.ortho_array(kind, PARAM_B, PARAM_C, 6).matrix(7)
         rows = orthopoly.ortho_rows_by_recurrence(kind, PARAM_B, PARAM_C, 6)
-        ok = all(
-            [arr.entry(n, k) for k in range(n + 1)] == list(rows[n])
-            for n in range(7)
-        )
+        ok = all(list(arr.rows[n]) == rows[n] for n in range(7))
         checks.append(Check(f"{kind} recurrence rows match the array", ok))
 
     checks.append(Check(

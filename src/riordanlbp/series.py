@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .scalars import coerce_scalar, scalar_inv, scalar_is_zero, zero_like
+from .scalars import coerce_scalar, scalar_inv
 
 DEFAULT_ORDER = 16
 
@@ -29,7 +29,7 @@ class TruncatedSeries:
             if len(cs) > order + 1:
                 cs = cs[: order + 1]
             else:
-                pad = zero_like(cs[0])
+                pad = cs[0] * 0
                 cs.extend(pad for _ in range(order + 1 - len(cs)))
         self.coeffs = tuple(cs)
 
@@ -78,20 +78,11 @@ class TruncatedSeries:
 
     def valuation(self) -> int | None:
         for n, v in enumerate(self.coeffs):
-            if not scalar_is_zero(v):
+            if v:
                 return n
         return None
 
     # -- ring operations -----------------------------------------------------
-
-    @staticmethod
-    def _coerce(other):
-        if isinstance(other, TruncatedSeries):
-            return other
-        try:
-            return TruncatedSeries([coerce_scalar(other)])
-        except TypeError:
-            return None
 
     def __add__(self, other):
         if isinstance(other, TruncatedSeries):
@@ -194,7 +185,7 @@ class TruncatedSeries:
         """Multiply by t^k; all new coefficients are known, so order grows."""
         if k == 0:
             return self
-        pad = zero_like(self.coeffs[0])
+        pad = self.coeffs[0] * 0
         return TruncatedSeries([pad] * k + list(self.coeffs))
 
     def shift_down(self, k: int) -> "TruncatedSeries":
@@ -203,7 +194,7 @@ class TruncatedSeries:
             return self
         if k > self.order:
             raise ValueError("shift below constant term")
-        if any(not scalar_is_zero(v) for v in self.coeffs[:k]):
+        if any(self.coeffs[:k]):
             raise ValueError("series not divisible by t^k")
         return TruncatedSeries(self.coeffs[k:])
 
@@ -211,7 +202,7 @@ class TruncatedSeries:
 
     def compose(self, inner: "TruncatedSeries") -> "TruncatedSeries":
         """self(inner(t)); inner must have zero constant term."""
-        if not scalar_is_zero(inner.coeffs[0]):
+        if inner.coeffs[0]:
             raise ValueError("composition requires inner series with f(0) = 0")
         n = min(self.order, inner.order)
         inner = inner.truncate(n)
@@ -222,13 +213,13 @@ class TruncatedSeries:
 
     def reversion(self) -> "TruncatedSeries":
         """Compositional inverse g with self(g(t)) = t, solved order by order."""
-        if not scalar_is_zero(self.coeffs[0]):
+        if self.coeffs[0]:
             raise ValueError("reversion requires f(0) = 0")
-        if scalar_is_zero(self.coeffs[1]):
+        if not self.coeffs[1]:
             raise ValueError("reversion requires an invertible linear coefficient")
         n = self.order
         inv1 = scalar_inv(self.coeffs[1])
-        zero = zero_like(self.coeffs[0])
+        zero = self.coeffs[0] * 0
         g = [zero, inv1 * 1] + [zero] * (n - 1)
         for m in range(2, n + 1):
             h = self.truncate(m).compose(TruncatedSeries(g[: m + 1]))
@@ -266,7 +257,7 @@ class TruncatedSeries:
 
 
 def _series_div(num: TruncatedSeries, den: TruncatedSeries) -> TruncatedSeries:
-    if scalar_is_zero(den.coeffs[0]):
+    if not den.coeffs[0]:
         raise ZeroDivisionError("series division needs an invertible constant term")
     n = min(num.order, den.order)
     inv0 = scalar_inv(den.coeffs[0])

@@ -48,7 +48,7 @@ from riordanlbp.riordan import (
     has_column_shift,
     production_matrix,
 )
-from riordanlbp.scalars import PARAM_B, PARAM_C, coerce_scalar, scalar_is_zero
+from riordanlbp.scalars import PARAM_B, PARAM_C, coerce_scalar
 from riordanlbp.scenarios import run_scenario
 from riordanlbp.series import TruncatedSeries
 
@@ -88,11 +88,11 @@ def test_criterion_01_moments():
         c * (b + c) * (5 * b * b + 5 * b * c + c * c),
     ]
     for n, value in enumerate(closed):
-        assert scalar_is_zero(baseline[n] - value), f"moment {n}"
+        assert not (baseline[n] - value), f"moment {n}"
     for route in MOMENT_ROUTES:
         got = moments(fam, route=route, n_max=12)
         for n in range(13):
-            assert scalar_is_zero(got[n] - baseline[n]), (route, n)
+            assert not (got[n] - baseline[n]), (route, n)
 
 
 @criterion(2, "Hankel determinants match (bc)^n (b(b+c))^binom(n,2) through n=5")
@@ -101,7 +101,7 @@ def test_criterion_02_hankel():
     got = hankel_transform(list(mu), 5)
     expected = hankel_closed_form(PARAM_B, PARAM_C, 5)
     for n in range(6):
-        assert scalar_is_zero(got[n] - expected[n]), f"h_{n}"
+        assert not (got[n] - expected[n]), f"h_{n}"
 
 
 @criterion(3, "Toeplitz determinants match (-b/c)^binom(n+1,2) and recover (b, c)")
@@ -112,11 +112,11 @@ def test_criterion_03_toeplitz():
     t_seq, tp_seq = toeplitz_dets(bm, 5)
     expected = toeplitz_closed_form(b, c, 5)
     for n in range(6):
-        assert scalar_is_zero(t_seq[n] - expected[n]), f"t_{n}"
+        assert not (t_seq[n] - expected[n]), f"t_{n}"
     for n in range(1, 5):
         got_b, got_c = recover_parameters(t_seq, tp_seq, n)
-        assert scalar_is_zero(got_b - b), f"b at n={n}"
-        assert scalar_is_zero(got_c - c), f"c at n={n}"
+        assert not (got_b - b), f"b at n={n}"
+        assert not (got_c - c), f"c at n={n}"
 
 
 @criterion(4, "S-, J- and T-fraction expansions all reproduce the moment series")
@@ -188,7 +188,7 @@ def test_criterion_09_determinantal_polynomials():
     for n in range(6):
         got = lbp_by_determinant(bm, n)
         for k in range(n + 1):
-            assert scalar_is_zero(got[k] - expected[n][k]), (n, k)
+            assert not (got[k] - expected[n][k]), (n, k)
 
 
 def _sample_parameters(count):

@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from riordanlbp import oeis
 from riordanlbp.cli import GENERATE_KINDS, main
 
 
@@ -181,9 +182,19 @@ class TestErrorHandling:
             main(["verify", "nonesuch"])
         assert exc.value.code == 2
 
-    def test_unknown_sequence(self, capsys):
-        code, _, err = run_cli(capsys, "oeis-check", "A999999")
-        assert code == 2
+    def test_unknown_sequence(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["oeis-check", "A999999"])
+        assert exc.value.code == 2
+
+    def test_internal_key_error_is_not_a_usage_error(self, monkeypatch):
+        def broken(count):
+            raise KeyError("internal")
+
+        monkeypatch.setitem(oeis.GENERATORS, "A000108",
+                            (oeis.GENERATORS["A000108"][0], broken))
+        with pytest.raises(KeyError, match="internal"):
+            main(["oeis-check", "A000108"])
 
     def test_usage_error_from_argparse(self):
         with pytest.raises(SystemExit) as exc:

@@ -16,7 +16,7 @@ from riordanlbp.orthopoly import (
     ortho_rows_by_recurrence,
     verify_factorizations,
 )
-from riordanlbp.scalars import PARAM_B, PARAM_C, XPoly, coerce_scalar, scalar_is_zero
+from riordanlbp.scalars import PARAM_B, PARAM_C, XPoly, coerce_scalar
 from riordanlbp.series import TruncatedSeries
 
 nonzero_fractions = st.fractions(
@@ -34,15 +34,15 @@ class TestRowsByRecurrence:
         firsts = {"q": c, "qtilde": b + c, "qhat": 2 * b + c}
         for kind, first in firsts.items():
             row = ortho_rows_by_recurrence(kind, b, c, 1)[1]
-            assert scalar_is_zero(row[0] + first)
-            assert scalar_is_zero(row[1] - 1)
+            assert not (row[0] + first)
+            assert not (row[1] - 1)
 
     def test_q_degree_two_row(self):
         b, c = PARAM_B, PARAM_C
         row = ortho_rows_by_recurrence("q", b, c, 2)[2]
-        assert scalar_is_zero(row[0] - c * (b + c))
-        assert scalar_is_zero(row[1] + 2 * (b + c))
-        assert scalar_is_zero(row[2] - 1)
+        assert not (row[0] - c * (b + c))
+        assert not (row[1] + 2 * (b + c))
+        assert not (row[2] - 1)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
@@ -60,7 +60,7 @@ class TestArrayVersusRecurrence:
         arr = ortho_array(kind, b, c, 6)
         for n, row in enumerate(rows):
             for k, got in enumerate(row):
-                assert scalar_is_zero(got - arr.entry(n, k)), (kind, n, k)
+                assert not (got - arr.entry(n, k)), (kind, n, k)
 
     @pytest.mark.parametrize("kind", ORTHO_KINDS)
     @given(param_pairs)
@@ -80,7 +80,7 @@ class TestMomentColumns:
         mu = moments(LBPFamily.constant(b, c, order=7), n_max=7)
         col = ortho_array("q", b, c, 7).inverse().matrix(8).first_column()
         for n in range(8):
-            assert scalar_is_zero(col[n] - mu[n]), n
+            assert not (col[n] - mu[n]), n
 
     def test_qtilde_inverse_first_column_prefix(self):
         b, c = PARAM_B, PARAM_C
@@ -91,7 +91,7 @@ class TestMomentColumns:
             (b + c) * (2 * b + c),
         ]
         for n, value in enumerate(expected):
-            assert scalar_is_zero(col[n] - value), n
+            assert not (col[n] - value), n
 
 
 class TestInverseFClosedForm:

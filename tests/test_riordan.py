@@ -14,7 +14,7 @@ from riordanlbp.riordan import (
     has_column_shift,
     production_matrix,
 )
-from riordanlbp.scalars import coerce_scalar, scalar_is_zero
+from riordanlbp.scalars import coerce_scalar
 from riordanlbp.series import TruncatedSeries
 
 ORDER = 8

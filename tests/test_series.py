@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from riordanlbp.combinat import catalan
-from riordanlbp.scalars import PARAM_B, PARAM_C, coerce_scalar, scalar_is_zero
+from riordanlbp.scalars import PARAM_B, PARAM_C, coerce_scalar
 from riordanlbp.series import TruncatedSeries, catalan_series
 
 ORDER = 10
@@ -49,7 +49,7 @@ class TestArithmetic:
     @settings(max_examples=40, deadline=None)
     def test_division_round_trip(self, a):
         s = series_of(a)
-        if scalar_is_zero(s[0]):
+        if not s[0]:
             return
         assert (s / s) == TruncatedSeries.constant(1, order=ORDER)
         t = TruncatedSeries.ratio([1, 2, 3], [1, -1], order=ORDER)
