@@ -80,31 +80,30 @@ class TFraction:
 
 
 def cf_expand(cf, order: int = DEFAULT_ORDER) -> TruncatedSeries:
-    """Truncated series of the fraction, exact through the requested order."""
-    levels = cf.levels_for(order)
-    one = TruncatedSeries.constant(1, order)
-    t = TruncatedSeries.identity(order)
-    value = one
+    """Truncated series of the fraction, exact through the requested order.
+
+    Level k enters the result multiplied by t^k (t^(2k) for the J shape), so
+    it is expanded only to order - k (order - 2k), and the product with t or
+    t^2 is a shift.
+    """
     if isinstance(cf, SFraction):
-        for a in reversed(cf.alphas[:levels]):
-            value = one / (one - a * t * value)
-        return value
-    if isinstance(cf, JFraction):
-        t2 = t * t
-        for k in reversed(range(levels)):
-            body = one - cf.diag[k] * t
-            if k < len(cf.sub):
-                body = body - cf.sub[k] * t2 * value
-            value = one / body
-        return value
-    if isinstance(cf, TFraction):
-        for k in reversed(range(levels)):
-            body = one - cf.diag[k] * t
-            if k < len(cf.num):
-                body = body - cf.num[k] * t * value
-            value = one / body
-        return value
-    raise TypeError(f"not a continued fraction descriptor: {type(cf).__name__}")
+        step, diag, nums = 1, (), cf.alphas
+    elif isinstance(cf, JFraction):
+        step, diag, nums = 2, cf.diag, cf.sub
+    elif isinstance(cf, TFraction):
+        step, diag, nums = 1, cf.diag, cf.num
+    else:
+        raise TypeError(f"not a continued fraction descriptor: {type(cf).__name__}")
+    levels = cf.levels_for(order)
+    # the first unstored level is replaced by 1
+    value = TruncatedSeries.constant(1, max(order - step * levels, 0))
+    for k in reversed(range(levels)):
+        n = order - step * k
+        body = TruncatedSeries([1, -diag[k]] if diag else [1], n)
+        if k < len(nums) and n >= step:
+            body = body - (value * nums[k]).shift_up(step)
+        value = body.reciprocal()
+    return value
 
 
 def moment_sfraction(b, c, order: int = DEFAULT_ORDER) -> SFraction:

@@ -11,7 +11,10 @@ symbolic value.  Output is csv (one sequence value or one comma-joined row
 per line) or json (object with kind, params, order and data, every value
 rendered as a string so exactness survives serialization).
 
-Exit codes: 0 success, 1 verification failure, 2 usage or parameter error.
+Exit codes: 0 success, 1 verification failure, 2 usage or parameter error,
+141 (128 + SIGPIPE, what a shell reports for a tool killed by SIGPIPE) when
+the reader closes stdout early, as ``riordanlbp ... | head`` does; that
+ends quietly, without a traceback.
 ``--order`` is checked against the smallest order each generate kind and
 verify scenario accepts (``MIN_ORDER``, also listed in ``--help``).
 """
@@ -20,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import cfrac, oeis
@@ -48,6 +52,9 @@ GENERATE_KINDS = (
     "cfrac-expand",
     "ortho-array",
 )
+
+#: 128 + SIGPIPE: the reader closed stdout before the output was written
+EXIT_BROKEN_PIPE = 141
 
 #: smallest --order each generate kind and verify scenario accepts; 0 if unlisted
 MIN_ORDER = {
@@ -204,7 +211,16 @@ def main(argv=None) -> int:
         if args.order < floor:
             parser.error(f"--order must be at least {floor} for {args.command} {target}")
     try:
-        return args.func(args)
+        code = args.func(args)
+        # flush inside the try, so a closed pipe raises here and not at exit
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the recipe in the `signal` docs: point stdout at devnull so the
+        # flush at interpreter exit cannot raise a second time
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except (ValueError, FileNotFoundError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

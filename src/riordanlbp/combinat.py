@@ -5,6 +5,7 @@ oracle for the moment identities."""
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
 
 
@@ -61,10 +62,16 @@ def schroeder_path_statistics(n: int) -> dict[tuple[int, int], int]:
     return counts
 
 
+@lru_cache(maxsize=None)
+def _path_counts(n: int) -> tuple[tuple[tuple[int, int], int], ...]:
+    """The walk's counts as ((levels, peaks), count) pairs, one walk per n."""
+    return tuple(schroeder_path_statistics(n).items())
+
+
 def colored_path_count(n: int, colors: Fraction) -> Fraction:
     """Weighted path count: each level step may take any of `colors` colors."""
     total = Fraction(0)
-    for (levels, _), count in schroeder_path_statistics(n).items():
+    for (levels, _), count in _path_counts(n):
         total += count * Fraction(colors) ** levels
     return total
 
@@ -72,7 +79,7 @@ def colored_path_count(n: int, colors: Fraction) -> Fraction:
 def peak_count_row(n: int) -> list[int]:
     """Row n of the triangle counting Schroeder paths to (2n,0) by peaks."""
     row = [0] * (n + 1)
-    for (_, peaks), count in schroeder_path_statistics(n).items():
+    for (_, peaks), count in _path_counts(n):
         row[peaks] += count
     return row
 
@@ -80,6 +87,6 @@ def peak_count_row(n: int) -> list[int]:
 def level_count_row(n: int) -> list[int]:
     """Row n of the triangle counting Schroeder paths to (2n,0) by level steps."""
     row = [0] * (n + 1)
-    for (levels, _), count in schroeder_path_statistics(n).items():
+    for (levels, _), count in _path_counts(n):
         row[levels] += count
     return row

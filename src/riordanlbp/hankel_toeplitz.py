@@ -5,6 +5,14 @@ fraction-free (Bareiss) elimination so intermediate entries stay polynomial;
 matrices of rational functions are cleared to polynomial rows first and the
 accumulated row factors divided back out at the end.
 
+h_0..h_n and t_0..t_n are the leading principal minors of one matrix, and
+the pivots of one Bareiss pass without row swaps are exactly those minors
+(Bareiss, Math. Comp. 22, 1968, via Sylvester's identity), so
+`leading_minors` reads all of them off a single O(n^3) pass instead of
+computing n+1 determinants.  A zero pivot, as on the b+c = 0 locus where
+h_2 = 0, ends the pass; each larger block then goes to `determinant`, which
+shares the clearing and the elimination code.
+
 For the constant-coefficient moment sequence the closed forms are
 
     hankel:   h_n = (bc)^n (b(b+c))^binom(n,2)
@@ -24,42 +32,19 @@ from .combinat import binomial
 from .scalars import BivarPoly, RationalFunction, coerce_scalar, scalar_inv
 
 
-def _bareiss(mat: list[list], divide) -> object:
-    """Fraction-free elimination; `divide` must be exact for the entry type."""
-    n = len(mat)
-    sign = 1
-    prev = None
-    for k in range(n - 1):
-        if not mat[k][k]:
-            for r in range(k + 1, n):
-                if mat[r][k]:
-                    mat[k], mat[r] = mat[r], mat[k]
-                    sign = -sign
-                    break
-            else:
-                return mat[0][0] * 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = mat[i][j] * mat[k][k] - mat[i][k] * mat[k][j]
-                mat[i][j] = num if prev is None else divide(num, prev)
-        prev = mat[k][k]
-    return mat[n - 1][n - 1] if sign == 1 else -mat[n - 1][n - 1]
+def _clear(mat: list[list]) -> tuple[list[list], object, list | None]:
+    """Entries ready for fraction-free elimination.
 
-
-def determinant(rows) -> object:
-    """Exact determinant of a square matrix of Fraction / polynomial scalars."""
-    mat = [[coerce_scalar(v) for v in row] for row in rows]
-    n = len(mat)
-    if n == 0:
-        return Fraction(1)
-    if any(len(row) != n for row in mat):
-        raise ValueError("matrix is not square")
-    if n == 1:
-        return mat[0][0]
+    Returns (matrix, exact divide, scales).  A Fraction matrix is eliminated
+    as it is and scales is None.  Any other matrix is cleared to polynomial
+    rows, row i multiplied by the product of its denominators, and scales[i]
+    is the product of the factors of rows 0..i: a determinant over rows
+    0..i of the cleared matrix is scales[i] times the original one.
+    """
     if all(isinstance(v, Fraction) for row in mat for v in row):
-        return _bareiss(mat, lambda a, b: a / b)
-
+        return mat, lambda a, b: a / b, None
     poly_rows: list[list[BivarPoly]] = []
+    scales = []
     cleared = BivarPoly.one()
     for row in mat:
         row = [v if isinstance(v, RationalFunction) else RationalFunction(v) for v in row]
@@ -67,9 +52,82 @@ def determinant(rows) -> object:
         for v in row:
             row_factor = row_factor * v.den
         cleared = cleared * row_factor
+        scales.append(cleared)
         poly_rows.append([v.num * row_factor.divexact(v.den) for v in row])
-    det = _bareiss(poly_rows, lambda a, b: a.divexact(b))
-    return RationalFunction(det, cleared)
+    return poly_rows, lambda a, b: a.divexact(b), scales
+
+
+def _bareiss(mat: list[list], divide, swap: bool) -> tuple[int, list]:
+    """Fraction-free elimination in place; `divide` must be exact for the entries.
+
+    Returns (sign, pivots), pivot k being mat[k][k] when step k starts.
+    Without row swaps pivot k is the leading principal minor of order k + 1
+    (Sylvester's identity), and elimination stops at the first zero pivot.
+    With swaps a zero pivot is replaced from a row below it when one has a
+    nonzero entry in that column, and the determinant is sign times the last
+    pivot, which is 0 if no row could replace a zero pivot.
+    """
+    n = len(mat)
+    sign = 1
+    prev = None
+    pivots = []
+    for k in range(n):
+        if swap and not mat[k][k]:
+            for r in range(k + 1, n):
+                if mat[r][k]:
+                    mat[k], mat[r] = mat[r], mat[k]
+                    sign = -sign
+                    break
+        pivot = mat[k][k]
+        pivots.append(pivot)
+        if not pivot:
+            break
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                num = mat[i][j] * pivot - mat[i][k] * mat[k][j]
+                mat[i][j] = num if prev is None else divide(num, prev)
+        prev = pivot
+    return sign, pivots
+
+
+def _square(rows) -> list[list]:
+    mat = [[coerce_scalar(v) for v in row] for row in rows]
+    if any(len(row) != len(mat) for row in mat):
+        raise ValueError("matrix is not square")
+    return mat
+
+
+def determinant(rows) -> object:
+    """Exact determinant of a square matrix of Fraction / polynomial scalars."""
+    mat = _square(rows)
+    n = len(mat)
+    if n == 0:
+        return Fraction(1)
+    if n == 1:
+        return mat[0][0]
+    mat, divide, scales = _clear(mat)
+    sign, pivots = _bareiss(mat, divide, swap=True)
+    det = pivots[-1] if sign == 1 else -pivots[-1]
+    return det if scales is None else RationalFunction(det, scales[-1])
+
+
+def leading_minors(rows) -> list:
+    """Determinants of the leading k x k blocks, k = 1..n, from one pass.
+
+    Bareiss elimination without row swaps has the leading principal minors
+    as its pivots, so one O(n^3) pass replaces n determinants.  After a zero
+    pivot (the b+c = 0 locus makes h_2 vanish) elimination cannot go on
+    without swaps, so each larger block falls back to `determinant`.
+    """
+    mat = _square(rows)
+    cleared, divide, scales = _clear([row[:] for row in mat])
+    _, pivots = _bareiss(cleared, divide, swap=False)
+    if scales is not None:
+        pivots = [RationalFunction(p, scales[k]) for k, p in enumerate(pivots)]
+    return pivots + [
+        determinant([row[:m] for row in mat[:m]])
+        for m in range(len(pivots) + 1, len(mat) + 1)
+    ]
 
 
 def hankel_transform(mu, n_max: int) -> list:
@@ -77,10 +135,9 @@ def hankel_transform(mu, n_max: int) -> list:
     values = list(mu)
     if len(values) < 2 * n_max + 1:
         raise ValueError(f"need {2 * n_max + 1} moments for depth {n_max}")
-    return [
-        determinant([[values[i + j] for j in range(n + 1)] for i in range(n + 1)])
-        for n in range(n_max + 1)
-    ]
+    return leading_minors(
+        [[values[i + j] for j in range(n_max + 1)] for i in range(n_max + 1)]
+    )
 
 
 def hankel_closed_form(b, c, n_max: int) -> list:
@@ -140,14 +197,9 @@ def toeplitz_dets(bm: BiInfiniteMoments, n_max: int) -> tuple[list, list]:
     """(t_n, t'_n) for n = 0..n_max with t from mu_{k-j}, t' from mu_{1+k-j}."""
     if bm.depth < n_max:
         raise ValueError(f"backward depth {bm.depth} < {n_max}")
-    t_seq = [
-        determinant([[bm.moment(k - j) for k in range(n + 1)] for j in range(n + 1)])
-        for n in range(n_max + 1)
-    ]
-    tp_seq = [
-        determinant([[bm.moment(1 + k - j) for k in range(n + 1)] for j in range(n + 1)])
-        for n in range(n_max + 1)
-    ]
+    size = range(n_max + 1)
+    t_seq = leading_minors([[bm.moment(k - j) for k in size] for j in size])
+    tp_seq = leading_minors([[bm.moment(1 + k - j) for k in size] for j in size])
     return t_seq, tp_seq
 
 

@@ -11,8 +11,9 @@ is its inverse; the moment sequence mu_n (the inverse's first column) begins
 
 Five independent routes compute the moments and must agree:
 
-* matrix_inverse     -- invert the materialized coefficient block (works for
-                        arbitrary, e.g. periodic, coefficient sequences);
+* matrix_inverse     -- forward-solve the first column of the inverse of the
+                        materialized coefficient block (works for arbitrary,
+                        e.g. periodic, coefficient sequences);
 * catalan_sum        -- mu_n = sum_k C(2n-k-1, 2n-2k) C_{n-k} b^(n-k) c^k;
 * lagrange           -- the k = 0 case of the Lagrange-inversion entry formula;
 * shifted_tfraction  -- solve u = 1/(1 - ct - btu) order by order and shift
@@ -67,8 +68,8 @@ class LBPFamily:
 
     @property
     def is_constant(self) -> bool:
-        return all(v == self.b_seq[0] for v in self.b_seq) and all(
-            v == self.c_seq[0] for v in self.c_seq
+        return all(v == self.b_seq[0] for v in self.b_seq[1:]) and all(
+            v == self.c_seq[0] for v in self.c_seq[1:]
         )
 
     def b_at(self, n: int):
@@ -79,13 +80,13 @@ class LBPFamily:
 
     @property
     def b(self):
-        if any(v != self.b_seq[0] for v in self.b_seq):
+        if any(v != self.b_seq[0] for v in self.b_seq[1:]):
             raise ValueError("family does not have constant b")
         return self.b_seq[0]
 
     @property
     def c(self):
-        if any(v != self.c_seq[0] for v in self.c_seq):
+        if any(v != self.c_seq[0] for v in self.c_seq[1:]):
             raise ValueError("family does not have constant c")
         return self.c_seq[0]
 
@@ -228,7 +229,7 @@ def moments(family: LBPFamily, route: str = "matrix_inverse",
     if n_max is None:
         n_max = family.order
     if route == "matrix_inverse":
-        values = moment_matrix(family, n_max + 1).first_column()
+        values = coefficient_matrix(family, n_max + 1).inverse_column(0)
         return MomentSequence(tuple(values), route)
     if not family.is_constant:
         raise ValueError(f"route {route!r} applies to constant-coefficient families only")

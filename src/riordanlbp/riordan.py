@@ -69,22 +69,34 @@ class LowerTriangularMatrix:
             rows.append(row)
         return LowerTriangularMatrix(rows)
 
-    def inverse(self) -> "LowerTriangularMatrix":
-        """Back-substitution down the triangle; exact in any field."""
-        n = self.dim
-        for i in range(n):
+    def _inverse_diagonal(self) -> list:
+        for i in range(self.dim):
             if not self.rows[i][i]:
                 raise ZeroDivisionError(f"zero diagonal entry at {i}")
-        inv_diag = [scalar_inv(self.rows[i][i]) for i in range(n)]
-        out = [[None] * (i + 1) for i in range(n)]
-        for j in range(n):
-            out[j][j] = inv_diag[j]
-            for i in range(j + 1, n):
-                acc = self.rows[i][j] * out[j][j]
-                for m in range(j + 1, i):
-                    acc = acc + self.rows[i][m] * out[m][j]
-                out[i][j] = -inv_diag[i] * acc
-        return LowerTriangularMatrix(out)
+        return [scalar_inv(self.rows[i][i]) for i in range(self.dim)]
+
+    def _solve_column(self, j: int, inv_diag: list) -> list:
+        """Entries j..dim-1 of column j of the inverse, by forward substitution."""
+        rows = self.rows
+        col = [inv_diag[j]]
+        for i in range(j + 1, self.dim):
+            acc = rows[i][j] * col[0]
+            for m in range(j + 1, i):
+                acc = acc + rows[i][m] * col[m - j]
+            col.append(-inv_diag[i] * acc)
+        return col
+
+    def inverse_column(self, j: int) -> list:
+        """Column j of the inverse from row j down, in O(dim^2) operations."""
+        return self._solve_column(j, self._inverse_diagonal())
+
+    def inverse(self) -> "LowerTriangularMatrix":
+        """Forward substitution column by column; exact in any field."""
+        inv_diag = self._inverse_diagonal()
+        cols = [self._solve_column(j, inv_diag) for j in range(self.dim)]
+        return LowerTriangularMatrix(
+            [[cols[j][i - j] for j in range(i + 1)] for i in range(self.dim)]
+        )
 
     def __repr__(self):
         return f"LowerTriangularMatrix(dim={self.dim})"
@@ -178,11 +190,14 @@ def production_matrix(m: LowerTriangularMatrix) -> list[list]:
         if not m.rows[i][i]:
             raise ZeroDivisionError(f"zero diagonal entry at {i}")
     inv_diag = [scalar_inv(m.rows[i][i]) for i in range(dim)]
-    out = [[None] * dim for _ in range(dim)]
+    # M^-1 is lower triangular and the shifted M has nothing right of its
+    # superdiagonal, so out[k][j] = 0 for j > k + 1 (lower Hessenberg)
+    zero = m.rows[0][0] * 0
+    out = [[zero] * dim for _ in range(dim)]
     for j in range(dim):
-        for i in range(dim):
-            acc = m.entry(i + 1, j)
-            for k in range(i):
+        for i in range(max(j - 1, 0), dim):
+            acc = m.rows[i + 1][j]
+            for k in range(max(j - 1, 0), i):
                 acc = acc - m.rows[i][k] * out[k][j]
             out[i][j] = acc * inv_diag[i]
     return out

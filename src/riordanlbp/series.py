@@ -128,10 +128,16 @@ class TruncatedSeries:
             return TruncatedSeries([v * value for v in self.coeffs])
         n = min(self.order, other.order)
         a, b = self.coeffs, other.coeffs
-        out = []
-        for m in range(n + 1):
-            acc = a[0] * b[m]
-            for k in range(1, m + 1):
+        # a[k] = 0 below the valuation va and b[k] = 0 below vb, so the
+        # product starts at t^(va+vb) and its sums run over va..m-vb
+        zero = a[0] * b[0]
+        va, vb = self.valuation(), other.valuation()
+        if va is None or vb is None:
+            return TruncatedSeries([zero] * (n + 1))
+        out = [zero] * min(va + vb, n + 1)
+        for m in range(va + vb, n + 1):
+            acc = a[va] * b[m - va]
+            for k in range(va + 1, m - vb + 1):
                 acc = acc + a[k] * b[m - k]
             out.append(acc)
         return TruncatedSeries(out)

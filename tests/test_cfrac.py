@@ -58,6 +58,67 @@ class TestAdequacy:
         cf_expand(short, 2)
 
 
+def reference_expand(cf, order):
+    """The definition cf_expand shortcuts: every level at the full order,
+    and t multiplied in as a full series product."""
+    levels = cf.levels_for(order)
+    one = TruncatedSeries.constant(1, order)
+    t = TruncatedSeries([0, 1], order)
+    value = one
+    if isinstance(cf, SFraction):
+        for a in reversed(cf.alphas[:levels]):
+            value = one / (one - a * t * value)
+        return value
+    step = t * t if isinstance(cf, JFraction) else t
+    nums = cf.sub if isinstance(cf, JFraction) else cf.num
+    for k in reversed(range(levels)):
+        body = one - cf.diag[k] * t
+        if k < len(nums):
+            body = body - nums[k] * step * value
+        value = one / body
+    return value
+
+
+def same_series(got, want):
+    return got.order == want.order and [str(v) for v in got.coeffs] == [
+        str(v) for v in want.coeffs]
+
+
+fractions_with_zero = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+
+
+@st.composite
+def fractions_and_orders(draw):
+    """A descriptor of any shape with just enough levels (or a few more)."""
+    order = draw(st.integers(min_value=0, max_value=6))
+    shape = draw(st.sampled_from("sjt"))
+
+    def levels(least):
+        return tuple(draw(st.lists(fractions_with_zero, min_size=max(least, 0),
+                                   max_size=max(least, 0) + 2)))
+
+    if shape == "s":
+        return SFraction(levels(order)), order
+    if shape == "j":
+        return JFraction(levels((order + 1) // 2), levels(order // 2)), order
+    return TFraction(levels(order), levels(order - 1)), order
+
+
+class TestTruncatedLevels:
+    @given(fractions_and_orders())
+    @settings(max_examples=120, deadline=None)
+    def test_matches_full_order_reference(self, cf_order):
+        cf, order = cf_order
+        assert same_series(cf_expand(cf, order), reference_expand(cf, order))
+
+    @pytest.mark.parametrize("order", range(7))
+    @pytest.mark.parametrize("builder", [moment_sfraction, moment_jfraction,
+                                         constant_tfraction])
+    def test_symbolic_builders(self, builder, order):
+        cf = builder(PARAM_B, PARAM_C, order)
+        assert same_series(cf_expand(cf, order), reference_expand(cf, order))
+
+
 class TestExpansion:
     def test_geometric_single_level_depth(self):
         # one alpha expands 1/(1 - a t) exactly to first order only

@@ -7,7 +7,7 @@ import sys
 import pytest
 
 from riordanlbp import oeis
-from riordanlbp.cli import GENERATE_KINDS, main
+from riordanlbp.cli import EXIT_BROKEN_PIPE, GENERATE_KINDS, main
 
 
 def run_cli(capsys, *argv):
@@ -228,3 +228,17 @@ class TestConsoleScript:
         )
         assert proc.returncode == 0
         assert proc.stdout.splitlines() == ["1", "1", "2", "6"]
+
+    def test_closed_stdout_exits_quietly(self):
+        # the reader is gone before the child writes, as with `| head` on a
+        # long table: no traceback, and the SIGPIPE exit status
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "riordanlbp", "generate", "hankel", "--order", "7"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait() == EXIT_BROKEN_PIPE == 141
+        assert err == b""

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from riordanlbp import combinat
 from riordanlbp.combinat import (
     binomial,
     catalan,
@@ -92,3 +93,30 @@ class TestPathStatistics:
             for colors in (1, 2, 3):
                 value = sum(coef * colors**k for k, coef in enumerate(row))
                 assert value == colored_path_count(n, colors)
+
+    def test_one_walk_per_n(self, monkeypatch):
+        # the rows and colored counts share one brute-force walk per n
+        walks = []
+
+        def counted(n):
+            walks.append(n)
+            return schroeder_path_statistics(n)
+
+        monkeypatch.setattr(combinat, "schroeder_path_statistics", counted)
+        combinat._path_counts.cache_clear()
+        try:
+            for n in range(5):
+                peak_count_row(n)
+                level_count_row(n)
+                for colors in (1, 2, 3):
+                    colored_path_count(n, colors)
+        finally:
+            combinat._path_counts.cache_clear()
+        assert walks == list(range(5))
+
+    def test_statistics_are_a_fresh_dict(self):
+        stats = schroeder_path_statistics(3)
+        stats.clear()
+        assert sum(schroeder_path_statistics(3).values()) == SCHROEDER[3]
+        peak_count_row(3)[0] = 999
+        assert peak_count_row(3) == level_count_row(3) == STATISTIC_ROWS[3]

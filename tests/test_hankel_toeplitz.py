@@ -4,7 +4,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from riordanlbp.combinat import binomial, catalan
@@ -15,12 +15,20 @@ from riordanlbp.hankel_toeplitz import (
     hankel_closed_form,
     hankel_transform,
     lbp_by_determinant,
+    leading_minors,
     recover_parameters,
     toeplitz_closed_form,
     toeplitz_dets,
 )
 from riordanlbp.lbp import LBPFamily, moments, rows_by_recurrence
-from riordanlbp.scalars import PARAM_B, PARAM_C, coerce_scalar, scalar_inv
+from riordanlbp.scalars import (
+    PARAM_B,
+    PARAM_C,
+    BivarPoly,
+    RationalFunction,
+    coerce_scalar,
+    scalar_inv,
+)
 
 nonzero_fractions = st.fractions(
     min_value=-4, max_value=4, max_denominator=3
@@ -94,6 +102,74 @@ class TestDeterminant:
     def test_random_matches_leibniz(self, raw):
         rows = [[coerce_scalar(v) for v in row] for row in raw]
         assert determinant(rows) == naive_det(rows)
+
+
+def block_determinants(rows):
+    """The definition leading_minors replaces: one determinant per block."""
+    return [determinant([row[:m] for row in rows[:m]]) for m in range(1, len(rows) + 1)]
+
+
+class TestLeadingMinors:
+    @given(
+        st.integers(min_value=1, max_value=5).flatmap(
+            lambda n: st.lists(
+                st.lists(st.sampled_from([0, 0, 1, -1, 2, Fraction(1, 2), Fraction(-3, 2)]),
+                         min_size=n, max_size=n),
+                min_size=n, max_size=n,
+            )
+        ),
+        st.booleans(),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_fraction_matrices(self, raw, zero_corner):
+        # zeros are common, so singular leading blocks and zero pivots are
+        # drawn often; zero_corner forces the first pivot itself to vanish
+        rows = [[coerce_scalar(v) for v in row] for row in raw]
+        if zero_corner:
+            rows[0][0] = coerce_scalar(0)
+        got = leading_minors(rows)
+        assert got == block_determinants(rows)
+        assert [str(v) for v in got] == [str(v) for v in block_determinants(rows)]
+
+    def test_zero_pivot_then_nonzero_minors(self):
+        # the 2x2 leading block is singular but the full matrix is not, so
+        # only the fallback after the zero pivot can give the last minor
+        rows = [[1, 1, 0], [1, 1, 1], [0, 1, 1]]
+        assert leading_minors(rows) == [1, 0, -1]
+
+    @given(st.integers(min_value=-2, max_value=2), st.integers(min_value=-2, max_value=2))
+    @example(0, -1)  # c = -b: the b+c = 0 locus, h_2 is the first zero pivot
+    @settings(max_examples=12, deadline=None)
+    def test_symbolic_hankel(self, k, m):
+        b = PARAM_B
+        c = k * PARAM_C + m * PARAM_B
+        if not c:
+            return
+        mu = moments(LBPFamily.constant(b, c, order=8), "gf_expansion", 8)
+        rows = [[mu[i + j] for j in range(5)] for i in range(5)]
+        got = leading_minors(rows)
+        assert got == block_determinants(rows)
+        assert [str(v) for v in got] == [str(v) for v in block_determinants(rows)]
+        if k == 0 and m == -1:
+            assert got[2:] == [0, 0, 0]
+
+    @given(
+        st.integers(min_value=1, max_value=4).flatmap(
+            lambda n: st.lists(
+                st.tuples(st.integers(-2, 2), st.integers(-2, 2), st.integers(-2, 2),
+                          st.sampled_from(["1", "c", "b+c", "b*c"])),
+                min_size=2 * n - 1, max_size=2 * n - 1,
+            )
+        )
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_rational_function_toeplitz(self, raw):
+        b, c = BivarPoly.b(), BivarPoly.c()
+        dens = {"1": BivarPoly.one(), "c": c, "b+c": b + c, "b*c": b * c}
+        seq = [RationalFunction(p * b + q * c + r, dens[d]) for p, q, r, d in raw]
+        n = (len(seq) + 1) // 2
+        rows = [[seq[k - j + n - 1] for k in range(n)] for j in range(n)]
+        assert leading_minors(rows) == block_determinants(rows)
 
 
 class TestHankel:

@@ -22,7 +22,7 @@ from riordanlbp.lbp import (
     rows_by_recurrence,
 )
 from riordanlbp.riordan import has_column_shift, production_matrix
-from riordanlbp.scalars import PARAM_B, PARAM_C, coerce_scalar
+from riordanlbp.scalars import PARAM_B, PARAM_C, RationalFunction, coerce_scalar
 
 # First moments of the symbolic constant-coefficient family, normalized to
 # start at 1.  Frozen from the inverse of the coefficient array.
@@ -65,6 +65,17 @@ class TestFamilyConstruction:
             coerce_scalar(v) for v in (1, 2, 1, 2)
         ]
         assert fam.c_at(3) == coerce_scalar(5)
+
+    def test_constant_checks_skip_the_self_comparison(self, monkeypatch):
+        # entry 0 is compared only with entries 1.., so a one-entry symbolic
+        # family costs no RationalFunction comparison at all
+        compared = []
+        monkeypatch.setattr(RationalFunction, "__eq__",
+                            lambda self, other: compared.append(1) or True)
+        fam = LBPFamily.constant(PARAM_B, PARAM_C)
+        assert fam.is_constant
+        assert fam.b is fam.b_seq[0] and fam.c is fam.c_seq[0]
+        assert compared == []
 
     def test_constant_accessors(self):
         fam = LBPFamily.periodic([3, 3], [4])
@@ -141,6 +152,24 @@ class TestMoments:
         for route in MOMENT_ROUTES[1:]:
             got = moments(fam, route=route, n_max=7)
             assert list(got) == list(baseline), route
+
+    @given(
+        st.lists(nonzero_fractions, min_size=1, max_size=3),
+        st.lists(nonzero_fractions, min_size=1, max_size=3),
+        st.integers(min_value=0, max_value=9),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_matrix_route_is_first_column_of_inverse(self, b_seq, c_seq, n_max):
+        fam = LBPFamily.periodic(b_seq, c_seq, order=n_max)
+        got = moments(fam, "matrix_inverse", n_max)
+        assert list(got) == moment_matrix(fam, n_max + 1).first_column()
+
+    def test_matrix_route_symbolic_periodic(self):
+        b, c = PARAM_B, PARAM_C
+        fam = LBPFamily.periodic([b, b + c], [c, 2 * b], order=7)
+        got = moments(fam, "matrix_inverse", 7)
+        expected = moment_matrix(fam, 8).first_column()
+        assert [str(v) for v in got] == [str(v) for v in expected]
 
     def test_unknown_route_rejected(self):
         with pytest.raises(ValueError):

@@ -55,6 +55,26 @@ class TestArithmetic:
         t = TruncatedSeries.ratio([1, 2, 3], [1, -1], order=ORDER)
         assert (t * s) / s == t
 
+    @given(st.integers(min_value=0, max_value=4), coeff_lists,
+           st.integers(min_value=0, max_value=4), coeff_lists,
+           st.integers(min_value=0, max_value=7), st.booleans())
+    @settings(max_examples=80, deadline=None)
+    def test_product_with_leading_zeros(self, za, a, zb, b, order, symbolic):
+        # za / zb leading zeros on either side; an all-zero list gives an
+        # all-zero operand
+        def scalar(v):
+            return v * PARAM_B + 2 * v * PARAM_C if symbolic else coerce_scalar(v)
+
+        x = TruncatedSeries([scalar(v) for v in [0] * za + a], order)
+        y = TruncatedSeries([scalar(v) for v in [0] * zb + b], order)
+        # the full convolution, every term included
+        want = [sum((x[k] * y[m - k] for k in range(m + 1)), scalar(0))
+                for m in range(order + 1)]
+        got = x * y
+        assert got.order == order
+        assert list(got.coeffs) == want
+        assert [str(v) for v in got.coeffs] == [str(v) for v in want]
+
     def test_reciprocal_requires_unit(self):
         with pytest.raises(ZeroDivisionError):
             TruncatedSeries.identity(order=4).reciprocal()
