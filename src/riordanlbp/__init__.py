@@ -13,7 +13,6 @@ from .scalars import (
     PARAM_C,
     BivarPoly,
     RationalFunction,
-    XPoly,
     parse_rational,
 )
 from .series import DEFAULT_ORDER, TruncatedSeries, catalan_series
@@ -39,7 +38,6 @@ from .lbp import (
 )
 from .orthopoly import (
     ORTHO_KINDS,
-    OrthoFamily,
     ortho_array,
     ortho_rows_by_recurrence,
     verify_factorizations,
@@ -67,15 +65,14 @@ from .report import Check, ScenarioReport
 __version__ = "0.1.0"
 
 __all__ = [
-    "PARAM_B", "PARAM_C", "BivarPoly", "RationalFunction", "XPoly",
-    "parse_rational",
+    "PARAM_B", "PARAM_C", "BivarPoly", "RationalFunction", "parse_rational",
     "DEFAULT_ORDER", "TruncatedSeries", "catalan_series",
     "LowerTriangularMatrix", "RiordanArray", "binomial_array",
     "has_column_shift", "production_matrix",
     "LBPFamily", "MOMENT_ROUTES", "MomentSequence", "coefficient_array",
     "coefficient_matrix", "entry_closed_form", "inverse_entry_lagrange",
     "moment_gf", "moment_matrix", "moments", "rows_by_recurrence",
-    "ORTHO_KINDS", "OrthoFamily", "ortho_array", "ortho_rows_by_recurrence",
+    "ORTHO_KINDS", "ortho_array", "ortho_rows_by_recurrence",
     "verify_factorizations",
     "JFraction", "SFraction", "TFraction", "cf_expand",
     "jfraction_from_moments", "tfraction_closed_form", "verify_uv_equality",

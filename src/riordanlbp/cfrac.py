@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .combinat import binomial, catalan
-from .hankel_toeplitz import determinant, hankel_transform
+from .hankel_toeplitz import hankel_and_shifted
 from .report import Check, ScenarioReport
 from .scalars import coerce_scalar, scalar_inv
 from .series import DEFAULT_ORDER, TruncatedSeries
@@ -173,20 +173,10 @@ def jfraction_from_moments(mu, depth: int | None = None) -> JFraction:
     last column advanced one step, the diagonal entries are consecutive
     differences of s_n/h_n and the couplings are h_n h_{n-2} / h_{n-1}^2.
     """
-    values = [coerce_scalar(v) for v in mu]
+    mu = list(mu)
     if depth is None:
-        depth = (len(values) - 2) // 2
-    if len(values) < 2 * depth + 2:
-        raise ValueError(f"need {2 * depth + 2} moments for depth {depth}")
-    h = hankel_transform(values, depth)
-    s = []
-    for n in range(depth + 1):
-        if not h[n]:
-            raise ZeroDivisionError(f"vanishing Hankel determinant at depth {n}")
-        s.append(determinant(
-            [[values[i + j] if j < n else values[i + n + 1] for j in range(n + 1)]
-             for i in range(n + 1)]
-        ))
+        depth = (len(mu) - 2) // 2
+    h, s = hankel_and_shifted(mu, depth)
     ratios = [s[n] * scalar_inv(h[n]) for n in range(depth + 1)]
     diag = [ratios[0]]
     diag.extend(ratios[n] - ratios[n - 1] for n in range(1, depth + 1))

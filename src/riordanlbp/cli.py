@@ -12,9 +12,10 @@ per line) or json (object with kind, params, order and data, every value
 rendered as a string so exactness survives serialization).
 
 Exit codes: 0 success, 1 verification failure, 2 usage or parameter error,
-141 (128 + SIGPIPE, what a shell reports for a tool killed by SIGPIPE) when
-the reader closes stdout early, as ``riordanlbp ... | head`` does; that
-ends quietly, without a traceback.
+70 (sysexits EX_SOFTWARE) for an internal defect, with its traceback on
+stderr, 141 (128 + SIGPIPE, what a shell reports for a tool killed by
+SIGPIPE) when the reader closes stdout early, as ``riordanlbp ... | head``
+does; that ends quietly, without a traceback.
 ``--order`` is checked against the smallest order each generate kind and
 verify scenario accepts (``MIN_ORDER``, also listed in ``--help``).
 """
@@ -25,6 +26,7 @@ import argparse
 import json
 import os
 import sys
+import traceback
 
 from . import cfrac, oeis
 from .lbp import (
@@ -53,6 +55,8 @@ GENERATE_KINDS = (
     "ortho-array",
 )
 
+#: sysexits EX_SOFTWARE: an exception the program does not expect
+EXIT_INTERNAL = 70
 #: 128 + SIGPIPE: the reader closed stdout before the output was written
 EXIT_BROKEN_PIPE = 141
 
@@ -224,6 +228,9 @@ def main(argv=None) -> int:
     except (ValueError, FileNotFoundError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception:
+        traceback.print_exc()
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -11,7 +11,9 @@ the pivots of one Bareiss pass without row swaps are exactly those minors
 `leading_minors` reads all of them off a single O(n^3) pass instead of
 computing n+1 determinants.  A zero pivot, as on the b+c = 0 locus where
 h_2 = 0, ends the pass; each larger block then goes to `determinant`, which
-shares the clearing and the elimination code.
+shares the clearing and the elimination code.  `hankel_and_shifted` runs the
+same pass over the Hankel matrix with one more column, which also yields the
+determinants s_n of the J-fraction extraction.
 
 For the constant-coefficient moment sequence the closed forms are
 
@@ -63,6 +65,9 @@ def _bareiss(mat: list[list], divide, swap: bool) -> tuple[int, list]:
     Returns (sign, pivots), pivot k being mat[k][k] when step k starts.
     Without row swaps pivot k is the leading principal minor of order k + 1
     (Sylvester's identity), and elimination stops at the first zero pivot.
+    Rows may be longer than the matrix is tall: entry (k, j) for j > k is
+    then, from step k on, the minor of rows 0..k and columns 0..k-1, j, as
+    no later step touches row k.
     With swaps a zero pivot is replaced from a row below it when one has a
     nonzero entry in that column, and the determinant is sign times the last
     pivot, which is 0 if no row could replace a zero pivot.
@@ -83,11 +88,18 @@ def _bareiss(mat: list[list], divide, swap: bool) -> tuple[int, list]:
         if not pivot:
             break
         for i in range(k + 1, n):
-            for j in range(k + 1, n):
+            for j in range(k + 1, len(mat[k])):
                 num = mat[i][j] * pivot - mat[i][k] * mat[k][j]
                 mat[i][j] = num if prev is None else divide(num, prev)
         prev = pivot
     return sign, pivots
+
+
+def _unscale(minors: list, scales: list | None) -> list:
+    """Minors over rows 0..k of a `_clear`ed matrix, divided back to the original."""
+    if scales is None:
+        return minors
+    return [RationalFunction(v, scales[k]) for k, v in enumerate(minors)]
 
 
 def _square(rows) -> list[list]:
@@ -122,9 +134,7 @@ def leading_minors(rows) -> list:
     mat = _square(rows)
     cleared, divide, scales = _clear([row[:] for row in mat])
     _, pivots = _bareiss(cleared, divide, swap=False)
-    if scales is not None:
-        pivots = [RationalFunction(p, scales[k]) for k, p in enumerate(pivots)]
-    return pivots + [
+    return _unscale(pivots, scales) + [
         determinant([row[:m] for row in mat[:m]])
         for m in range(len(pivots) + 1, len(mat) + 1)
     ]
@@ -138,6 +148,26 @@ def hankel_transform(mu, n_max: int) -> list:
     return leading_minors(
         [[values[i + j] for j in range(n_max + 1)] for i in range(n_max + 1)]
     )
+
+
+def hankel_and_shifted(mu, depth: int) -> tuple[list, list]:
+    """(h_n, s_n) for n = 0..depth from one Bareiss pass; needs 2 depth + 2 moments.
+
+    s_n is h_n with its last column advanced one step, det(mu_{i+j}) over
+    columns j = 0..n-1, n+1.  The swap-free pass over the (depth+1) x
+    (depth+2) Hankel matrix leaves h_n on the diagonal of row n and s_n
+    just to its right.  Raises ZeroDivisionError at the first h_n = 0,
+    where the pass has to stop.
+    """
+    values = [coerce_scalar(v) for v in mu]
+    if len(values) < 2 * depth + 2:
+        raise ValueError(f"need {2 * depth + 2} moments for depth {depth}")
+    mat, divide, scales = _clear([values[i:i + depth + 2] for i in range(depth + 1)])
+    _, pivots = _bareiss(mat, divide, swap=False)
+    if not pivots[-1]:
+        raise ZeroDivisionError(f"vanishing Hankel determinant at depth {len(pivots) - 1}")
+    return (_unscale(pivots, scales),
+            _unscale([mat[n][n + 1] for n in range(depth + 1)], scales))
 
 
 def hankel_closed_form(b, c, n_max: int) -> list:

@@ -29,7 +29,7 @@ from fractions import Fraction
 
 from .combinat import binomial, catalan
 from .riordan import LowerTriangularMatrix, RiordanArray
-from .scalars import XPoly, coerce_scalar
+from .scalars import coerce_scalar
 from .series import DEFAULT_ORDER, TruncatedSeries
 
 MOMENT_ROUTES = (
@@ -117,21 +117,22 @@ class MomentSequence:
 
 
 def rows_by_recurrence(family: LBPFamily, n_max: int | None = None) -> list[list]:
-    """Polynomial rows as ascending coefficient lists; row n has length n+1."""
+    """Polynomial rows as ascending coefficient lists; row n has length n+1.
+
+    Row n is x P_{n-1} - c_{n-1} P_{n-1} - b_{n-1} x P_{n-2}, built entry by
+    entry from the previous two rows padded with zeros to length n+1.
+    """
     if n_max is None:
         n_max = family.order
-    one = coerce_scalar(1)
-    rows = [XPoly([one])]
-    if n_max >= 1:
-        rows.append(XPoly([-family.c_at(0), one]))
+    one = Fraction(1)
+    rows = [[one], [-family.c_at(0), one]][:max(n_max + 1, 0)]
     for n in range(2, n_max + 1):
-        x_shifted = rows[n - 1].shift(1)
-        rows.append(
-            x_shifted
-            - family.c_at(n - 1) * rows[n - 1]
-            - family.b_at(n - 1) * rows[n - 2].shift(1)
-        )
-    return [rows[n].padded(n + 1) for n in range(n_max + 1)]
+        b, c, prev = family.b_at(n - 1), family.c_at(n - 1), rows[n - 1]
+        rows.append([
+            x_prev - c * p - b * x_prev2
+            for x_prev, p, x_prev2 in zip([0, *prev], [*prev, 0], [0, *rows[n - 2], 0])
+        ])
+    return rows
 
 
 def coefficient_matrix(family: LBPFamily, dim: int | None = None) -> LowerTriangularMatrix:
@@ -252,17 +253,3 @@ def moments(family: LBPFamily, route: str = "matrix_inverse",
         values = list(moment_gf(b, c, n_max).coeffs)
     return MomentSequence(tuple(values), route)
 
-
-def bivariate_gf_rows(b, c, order: int = DEFAULT_ORDER) -> list[list]:
-    """Rows of the family recovered from 1/(1 + ct + xt(bt - 1)).
-
-    The generating function is expanded as a series in t whose scalars are
-    polynomials in x; coefficient n is P_n(x).
-    """
-    b, c = coerce_scalar(b), coerce_scalar(c)
-    one = XPoly([b ** 0])
-    den = TruncatedSeries(
-        [one, XPoly([c, -(b ** 0)]), XPoly([b * 0, b])], order
-    )
-    expansion = TruncatedSeries([one], order) / den
-    return [expansion.coeffs[n].padded(n + 1) for n in range(order + 1)]

@@ -23,13 +23,11 @@ equivalent polynomial identities mixing P_n from Q_k with binomial weights.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .combinat import binomial
 from .lbp import LBPFamily, coefficient_array, rows_by_recurrence
 from .report import Check, ScenarioReport
 from .riordan import RiordanArray, binomial_array
-from .scalars import XPoly, coerce_scalar
+from .scalars import coerce_scalar
 from .series import DEFAULT_ORDER, TruncatedSeries
 
 ORTHO_KINDS = ("q", "qtilde", "qhat")
@@ -57,39 +55,22 @@ def ortho_array(kind: str, b, c, order: int = DEFAULT_ORDER) -> RiordanArray:
 
 
 def ortho_rows_by_recurrence(kind: str, b, c, n_max: int) -> list[list]:
+    """Rows as ascending coefficient lists; row n has length n+1."""
     _check_kind(kind)
     b, c = coerce_scalar(b), coerce_scalar(c)
     one = b ** 0
     first = {"q": c, "qtilde": b + c, "qhat": 2 * b + c}[kind]
-    rows = [XPoly([one]), XPoly([-first, one])]
+    rows = [[one], [-first, one]]
     if kind == "q":
-        rows.append(XPoly([c * (b + c), -2 * (b + c), one]))
+        rows.append([c * (b + c), -2 * (b + c), one])
     shift, drop = 2 * b + c, b * (b + c)
     for n in range(len(rows), n_max + 1):
-        rows.append(rows[n - 1].shift(1) - shift * rows[n - 1] - drop * rows[n - 2])
-    return [rows[n].padded(n + 1) for n in range(n_max + 1)]
-
-
-@dataclass(frozen=True)
-class OrthoFamily:
-    kind: str
-    b: object
-    c: object
-    order: int = DEFAULT_ORDER
-
-    def __post_init__(self):
-        _check_kind(self.kind)
-        object.__setattr__(self, "b", coerce_scalar(self.b))
-        object.__setattr__(self, "c", coerce_scalar(self.c))
-
-    @property
-    def array(self) -> RiordanArray:
-        return ortho_array(self.kind, self.b, self.c, self.order)
-
-    def rows(self, n_max: int | None = None) -> list[list]:
-        if n_max is None:
-            n_max = self.order
-        return ortho_rows_by_recurrence(self.kind, self.b, self.c, n_max)
+        prev = rows[n - 1]
+        rows.append([
+            x_prev - shift * p - drop * p2
+            for x_prev, p, p2 in zip([0, *prev], [*prev, 0], [*rows[n - 2], 0, 0])
+        ])
+    return rows[:max(n_max + 1, 0)]
 
 
 def ortho_inverse_f_closed_form(b, c, order: int = DEFAULT_ORDER) -> TruncatedSeries:
@@ -128,7 +109,7 @@ def verify_factorizations(b, c, order: int = 8) -> ScenarioReport:
     ]
 
     n_max = min(order, 6)
-    p_rows = [XPoly(row) for row in rows_by_recurrence(family, n_max)]
+    p_rows = rows_by_recurrence(family, n_max)
     for name, rows, weight in (
         ("p_n = sum binom(n-1, n-k) b^(n-k) q_k",
          ortho_rows_by_recurrence("q", b, c, n_max),
@@ -142,11 +123,9 @@ def verify_factorizations(b, c, order: int = 8) -> ScenarioReport:
     ):
         ok, detail = True, ""
         for n in range(n_max + 1):
-            mixed = XPoly([])
-            for k in range(n + 1):
-                w = weight(n, k)
-                if w:
-                    mixed = mixed + w * b ** (n - k) * XPoly(rows[k])
+            weights = [weight(n, k) * b ** (n - k) for k in range(n + 1)]
+            mixed = [sum(weights[k] * rows[k][j] for k in range(j, n + 1))
+                     for j in range(n + 1)]
             if mixed != p_rows[n]:
                 ok, detail = False, f"row {n}"
                 break

@@ -1,16 +1,16 @@
 """Exact scalar arithmetic for the whole package.
 
-Four kinds of scalar circulate here:
+Three kinds of scalar circulate here:
 
 * ``Rational``        -- arbitrary-precision rationals (stdlib Fraction);
 * ``BivarPoly``       -- sparse polynomials in the two recurrence parameters
                          b and c, with exact coefficients stored as ``int``
                          when integral and as ``Fraction`` otherwise;
 * ``RationalFunction``-- quotients of two BivarPoly, the field the symbolic
-                         identities live in;
-* ``XPoly``           -- dense polynomials in the indeterminate x over either
-                         field, used for polynomial rows and for series whose
-                         coefficients are themselves polynomials in x.
+                         identities live in.
+
+Polynomials in the indeterminate x are not a scalar kind: a row P_n(x) is
+the plain list of its coefficients, ascending in the power of x.
 
 Everything is exact.  No floating point is used anywhere in this module or in
 the rest of the package.
@@ -136,11 +136,6 @@ class BivarPoly:
 
     def __bool__(self) -> bool:
         return bool(self.terms)
-
-    def total_degree(self) -> int:
-        if not self.terms:
-            return -1
-        return max(i + j for i, j in self.terms)
 
     def leading_key(self) -> tuple[int, int]:
         # lex order with b > c; tuple comparison does exactly that
@@ -547,7 +542,7 @@ def coerce_scalar(x):
         return Fraction(x)
     if isinstance(x, BivarPoly):
         return RationalFunction(x)
-    if isinstance(x, (Fraction, RationalFunction, XPoly)):
+    if isinstance(x, (Fraction, RationalFunction)):
         return x
     raise TypeError(f"not an exact scalar: {type(x).__name__}")
 
@@ -560,135 +555,4 @@ def scalar_inv(s):
         return s.reciprocal()
     if isinstance(s, BivarPoly):
         return RationalFunction(_POLY_ONE, s)
-    if isinstance(s, XPoly):
-        if s.degree() != 0:
-            raise ZeroDivisionError("cannot invert a nonconstant polynomial in x")
-        return XPoly([scalar_inv(s.coeffs[0])])
     raise TypeError(f"not an exact scalar: {type(s).__name__}")
-
-
-class XPoly:
-    """Dense polynomial in x over Fraction / RationalFunction scalars."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs=()):
-        cs = [coerce_scalar(v) if isinstance(v, int) else v for v in coeffs]
-        while cs and not cs[-1]:
-            cs.pop()
-        self.coeffs = tuple(cs)
-
-    @classmethod
-    def const(cls, value) -> "XPoly":
-        return cls([value])
-
-    @classmethod
-    def x(cls) -> "XPoly":
-        return cls([0, 1])
-
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __bool__(self):
-        return bool(self.coeffs)
-
-    def __getitem__(self, k: int):
-        if 0 <= k < len(self.coeffs):
-            return self.coeffs[k]
-        return Fraction(0)
-
-    def padded(self, length: int) -> list:
-        return [self[k] for k in range(length)]
-
-    @staticmethod
-    def _coerce(other):
-        if isinstance(other, XPoly):
-            return other
-        if isinstance(other, (int, Fraction, BivarPoly, RationalFunction)):
-            return XPoly([coerce_scalar(other)])
-        return None
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        n = max(len(self.coeffs), len(other.coeffs))
-        return XPoly([self[k] + other[k] for k in range(n)])
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return XPoly([-v for v in self.coeffs])
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        if self.is_zero or other.is_zero:
-            return XPoly()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            for j, bb in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + a * bb
-        return XPoly(out)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        if other.degree() != 0:
-            raise ZeroDivisionError("XPoly division only by constants")
-        inv = scalar_inv(other.coeffs[0])
-        return XPoly([v * inv for v in self.coeffs])
-
-    def __eq__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return len(self.coeffs) == len(other.coeffs) and all(
-            a == bb for a, bb in zip(self.coeffs, other.coeffs)
-        )
-
-    __hash__ = None
-
-    def shift(self, k: int) -> "XPoly":
-        """Multiply by x^k."""
-        if self.is_zero:
-            return self
-        return XPoly([Fraction(0)] * k + list(self.coeffs))
-
-    def __str__(self):
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for k, v in enumerate(self.coeffs):
-            if not v:
-                continue
-            if k == 0:
-                parts.append(str(v))
-            else:
-                xs = "x" if k == 1 else f"x^{k}"
-                body = xs if v == 1 else f"({v})*{xs}"
-                parts.append(body)
-        return " + ".join(parts)
-
-    def __repr__(self):
-        return f"XPoly({self})"

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from riordanlbp import hankel_toeplitz
 from riordanlbp.cfrac import (
     JFraction,
     SFraction,
@@ -213,6 +214,15 @@ class TestExtraction:
         assert cf_expand(got, 2 * len(got.sub) + 1).agrees_with(
             moment_gf(bv, cv, 2 * len(got.sub) + 1)
         )
+
+    def test_one_elimination_and_no_determinant(self, monkeypatch):
+        # h_n and s_n both come off one Bareiss pass over the Hankel matrix
+        calls = []
+        monkeypatch.setattr(hankel_toeplitz, "determinant", lambda rows: calls.append(rows))
+        mu = moments(LBPFamily.constant(PARAM_B, PARAM_C, order=13), "gf_expansion", 13)
+        got = jfraction_from_moments(list(mu))
+        assert calls == []
+        assert list(got.diag) == [PARAM_C] + [2 * PARAM_B + PARAM_C] * 6
 
     def test_vanishing_hankel_reported(self):
         # moments of a two-point mass have rank-2 Hankel matrices

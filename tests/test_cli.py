@@ -7,7 +7,7 @@ import sys
 import pytest
 
 from riordanlbp import oeis
-from riordanlbp.cli import EXIT_BROKEN_PIPE, GENERATE_KINDS, main
+from riordanlbp.cli import EXIT_BROKEN_PIPE, EXIT_INTERNAL, GENERATE_KINDS, main
 
 
 def run_cli(capsys, *argv):
@@ -187,14 +187,15 @@ class TestErrorHandling:
             main(["oeis-check", "A999999"])
         assert exc.value.code == 2
 
-    def test_internal_key_error_is_not_a_usage_error(self, monkeypatch):
+    def test_internal_key_error_is_not_a_usage_error(self, capsys, monkeypatch):
         def broken(count):
             raise KeyError("internal")
 
         monkeypatch.setitem(oeis.GENERATORS, "A000108",
                             (oeis.GENERATORS["A000108"][0], broken))
-        with pytest.raises(KeyError, match="internal"):
-            main(["oeis-check", "A000108"])
+        assert main(["oeis-check", "A000108"]) == EXIT_INTERNAL == 70
+        err = capsys.readouterr().err
+        assert err.startswith("Traceback") and "KeyError: 'internal'" in err
 
     def test_usage_error_from_argparse(self):
         with pytest.raises(SystemExit) as exc:

@@ -12,6 +12,7 @@ from riordanlbp.hankel_toeplitz import (
     BiInfiniteMoments,
     determinant,
     extend_moments,
+    hankel_and_shifted,
     hankel_closed_form,
     hankel_transform,
     lbp_by_determinant,
@@ -170,6 +171,67 @@ class TestLeadingMinors:
         n = (len(seq) + 1) // 2
         rows = [[seq[k - j + n - 1] for k in range(n)] for j in range(n)]
         assert leading_minors(rows) == block_determinants(rows)
+
+
+def shifted_determinants(values, depth):
+    """The definition hankel_and_shifted replaces: one determinant per s_n."""
+    return [
+        determinant([[values[i + j] if j < n else values[i + n + 1] for j in range(n + 1)]
+                     for i in range(n + 1)])
+        for n in range(depth + 1)
+    ]
+
+
+class TestHankelAndShifted:
+    @given(st.integers(min_value=0, max_value=4).flatmap(
+        lambda depth: st.tuples(
+            st.just(depth),
+            st.lists(st.sampled_from([0, 1, -1, 2, Fraction(1, 2), Fraction(-3, 2)]),
+                     min_size=2 * depth + 2, max_size=2 * depth + 2),
+        )
+    ))
+    @settings(max_examples=80, deadline=None)
+    def test_fraction_sequences(self, drawn):
+        depth, raw = drawn
+        values = [coerce_scalar(v) for v in raw]
+        h = hankel_transform(values, depth)
+        first_zero = next((n for n, v in enumerate(h) if not v), None)
+        if first_zero is not None:
+            with pytest.raises(ZeroDivisionError,
+                               match=f"^vanishing Hankel determinant at depth {first_zero}$"):
+                hankel_and_shifted(values, depth)
+            return
+        got_h, got_s = hankel_and_shifted(values, depth)
+        assert got_h == h
+        assert got_s == shifted_determinants(values, depth)
+
+    @given(st.lists(
+        st.tuples(st.integers(-2, 2), st.integers(-2, 2), st.integers(1, 2),
+                  st.sampled_from(["1", "c", "b+c", "b*c"])),
+        min_size=6, max_size=6,
+    ))
+    @settings(max_examples=25, deadline=None)
+    def test_rational_function_sequences(self, raw):
+        # entries with denominators exercise the division by the row scales
+        b, c = BivarPoly.b(), BivarPoly.c()
+        dens = {"1": BivarPoly.one(), "c": c, "b+c": b + c, "b*c": b * c}
+        values = [RationalFunction(p * b + q * c + r, dens[d]) for p, q, r, d in raw]
+        h = hankel_transform(values, 2)
+        if not all(h):
+            return
+        got_h, got_s = hankel_and_shifted(values, 2)
+        assert got_h == h
+        assert got_s == shifted_determinants(values, 2)
+
+    def test_symbolic_moments_print_alike(self):
+        mu = list(moments(LBPFamily.constant(PARAM_B, PARAM_C, order=9), "gf_expansion", 9))
+        got_h, got_s = hankel_and_shifted(mu, 4)
+        assert [str(v) for v in got_h] == [str(v) for v in hankel_transform(mu, 4)]
+        assert [str(v) for v in got_s] == [str(v) for v in shifted_determinants(mu, 4)]
+
+    def test_needs_two_more_moments_than_twice_the_depth(self):
+        with pytest.raises(ValueError, match="need 6 moments for depth 2"):
+            hankel_and_shifted([1, 1, 2, 5, 14], 2)
 
 
 class TestHankel:

@@ -10,7 +10,6 @@ from riordanlbp.lbp import (
     MOMENT_ROUTES,
     LBPFamily,
     MomentSequence,
-    bivariate_gf_rows,
     coefficient_array,
     coefficient_matrix,
     entry_closed_form,
@@ -42,6 +41,14 @@ nonzero_fractions = st.fractions(
 param_pairs = st.tuples(nonzero_fractions, nonzero_fractions).filter(
     lambda bc: bc[0] + bc[1] != 0
 )
+
+
+def horner(coeffs, x):
+    """Value at x of the polynomial with ascending coefficient list coeffs."""
+    acc = 0
+    for coeff in reversed(coeffs):
+        acc = acc * x + coeff
+    return acc
 
 
 def unit_family(order=10):
@@ -108,13 +115,34 @@ class TestRecurrenceRows:
             for k, got in enumerate(row):
                 assert not (got - entry_closed_form(n, k, b, c)), (n, k)
 
-    def test_coefficient_array_agrees_with_recurrence(self):
-        fam = LBPFamily.constant(Fraction(3, 2), Fraction(-1, 3), order=8)
+    @pytest.mark.parametrize("b, c", [(Fraction(3, 2), Fraction(-1, 3)),
+                                      (PARAM_B, PARAM_C)])
+    def test_coefficient_array_agrees_with_recurrence(self, b, c):
+        fam = LBPFamily.constant(b, c, order=8)
         rows = rows_by_recurrence(fam, 6)
         arr = coefficient_array(fam)
         for n, row in enumerate(rows):
             for k, got in enumerate(row):
                 assert got == arr.entry(n, k), (n, k)
+
+    @given(st.lists(nonzero_fractions, min_size=1, max_size=3),
+           st.lists(nonzero_fractions, min_size=1, max_size=3),
+           st.fractions(min_value=-5, max_value=5, max_denominator=4))
+    @settings(max_examples=40, deadline=None)
+    def test_rows_evaluate_like_the_scalar_recurrence(self, b_seq, c_seq, x):
+        fam = LBPFamily.periodic(b_seq, c_seq)
+        values = [Fraction(1), x - fam.c_at(0)]
+        for n in range(2, 8):
+            values.append((x - fam.c_at(n - 1)) * values[n - 1]
+                          - fam.b_at(n - 1) * x * values[n - 2])
+        rows = rows_by_recurrence(fam, 7)
+        assert [len(row) for row in rows] == list(range(1, 9))
+        assert [horner(row, x) for row in rows] == values
+
+    def test_short_row_counts(self):
+        fam = unit_family()
+        assert [len(rows_by_recurrence(fam, n)) for n in (-2, -1, 0, 1, 2)] == [
+            0, 0, 1, 2, 3]
 
     def test_coefficient_array_requires_constant_family(self):
         with pytest.raises(ValueError):
@@ -218,14 +246,6 @@ class TestGeneratingFunctions:
         gf = moment_gf(PARAM_B, PARAM_C, 7)
         for n in range(8):
             assert not (gf[n] - mu[n]), n
-
-    def test_bivariate_rows_match_recurrence(self):
-        rows = bivariate_gf_rows(PARAM_B, PARAM_C, 6)
-        expected = rows_by_recurrence(symbolic_family(6), 6)
-        assert len(rows) == 7
-        for n in range(7):
-            for k in range(n + 1):
-                assert not (rows[n][k] - expected[n][k]), (n, k)
 
 
 class TestProductionStructure:

@@ -10,13 +10,12 @@ from riordanlbp.combinat import binomial
 from riordanlbp.lbp import LBPFamily, moments, rows_by_recurrence
 from riordanlbp.orthopoly import (
     ORTHO_KINDS,
-    OrthoFamily,
     ortho_array,
     ortho_inverse_f_closed_form,
     ortho_rows_by_recurrence,
     verify_factorizations,
 )
-from riordanlbp.scalars import PARAM_B, PARAM_C, XPoly, coerce_scalar
+from riordanlbp.scalars import PARAM_B, PARAM_C, coerce_scalar
 from riordanlbp.series import TruncatedSeries
 
 nonzero_fractions = st.fractions(
@@ -26,6 +25,14 @@ nonzero_fractions = st.fractions(
 param_pairs = st.tuples(nonzero_fractions, nonzero_fractions).filter(
     lambda bc: bc[0] + bc[1] != 0
 )
+
+
+def horner(coeffs, x):
+    """Value at x of the polynomial with ascending coefficient list coeffs."""
+    acc = 0
+    for coeff in reversed(coeffs):
+        acc = acc * x + coeff
+    return acc
 
 
 class TestRowsByRecurrence:
@@ -43,6 +50,21 @@ class TestRowsByRecurrence:
         assert not (row[0] - c * (b + c))
         assert not (row[1] + 2 * (b + c))
         assert not (row[2] - 1)
+
+    @pytest.mark.parametrize("kind", ORTHO_KINDS)
+    @given(param_pairs, st.fractions(min_value=-5, max_value=5, max_denominator=4))
+    @settings(max_examples=20, deadline=None)
+    def test_rows_evaluate_like_the_scalar_recurrence(self, kind, bc, x):
+        b, c = bc
+        first = {"q": c, "qtilde": b + c, "qhat": 2 * b + c}[kind]
+        values = [Fraction(1), x - first]
+        if kind == "q":
+            values.append(x * x - 2 * (b + c) * x + c * (b + c))
+        while len(values) < 8:
+            values.append((x - (2 * b + c)) * values[-1] - b * (b + c) * values[-2])
+        rows = ortho_rows_by_recurrence(kind, b, c, 7)
+        assert [len(row) for row in rows] == list(range(1, 9))
+        assert [horner(row, x) for row in rows] == values
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
@@ -125,20 +147,18 @@ class TestFactorizations:
         """Each family expands in the companion bases with binomial weights."""
         b, c = PARAM_B, PARAM_C
         n_max = 6
-        lbp_rows = [
-            XPoly(r) for r in rows_by_recurrence(LBPFamily.constant(b, c), n_max)
-        ]
+        lbp_rows = rows_by_recurrence(LBPFamily.constant(b, c), n_max)
         bases = {
             "q": lambda n, k: binomial(n - 1, n - k),
             "qtilde": lambda n, k: binomial(n, k),
             "qhat": lambda n, k: binomial(n + 1, k + 1),
         }
         for kind, weight in bases.items():
-            rows = [XPoly(r) for r in ortho_rows_by_recurrence(kind, b, c, n_max)]
+            rows = ortho_rows_by_recurrence(kind, b, c, n_max)
             for n in range(1, n_max + 1):
-                acc = XPoly([coerce_scalar(0)])
+                acc = [coerce_scalar(0)] * (n + 1)
                 for k in range(n + 1):
                     w = weight(n, k)
-                    if w:
-                        acc = acc + b ** (n - k) * w * rows[k]
+                    for j, coeff in enumerate(rows[k]):
+                        acc[j] = acc[j] + b ** (n - k) * w * coeff
                 assert acc == lbp_rows[n], (kind, n)

@@ -13,8 +13,6 @@ from riordanlbp.scalars import (
     PARAM_C,
     BivarPoly,
     RationalFunction,
-    XPoly,
-    coerce_scalar,
     parse_rational,
     scalar_inv,
 )
@@ -162,34 +160,6 @@ class TestRationalFunction:
         b, c = PARAM_B, PARAM_C
         expr = (b + c) * (b + c) - b * c
         assert expr.evaluate(bv, cv) == (bv + cv) ** 2 - bv * cv
-
-
-class TestXPoly:
-    def test_padded_and_degree(self):
-        p = XPoly([1, 0, 3])
-        assert p.padded(5) == [
-            coerce_scalar(1),
-            coerce_scalar(0),
-            coerce_scalar(3),
-            coerce_scalar(0),
-            coerce_scalar(0),
-        ]
-        assert p.degree() == 2
-
-    def test_recurrence_style_product(self):
-        # (x - 1)(x - 2) = x^2 - 3x + 2
-        x = XPoly.x()
-        one = XPoly.const(1)
-        p = (x - one) * (x - one - one)
-        assert p == XPoly([2, -3, 1])
-
-    def test_shift_multiplies_by_power_of_x(self):
-        p = XPoly([2, -3, 1])
-        assert p.shift(2) == XPoly([0, 0, 2, -3, 1])
-
-    def test_getitem_beyond_degree_is_zero(self):
-        p = XPoly([5])
-        assert not p[3]
 
 
 class TestParseRational:
