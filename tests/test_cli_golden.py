@@ -3,9 +3,11 @@ return the same exit code as when its hash was recorded.
 
 ``tests/data/cli_golden.json`` maps each argv (joined by single spaces) to
 the sha256 of its stdout and its exit code.  To pin a new argv, add its key
-to that file and run ``PYTHONPATH=src python tests/test_cli_golden.py``,
-which rewrites every hash from the current code; do that only once the
-output change it records is intended.
+to that file with the value ``null`` and run
+``PYTHONPATH=src python tests/test_cli_golden.py``.  It records the hash and
+exit code of the current code for the ``null`` keys only and leaves every
+other pin as it is, so run it before the change whose output the new pin is
+meant to hold fixed.  To re-record a pin on purpose, set it back to ``null``.
 """
 
 import contextlib
@@ -38,5 +40,6 @@ def test_cli_output_is_byte_identical(argv):
 
 
 if __name__ == "__main__":
-    GOLDEN.write_text(json.dumps({argv: run(argv) for argv in sorted(PINNED)},
-                                 indent=1) + "\n")
+    GOLDEN.write_text(json.dumps(
+        {argv: pin if pin is not None else run(argv) for argv, pin in sorted(PINNED.items())},
+        indent=1) + "\n")
