@@ -6,8 +6,9 @@ Three kinds of scalar circulate here:
 * ``BivarPoly``       -- sparse polynomials in the two recurrence parameters
                          b and c, with exact coefficients stored as ``int``
                          when integral and as ``Fraction`` otherwise;
-* ``RationalFunction``-- quotients of two BivarPoly, the field the symbolic
-                         identities live in.
+* ``RationalFunction``-- a BivarPoly over b^i c^j (b+c)^k in lowest terms,
+                         the denominators of the paper's closed forms; any
+                         other denominator raises ValueError.
 
 Polynomials in the indeterminate x are not a scalar kind: a row P_n(x) is
 the plain list of its coefficients, ascending in the power of x.
@@ -19,7 +20,6 @@ the rest of the package.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
 
 Rational = Fraction
 
@@ -33,16 +33,6 @@ def parse_rational(text: str) -> Fraction:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"not a rational literal: {text!r}") from exc
-
-
-def _fraction_content(values) -> Fraction:
-    """gcd of a nonempty collection of exact coefficients, normalized positive."""
-    num = 0
-    den = 1
-    for v in values:
-        num = gcd(num, v.numerator)
-        den = lcm(den, v.denominator)
-    return Fraction(num, den) if num else Fraction(1)
 
 
 def _exact(q):
@@ -136,17 +126,6 @@ class BivarPoly:
 
     def __bool__(self) -> bool:
         return bool(self.terms)
-
-    def leading_key(self) -> tuple[int, int]:
-        # lex order with b > c; tuple comparison does exactly that
-        if not self.terms:
-            raise ValueError("zero polynomial has no leading term")
-        return max(self.terms)
-
-    def content(self) -> Fraction:
-        if not self.terms:
-            return Fraction(1)
-        return _fraction_content(self.terms.values())
 
     # -- arithmetic --------------------------------------------------------
 
@@ -244,6 +223,9 @@ class BivarPoly:
         return NotImplemented
 
     def __hash__(self):
+        # equal to an int or Fraction when constant, as __eq__ is
+        if self.is_constant:
+            return hash(self.constant_value())
         return hash(frozenset(self.terms.items()))
 
     # -- exact division and substitution -----------------------------------
@@ -260,7 +242,7 @@ class BivarPoly:
             return self / other.constant_value()
         rem = dict(self.terms)
         out: dict[tuple[int, int], int | Fraction] = {}
-        lead = other.leading_key()
+        lead = max(other.terms)  # lex order with b > c
         lead_coeff = other.terms[lead]
         while rem:
             key = max(rem)
@@ -348,63 +330,34 @@ def _monomial_str(key: tuple[int, int]) -> str:
     return "*".join(parts)
 
 
-_POLY_ZERO = BivarPoly.zero()
-_POLY_ONE = BivarPoly.one()
-
-
 class RationalFunction:
-    """Quotient of two bivariate polynomials, kept lightly reduced.
+    """num / (b^i c^j (b+c)^k) in lowest terms, stored as num and exps = (i, j, k).
 
-    Canonicalization divides out the common monomial factor and the integer
-    content of the denominator, fixes the sign of the denominator's leading
-    coefficient, folds constant denominators into the numerator, and attempts
-    one exact division.  Equality never relies on full gcd reduction: it is
-    decided by cross-multiplication.
+    Every denominator in the paper is a product of b, c and b+c.  No factor of
+    the denominator divides num, so the form is canonical: equality compares
+    the parts, and ``den`` is derived from exps.  A denominator with any other
+    factor raises ValueError.
     """
 
-    __slots__ = ("num", "den")
+    __slots__ = ("num", "exps")
 
     def __init__(self, num, den=None):
         num = _as_bivar(num)
-        den = _POLY_ONE if den is None else _as_bivar(den)
+        if den is None:
+            self.num, self.exps = num, _NO_DEN
+            return
+        den = _as_bivar(den)
         if den.is_zero:
             raise ZeroDivisionError("rational function with zero denominator")
-        if num.is_zero:
-            self.num, self.den = _POLY_ZERO, _POLY_ONE
-            return
-        if den.is_constant:
-            cv = den.constant_value()
-            self.num = num if cv == 1 else num / cv
-            self.den = _POLY_ONE
-            return
-        # cancel the common monomial factor
-        nb = min(i for i, _ in num.terms)
-        nc = min(j for _, j in num.terms)
-        db = min(i for i, _ in den.terms)
-        dc = min(j for _, j in den.terms)
-        sb, sc = min(nb, db), min(nc, dc)
-        if sb or sc:
-            num = BivarPoly({(i - sb, j - sc): v for (i, j), v in num.terms.items()})
-            den = BivarPoly({(i - sb, j - sc): v for (i, j), v in den.terms.items()})
-        if den.is_constant:
-            cv = den.constant_value()
-            self.num = num if cv == 1 else num / cv
-            self.den = _POLY_ONE
-            return
-        try:
-            quotient = num.divexact(den)
-        except ValueError:
-            pass
-        else:
-            self.num, self.den = quotient, _POLY_ONE
-            return
-        scale = den.content()
-        if den.terms[den.leading_key()] < 0:
-            scale = -scale
-        if scale != 1:
-            num = num / scale
-            den = den / scale
-        self.num, self.den = num, den
+        i = min(i for i, _ in den.terms)
+        j = min(j for _, j in den.terms)
+        rest, k = _shift(den, i, j), 0
+        while (quotient := _over_b_plus_c(rest)) is not None:
+            rest, k = quotient, k + 1
+        if not rest.is_constant:
+            raise ValueError(f"denominator {den} has a factor other than b, c and b+c")
+        scale = rest.constant_value()
+        self.num, self.exps = _lowest(num if scale == 1 else num / scale, (i, j, k))
 
     # -- coercion ------------------------------------------------------------
 
@@ -427,7 +380,12 @@ class RationalFunction:
 
     @property
     def is_polynomial(self) -> bool:
-        return self.den.is_one
+        return self.exps == _NO_DEN
+
+    @property
+    def den(self) -> BivarPoly:
+        i, j, k = self.exps
+        return _shift(_B_PLUS_C ** k, -i, -j)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -435,20 +393,20 @@ class RationalFunction:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        if self.den.is_one and other.den.is_one:
-            res = RationalFunction.__new__(RationalFunction)
-            res.num, res.den = self.num + other.num, _POLY_ONE
-            return res
-        return RationalFunction(
-            self.num * other.den + other.num * self.den, self.den * other.den
-        )
+        if self.exps == other.exps == _NO_DEN:
+            return _value(self.num + other.num, _NO_DEN)
+        exps = tuple(map(max, self.exps, other.exps))
+        return _value(*_lowest(self._over(exps) + other._over(exps), exps))
 
     __radd__ = __add__
 
+    def _over(self, exps) -> BivarPoly:
+        """The numerator of self over the multiple b^i c^j (b+c)^k of den."""
+        (si, sj, sk), (i, j, k) = self.exps, exps
+        return _shift(self.num * _B_PLUS_C ** (k - sk), si - i, sj - j)
+
     def __neg__(self):
-        res = RationalFunction.__new__(RationalFunction)
-        res.num, res.den = -self.num, self.den
-        return res
+        return _value(-self.num, self.exps)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -466,11 +424,10 @@ class RationalFunction:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        if self.den.is_one and other.den.is_one:
-            res = RationalFunction.__new__(RationalFunction)
-            res.num, res.den = self.num * other.num, _POLY_ONE
-            return res
-        return RationalFunction(self.num * other.num, self.den * other.den)
+        if self.exps == other.exps == _NO_DEN:
+            return _value(self.num * other.num, _NO_DEN)
+        exps = tuple(e + f for e, f in zip(self.exps, other.exps))
+        return _value(*_lowest(self.num * other.num, exps))
 
     __rmul__ = __mul__
 
@@ -478,7 +435,7 @@ class RationalFunction:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return RationalFunction(self.num * other.den, self.den * other.num)
+        return self * other.reciprocal()
 
     def __rtruediv__(self, other):
         other = self._coerce(other)
@@ -494,15 +451,14 @@ class RationalFunction:
     def __pow__(self, exp: int):
         if exp < 0:
             return self.reciprocal() ** (-exp)
-        res = RationalFunction.__new__(RationalFunction)
-        res.num, res.den = self.num ** exp, self.den ** exp
-        return res
+        # b, c and b+c are prime, so a power of a reduced value stays reduced
+        return _value(self.num ** exp, tuple(e * exp for e in self.exps))
 
     def __eq__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return self.num * other.den == other.num * self.den
+        return self.exps == other.exps and self.num.terms == other.num.terms
 
     __hash__ = None
 
@@ -515,12 +471,61 @@ class RationalFunction:
         return self.num.evaluate(b_value, c_value) / den
 
     def __str__(self):
-        if self.den.is_one:
+        if self.is_polynomial:
             return str(self.num)
         return f"({self.num})/({self.den})"
 
     def __repr__(self):
         return f"RationalFunction({self})"
+
+
+_NO_DEN = (0, 0, 0)
+_B_PLUS_C = BivarPoly.b() + BivarPoly.c()
+
+
+def _shift(poly: BivarPoly, i: int, j: int) -> BivarPoly:
+    """poly / (b^i c^j), for a monomial that divides poly (i, j may be negative)."""
+    if not (i or j):
+        return poly
+    res = BivarPoly.__new__(BivarPoly)
+    res.terms = {(a - i, e - j): v for (a, e), v in poly.terms.items()}
+    return res
+
+
+def _over_b_plus_c(poly: BivarPoly) -> BivarPoly | None:
+    """poly / (b+c) when b+c divides the nonzero poly, else None.
+
+    Synthetic division in b, from the highest power of b down: row a then
+    holds the quotient's terms in b^(a-1), and row 0 what is left over.
+    """
+    rows = [{} for _ in range(1 + max(poly.terms)[0])]
+    for (a, e), v in poly.terms.items():
+        rows[a][e] = v
+    for a in range(len(rows) - 1, 0, -1):
+        for e, v in rows[a].items():
+            rows[a - 1][e + 1] = rows[a - 1].get(e + 1, 0) - v
+    if any(rows[0].values()):
+        return None
+    return BivarPoly({(a - 1, e): v for a in range(1, len(rows)) for e, v in rows[a].items()})
+
+
+def _value(num: BivarPoly, exps) -> RationalFunction:
+    res = RationalFunction.__new__(RationalFunction)
+    res.num, res.exps = num, exps
+    return res
+
+
+def _lowest(num: BivarPoly, exps):
+    """(num, exps) for num / (b^i c^j (b+c)^k), exps = (i, j, k), in lowest terms."""
+    i, j, k = exps
+    if not num.terms:
+        return num, _NO_DEN
+    si = min(i, min(a for a, _ in num.terms))
+    sj = min(j, min(e for _, e in num.terms))
+    num = _shift(num, si, sj)
+    while k and (quotient := _over_b_plus_c(num)) is not None:
+        num, k = quotient, k - 1
+    return num, (i - si, j - sj, k)
 
 
 def _as_bivar(x) -> BivarPoly:
@@ -554,5 +559,5 @@ def scalar_inv(s):
     if isinstance(s, RationalFunction):
         return s.reciprocal()
     if isinstance(s, BivarPoly):
-        return RationalFunction(_POLY_ONE, s)
+        return RationalFunction(1, s)
     raise TypeError(f"not an exact scalar: {type(s).__name__}")

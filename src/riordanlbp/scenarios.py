@@ -117,10 +117,6 @@ def _moment_c_rows(b_value: BivarPoly, n_max: int) -> list[list]:
     return rows
 
 
-def _pad(rows: list[list]) -> list[list]:
-    return [list(row) + [0] * (len(rows[-1]) - len(row)) for row in rows]
-
-
 def scenario_example1(order: int = 12) -> ScenarioReport:
     """The b = 1 specialization: peak triangle, u = v, Schroeder numbers."""
     checks = []
@@ -137,11 +133,9 @@ def scenario_example1(order: int = 12) -> ScenarioReport:
     checks.append(check_equal("c-coefficient rows equal binom(2n-k,k)C(n-k)",
                               triangle, expected_rows))
 
-    checks.append(check_equal(
-        "row n sums to the n-th shifted moment at c=1",
-        [sum(row) for row in triangle],
-        [int(v) for v in cfrac.tfraction_closed_form(1, 1, 8).coeffs],
-    ))
+    schroeder = [int(v) for v in cfrac.tfraction_closed_form(1, 1, 8).coeffs]
+    checks.append(check_equal("row n sums to the n-th shifted moment at c=1",
+                              [sum(row) for row in triangle], schroeder))
 
     uv = cfrac.verify_uv_equality(PARAM_C, order)
     checks.append(Check("u = v symbolically in c", uv.passed))
@@ -154,8 +148,7 @@ def scenario_example1(order: int = 12) -> ScenarioReport:
                               [int(v) for v in mu_c1],
                               [1, *SCHROEDER_PREFIX]))
     checks.append(check_equal("shifted moments at b=c=1 are schroeder numbers",
-                              [int(v) for v in cfrac.tfraction_closed_form(1, 1, 8).coeffs],
-                              list(SCHROEDER_PREFIX)))
+                              schroeder, list(SCHROEDER_PREFIX)))
 
     path_rows = [peak_count_row(n) for n in range(9)]
     checks.append(check_equal("persistent peak statistic matches the triangle",
@@ -361,21 +354,18 @@ def scenario_cfrac(order: int = 12) -> ScenarioReport:
                         cfrac.cf_expand(cfrac.moment_jfraction(PARAM_B, PARAM_C, order),
                                         order) == closed))
     shifted = cfrac.cf_expand(cfrac.constant_tfraction(PARAM_B, PARAM_C, order), order)
-    checks.append(Check("t-fraction expands the shifted moments",
-                        shifted == cfrac.tfraction_closed_form(PARAM_B, PARAM_C, order)))
+    shifted_closed = cfrac.tfraction_closed_form(PARAM_B, PARAM_C, order)
+    checks.append(Check("t-fraction expands the shifted moments", shifted == shifted_closed))
     lifted = 1 + PARAM_C * shifted.shift_up(1).truncate(order)
     checks.append(Check("lifting the shifted moments recovers the moments",
                         lifted == closed))
 
     checks.append(Check("riordan transform of the catalan series gives the shifted moments",
                         cfrac.tfraction_via_transform(PARAM_B, PARAM_C, order)
-                        == cfrac.tfraction_closed_form(PARAM_B, PARAM_C, order)))
+                        == shifted_closed))
 
-    sums_ok = all(
-        cfrac.shifted_moment_sum(PARAM_B, PARAM_C, n)
-        == cfrac.tfraction_closed_form(PARAM_B, PARAM_C, order).coeffs[n]
-        for n in range(order + 1)
-    )
+    sums_ok = all(cfrac.shifted_moment_sum(PARAM_B, PARAM_C, n) == shifted_closed.coeffs[n]
+                  for n in range(order + 1))
     checks.append(Check("binomial-catalan sum matches the shifted moments", sums_ok))
 
     mu = moments(LBPFamily.constant(PARAM_B, PARAM_C, order=14), "gf_expansion", 13)

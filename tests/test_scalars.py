@@ -1,5 +1,6 @@
 """Exact scalar arithmetic: bivariate polynomials and their fractions."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -87,6 +88,12 @@ class TestBivarPoly:
         with pytest.raises(ValueError):
             BivarPoly.b().c_coefficients()
 
+    @pytest.mark.parametrize("value", [5, Fraction(-3, 2), 0])
+    def test_constant_hashes_like_its_value(self, value):
+        assert BivarPoly.const(value) == value
+        assert hash(BivarPoly.const(value)) == hash(value)
+        assert len({BivarPoly.const(value), value}) == 1
+
 
 exact_coefficients = st.one_of(
     st.integers(-5, 5), st.fractions(min_value=-5, max_value=5, max_denominator=4)
@@ -153,6 +160,36 @@ class TestRationalFunction:
         b, c = PARAM_B, PARAM_C
         r = (b * c - c * b) / (b + c)
         assert not r
+
+    def test_common_factor_of_b_plus_c_cancels(self):
+        b, c = BivarPoly.b(), BivarPoly.c()
+        r = RationalFunction((b + c) * (b + 2 * c), c * (b + c) ** 2)
+        assert r.den == c * (b + c)
+        assert r.num == b + 2 * c
+        assert r == RationalFunction(b + 2 * c, c * (b + c))
+        assert str(r) == "(2*c + b)/(c^2 + b*c)"
+
+    def test_constant_and_sign_go_to_the_numerator(self):
+        b, c = BivarPoly.b(), BivarPoly.c()
+        r = RationalFunction(3 * b, -2 * b * c * (b + c))
+        assert r.den == c * (b + c)
+        assert r.num == BivarPoly.const(Fraction(-3, 2))
+
+    @pytest.mark.parametrize("den, shown", [
+        (BivarPoly({(1, 0): 2, (0, 1): 1}), "c + 2*b"),
+        (BivarPoly({(1, 0): 1, (0, 1): -1}), "-c + b"),
+    ])
+    def test_other_denominators_are_refused_by_name(self, den, shown):
+        with pytest.raises(ValueError, match=f"^denominator {re.escape(shown)} has a factor"):
+            RationalFunction(BivarPoly.one(), den)
+        with pytest.raises(ValueError, match=f"^denominator {re.escape(shown)} "):
+            PARAM_B / RationalFunction(den)
+
+    def test_polynomial_has_denominator_one(self):
+        r = RationalFunction(BivarPoly.b() + 1)
+        assert r.is_polynomial
+        assert r.den.is_one
+        assert (PARAM_B * PARAM_C / PARAM_C).den.is_one
 
     @given(small_fractions, small_fractions)
     @settings(max_examples=30, deadline=None)

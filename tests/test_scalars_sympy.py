@@ -1,4 +1,5 @@
-"""Differential oracle: BivarPoly arithmetic and determinants against sympy."""
+"""Differential oracle: BivarPoly and RationalFunction arithmetic and
+determinants against sympy."""
 
 from fractions import Fraction
 
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from riordanlbp.hankel_toeplitz import determinant
-from riordanlbp.scalars import BivarPoly
+from riordanlbp.scalars import BivarPoly, RationalFunction
 
 sympy = pytest.importorskip("sympy")
 
@@ -67,3 +68,61 @@ def test_determinant_matches_sympy(entries):
     want = sympy.Matrix([[to_sympy(v).as_expr() for v in row] for row in rows]).det()
     assert got.is_polynomial
     assert got.num.terms == from_sympy(sympy.Poly(sympy.expand(want), B, C, domain="QQ"))
+
+
+def loci_product(coeff, exps) -> BivarPoly:
+    """coeff * b^i c^j (b+c)^k for exps = (i, j, k)."""
+    i, j, k = exps
+    return coeff * BivarPoly.monomial(i, j) * (BivarPoly.b() + BivarPoly.c()) ** k
+
+
+exponents = st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 2))
+rational_functions = st.builds(
+    lambda num, exps: RationalFunction(num, loci_product(1, exps)), polys, exponents
+)
+# values whose numerator is also a product of b, c and b+c, so dividing by them is defined
+units = st.builds(
+    lambda coeff, top, bottom: RationalFunction(loci_product(coeff, top), loci_product(1, bottom)),
+    st.integers(-4, 4).filter(bool), exponents, exponents,
+)
+
+
+def to_expr(r: RationalFunction):
+    return to_sympy(r.num).as_expr() / to_sympy(r.den).as_expr()
+
+
+def same(expr, other) -> bool:
+    return sympy.cancel(expr - other) == 0
+
+
+@given(rational_functions, rational_functions)
+@settings(max_examples=60, deadline=None)
+def test_rational_sum_product_and_equality_match_sympy(r, s):
+    assert same(to_expr(r + s), to_expr(r) + to_expr(s))
+    assert same(to_expr(r * s), to_expr(r) * to_expr(s))
+    assert (r == s) == same(to_expr(r), to_expr(s))
+
+
+@given(rational_functions, units)
+@settings(max_examples=60, deadline=None)
+def test_rational_quotient_matches_sympy(r, u):
+    assert same(to_expr(r / u), to_expr(r) / to_expr(u))
+    assert r / u * u == r
+
+
+@given(rational_functions, st.sampled_from(["b", "c", "b+c", "3"]))
+@settings(max_examples=60, deadline=None)
+def test_common_factor_cancels_to_the_same_value(r, factor):
+    f = {"b": BivarPoly.b(), "c": BivarPoly.c(), "b+c": BivarPoly.b() + BivarPoly.c(),
+         "3": BivarPoly.const(3)}[factor]
+    widened = RationalFunction(r.num * f, r.den * f)
+    assert widened == r
+    assert str(widened) == str(r)
+
+
+@given(rational_functions, rational_functions)
+@settings(max_examples=60, deadline=None)
+def test_stored_form_is_in_lowest_terms(r, s):
+    for value in (r, r + s, r * s):
+        gcd = sympy.gcd(to_sympy(value.num).as_expr(), to_sympy(value.den).as_expr())
+        assert not gcd.free_symbols, f"{value} is not in lowest terms"
