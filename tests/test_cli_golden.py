@@ -40,6 +40,5 @@ def test_cli_output_is_byte_identical(argv):
 
 
 if __name__ == "__main__":
-    GOLDEN.write_text(json.dumps(
-        {argv: pin if pin is not None else run(argv) for argv, pin in sorted(PINNED.items())},
-        indent=1) + "\n")
+    GOLDEN.write_text(json.dumps({argv: pin or run(argv) for argv, pin in sorted(PINNED.items())},
+                                 indent=1) + "\n")
