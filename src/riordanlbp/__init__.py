@@ -22,6 +22,7 @@ from .riordan import (
     binomial_array,
     has_column_shift,
     production_matrix,
+    production_of_inverse,
 )
 from .lbp import (
     LBPFamily,
@@ -68,7 +69,7 @@ __all__ = [
     "PARAM_B", "PARAM_C", "BivarPoly", "RationalFunction", "parse_rational",
     "DEFAULT_ORDER", "TruncatedSeries", "catalan_series",
     "LowerTriangularMatrix", "RiordanArray", "binomial_array",
-    "has_column_shift", "production_matrix",
+    "has_column_shift", "production_matrix", "production_of_inverse",
     "LBPFamily", "MOMENT_ROUTES", "MomentSequence", "coefficient_array",
     "coefficient_matrix", "entry_closed_form", "inverse_entry_lagrange",
     "moment_gf", "moment_matrix", "moments", "rows_by_recurrence",

@@ -33,7 +33,6 @@ from .lbp import (
     LBPFamily,
     MOMENT_ROUTES,
     coefficient_matrix,
-    moment_matrix,
     moments,
 )
 from .hankel_toeplitz import (
@@ -42,7 +41,7 @@ from .hankel_toeplitz import (
     toeplitz_dets,
 )
 from .orthopoly import ORTHO_KINDS, ortho_array
-from .riordan import production_matrix
+from .riordan import production_of_inverse
 from .scalars import PARAM_B, PARAM_C, parse_rational
 
 GENERATE_KINDS = (
@@ -98,7 +97,7 @@ def _generate_data(args) -> list[str]:
         return [str(v) for v in moments(fam, args.route, order)]
     if args.kind == "production":
         fam = LBPFamily.constant(b, c, order=order + 1)
-        block = production_matrix(moment_matrix(fam, order + 2))
+        block = production_of_inverse(coefficient_matrix(fam, order + 2))
         return _matrix_lines(block)
     if args.kind == "hankel":
         fam = LBPFamily.constant(b, c, order=2 * order + 1)

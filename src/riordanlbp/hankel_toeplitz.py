@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .combinat import binomial
-from .scalars import BivarPoly, RationalFunction, coerce_scalar, scalar_inv
+from .scalars import BivarPoly, RationalFunction, coerce_scalar, over_lcm, scalar_inv
 
 
 def _clear(mat: list[list]) -> tuple[list[list], object, list | None]:
@@ -39,23 +39,19 @@ def _clear(mat: list[list]) -> tuple[list[list], object, list | None]:
 
     Returns (matrix, exact divide, scales).  A Fraction matrix is eliminated
     as it is and scales is None.  Any other matrix is cleared to polynomial
-    rows, row i multiplied by the product of its denominators, and scales[i]
-    is the product of the factors of rows 0..i: a determinant over rows
-    0..i of the cleared matrix is scales[i] times the original one.
+    rows, row i multiplied by the lcm of its denominators, and scales[i] is
+    the product of the factors of rows 0..i: a determinant over rows 0..i of
+    the cleared matrix is scales[i] times the original one.
     """
     if all(isinstance(v, Fraction) for row in mat for v in row):
         return mat, lambda a, b: a / b, None
     poly_rows: list[list[BivarPoly]] = []
     scales = []
     cleared = BivarPoly.one()
-    for row in mat:
-        row = [v if isinstance(v, RationalFunction) else RationalFunction(v) for v in row]
-        row_factor = BivarPoly.one()
-        for v in row:
-            row_factor = row_factor * v.den
+    for nums, row_factor in map(over_lcm, mat):
         cleared = cleared * row_factor
         scales.append(cleared)
-        poly_rows.append([v.num * row_factor.divexact(v.den) for v in row])
+        poly_rows.append(nums)
     return poly_rows, lambda a, b: a.divexact(b), scales
 
 

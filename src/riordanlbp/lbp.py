@@ -200,17 +200,6 @@ def moment_gf(b, c, order: int = DEFAULT_ORDER) -> TruncatedSeries:
     return num / (2 * b)
 
 
-def moment_gf_catalan_form(b, c, order: int = DEFAULT_ORDER) -> TruncatedSeries:
-    """Same series as moment_gf via 1 + (ct/(1-ct)) * Cat(bt/(1-ct)^2)."""
-    from .series import catalan_series
-
-    b, c = coerce_scalar(b), coerce_scalar(c)
-    cat = catalan_series(order)
-    inner = TruncatedSeries.ratio([0, b], [1, -2 * c, c * c], order)
-    prefix = TruncatedSeries.ratio([0, c], [1, -c], order)
-    return 1 + prefix * cat.compose(inner)
-
-
 def tfraction_fixed_point(b, c, order: int = DEFAULT_ORDER) -> TruncatedSeries:
     """Solve u = 1/(1 - ct - btu), i.e. u_n = c u_{n-1} + b [t^(n-1)] u^2."""
     b, c = coerce_scalar(b), coerce_scalar(c)

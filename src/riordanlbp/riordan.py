@@ -6,10 +6,11 @@ law is (g1, f1) * (g2, f2) = (g1 * g2(f1), f2(f1)), the identity is (1, t)
 and inversion uses the compositional inverse of f.
 
 The production matrix of an invertible lower-triangular block M is
-M^{-1} * (M with its top row removed); for a Riordan array it has the
-characteristic column-shift structure (every column from the second on is
-the previous one pushed down), which is also a practical test for showing
-that a matrix is NOT Riordan.
+P = M^{-1} S M, S M being M with its top row removed.  For M = L^{-1} it is
+solved from P L = L S against L itself, with no inverse.  For a Riordan
+array P has the characteristic column-shift structure (every column from
+the second on is the previous one pushed down), which is also a practical
+test for showing that a matrix is NOT Riordan.
 """
 
 from __future__ import annotations
@@ -177,30 +178,34 @@ def binomial_array(b, order: int = DEFAULT_ORDER) -> RiordanArray:
     )
 
 
-def production_matrix(m: LowerTriangularMatrix) -> list[list]:
-    """Solve M X = (M minus its top row) by forward substitution.
+def production_of_inverse(lower: LowerTriangularMatrix) -> list[list]:
+    """Production block of L^-1 for L = lower, of dimension L.dim - 1, from P L = L S.
 
-    Output is the square block of dimension m.dim - 1, the part of the
-    production matrix the finite block determines.
+    P is lower Hessenberg and (L S)[i][j] = L[i][j-1], so row i of P comes
+    from rows 0..i+1 of L, right to left:
+    P[i][j] = (L[i][j-1] - sum_{k=j+1..i+1} P[i][k] L[k][j]) / L[j][j].
     """
-    dim = m.dim - 1
+    dim = lower.dim - 1
     if dim < 1:
         raise ValueError("need at least a 2x2 block")
+    inv_diag = lower._inverse_diagonal()
+    rows = lower.rows
+    zero = rows[0][0] * 0
+    out = []
     for i in range(dim):
-        if not m.rows[i][i]:
-            raise ZeroDivisionError(f"zero diagonal entry at {i}")
-    inv_diag = [scalar_inv(m.rows[i][i]) for i in range(dim)]
-    # M^-1 is lower triangular and the shifted M has nothing right of its
-    # superdiagonal, so out[k][j] = 0 for j > k + 1 (lower Hessenberg)
-    zero = m.rows[0][0] * 0
-    out = [[zero] * dim for _ in range(dim)]
-    for j in range(dim):
-        for i in range(max(j - 1, 0), dim):
-            acc = m.rows[i + 1][j]
-            for k in range(max(j - 1, 0), i):
-                acc = acc - m.rows[i][k] * out[k][j]
-            out[i][j] = acc * inv_diag[i]
+        row = [zero] * (i + 2)
+        for j in range(i + 1, -1, -1):
+            acc = rows[i][j - 1] if j else zero
+            for k in range(j + 1, i + 2):
+                acc = acc - row[k] * rows[k][j]
+            row[j] = acc * inv_diag[j]
+        out.append((row + [zero] * dim)[:dim])
     return out
+
+
+def production_matrix(m: LowerTriangularMatrix) -> list[list]:
+    """Production block of m, M^-1 (M minus its top row), of dimension m.dim - 1."""
+    return production_of_inverse(m.inverse())
 
 
 def has_column_shift(p: list[list]) -> bool:

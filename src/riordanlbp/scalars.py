@@ -403,7 +403,8 @@ class RationalFunction:
     def _over(self, exps) -> BivarPoly:
         """The numerator of self over the multiple b^i c^j (b+c)^k of den."""
         (si, sj, sk), (i, j, k) = self.exps, exps
-        return _shift(self.num * _B_PLUS_C ** (k - sk), si - i, sj - j)
+        num = self.num if k == sk else self.num * _B_PLUS_C ** (k - sk)
+        return _shift(num, si - i, sj - j)
 
     def __neg__(self):
         return _value(-self.num, self.exps)
@@ -526,6 +527,13 @@ def _lowest(num: BivarPoly, exps):
     while k and (quotient := _over_b_plus_c(num)) is not None:
         num, k = quotient, k - 1
     return num, (i - si, j - sj, k)
+
+
+def over_lcm(values) -> tuple[list[BivarPoly], BivarPoly]:
+    """Numerators of values over their lcm b^max(i) c^max(j) (b+c)^max(k), and the lcm."""
+    values = [RationalFunction._coerce(v) for v in values]
+    exps = tuple(map(max, zip(*(v.exps for v in values))))
+    return [v._over(exps) for v in values], _value(BivarPoly.one(), exps).den
 
 
 def _as_bivar(x) -> BivarPoly:

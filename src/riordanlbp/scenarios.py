@@ -31,7 +31,7 @@ from .lbp import (
     tfraction_fixed_point,
 )
 from .report import Check, ScenarioReport, check_equal
-from .riordan import binomial_array, has_column_shift, production_matrix
+from .riordan import binomial_array, has_column_shift, production_matrix, production_of_inverse
 from .scalars import PARAM_B, PARAM_C, BivarPoly
 from .series import TruncatedSeries
 
@@ -171,15 +171,15 @@ def scenario_example2(order: int = 12) -> ScenarioReport:
     checks.append(check_equal("periodic moment matrix rows 0..7",
                               table.rows, [list(r) for r in PERIODIC_MOMENT_TABLE]))
 
-    prod = production_matrix(moment_matrix(fam, 9))
+    prod = production_of_inverse(coefficient_matrix(fam, 9))
     checks.append(check_equal("periodic production block 7x7",
                               [row[:7] for row in prod[:7]],
                               [list(r) for r in PERIODIC_PRODUCTION_TABLE]))
     checks.append(Check("column-shift test fails on the periodic production block",
                         not has_column_shift(prod)))
 
-    sym_moments = moment_matrix(LBPFamily.constant(PARAM_B, PARAM_C, order=8), 8)
-    sym_prod = production_matrix(sym_moments)
+    sym_coeffs = coefficient_matrix(LBPFamily.constant(PARAM_B, PARAM_C, order=8), 8)
+    sym_prod = production_of_inverse(sym_coeffs)
     expected_block = _symbolic_production_block(6)
     checks.append(check_equal("symbolic production block of the moment matrix",
                               [row[:6] for row in sym_prod[:6]], expected_block))

@@ -8,6 +8,7 @@ import pytest
 
 from riordanlbp import oeis
 from riordanlbp.cli import EXIT_BROKEN_PIPE, EXIT_INTERNAL, GENERATE_KINDS, main
+from riordanlbp.riordan import LowerTriangularMatrix
 
 
 def run_cli(capsys, *argv):
@@ -96,6 +97,15 @@ class TestGenerate:
         second = run_cli(capsys, *args)
         assert first == second
         assert first[0] == 0
+
+    def test_production_inverts_nothing(self, capsys, monkeypatch):
+        def refuse(self):
+            raise AssertionError("LowerTriangularMatrix.inverse called")
+
+        monkeypatch.setattr(LowerTriangularMatrix, "inverse", refuse)
+        code, out, err = run_cli(capsys, "generate", "production", "--order", "3")
+        assert (code, err) == (0, "")
+        assert out.splitlines()[1] == "b*c,c + b,1,0"
 
     def test_json_payload_shape(self, capsys):
         code, out, _ = run_cli(

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from riordanlbp.cfrac import tfraction_via_transform
 from riordanlbp.lbp import (
     MOMENT_ROUTES,
     LBPFamily,
@@ -15,13 +16,13 @@ from riordanlbp.lbp import (
     entry_closed_form,
     inverse_entry_lagrange,
     moment_gf,
-    moment_gf_catalan_form,
     moment_matrix,
     moments,
     rows_by_recurrence,
 )
 from riordanlbp.riordan import has_column_shift, production_matrix
 from riordanlbp.scalars import PARAM_B, PARAM_C, RationalFunction, coerce_scalar
+from riordanlbp.series import TruncatedSeries
 
 # First moments of the symbolic constant-coefficient family, normalized to
 # start at 1.  Frozen from the inverse of the coefficient array.
@@ -237,8 +238,11 @@ class TestClosedFormEntries:
 
 class TestGeneratingFunctions:
     def test_sqrt_and_catalan_forms_agree(self):
+        # mu(t) = 1 + c t mu~(t), mu~ the Catalan series pushed through
+        # (1/(1-ct), t/(1-ct)^2)
         a = moment_gf(PARAM_B, PARAM_C, 8)
-        b = moment_gf_catalan_form(PARAM_B, PARAM_C, 8)
+        ct = TruncatedSeries([0, PARAM_C], 8)
+        b = 1 + ct * tfraction_via_transform(PARAM_B, PARAM_C, 8)
         assert a == b
 
     def test_gf_matches_moments(self):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from riordanlbp.cfrac import moment_jfraction
 from riordanlbp.combinat import binomial
 from riordanlbp.lbp import LBPFamily, moments, rows_by_recurrence
 from riordanlbp.orthopoly import (
@@ -15,6 +16,7 @@ from riordanlbp.orthopoly import (
     ortho_rows_by_recurrence,
     verify_factorizations,
 )
+from riordanlbp.riordan import production_of_inverse
 from riordanlbp.scalars import PARAM_B, PARAM_C, coerce_scalar
 from riordanlbp.series import TruncatedSeries
 
@@ -162,3 +164,18 @@ class TestFactorizations:
                     for j, coeff in enumerate(rows[k]):
                         acc[j] = acc[j] + b ** (n - k) * w * coeff
                 assert acc == lbp_rows[n], (kind, n)
+
+
+@pytest.mark.parametrize("b, c", [(PARAM_B, PARAM_C), (Fraction(3, 2), Fraction(-1, 3))])
+def test_production_of_q_inverse_is_the_stieltjes_matrix(b, c):
+    # Peart & Woan 2000: the production matrix of the q-array's inverse is
+    # tridiagonal, with the J-fraction's diagonal and couplings
+    dim = 8
+    p = production_of_inverse(ortho_array("q", b, c, dim).matrix(dim + 1))
+    jfrac = moment_jfraction(b, c, 2 * dim)
+    expected = {(i, i + 1): 1 for i in range(dim - 1)}
+    expected.update({(i, i): v for i, v in enumerate(jfrac.diag[:dim])})
+    expected.update({(i + 1, i): v for i, v in enumerate(jfrac.sub[:dim - 1])})
+    for i in range(dim):
+        for j in range(dim):
+            assert p[i][j] == coerce_scalar(expected.get((i, j), 0)), (i, j)

@@ -7,14 +7,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from riordanlbp.combinat import binomial
+from riordanlbp.lbp import LBPFamily, coefficient_matrix
 from riordanlbp.riordan import (
     LowerTriangularMatrix,
     RiordanArray,
     binomial_array,
     has_column_shift,
     production_matrix,
+    production_of_inverse,
 )
-from riordanlbp.scalars import coerce_scalar
+from riordanlbp.scalars import PARAM_B, PARAM_C, coerce_scalar
 from riordanlbp.series import TruncatedSeries
 
 ORDER = 8
@@ -147,3 +149,56 @@ class TestProductionMatrix:
     def test_column_shift_rejects_tiny_blocks(self):
         with pytest.raises(ValueError):
             has_column_shift(production_matrix(pascal().matrix(2)))
+
+    def test_zero_last_diagonal_entry_is_named(self):
+        rows = ([1], [1, 1], [1, 2, 0])
+        m = LowerTriangularMatrix([[Fraction(v) for v in row] for row in rows])
+        with pytest.raises(ZeroDivisionError, match="zero diagonal entry at 2"):
+            production_matrix(m)
+
+
+def forward_solve_production(lower):
+    """Reference: solve M X = (M minus its top row) for M = lower^-1 by
+    forward substitution, the definition of the production matrix of M."""
+    m = lower.inverse()
+    dim = m.dim - 1
+    zero = m.rows[0][0] * 0
+    out = [[zero] * dim for _ in range(dim)]
+    for j in range(dim):
+        for i in range(dim):
+            acc = m.entry(i + 1, j)
+            for k in range(i):
+                acc = acc - m.entry(i, k) * out[k][j]
+            out[i][j] = acc / m.rows[i][i]
+    return out
+
+
+PRODUCTION_BLOCKS = {
+    "rational": lambda: coefficient_matrix(
+        LBPFamily.constant(Fraction(3, 2), Fraction(-1, 3), order=8), 9),
+    "symbolic": lambda: coefficient_matrix(LBPFamily.constant(PARAM_B, PARAM_C, order=7), 8),
+    "periodic": lambda: coefficient_matrix(LBPFamily.periodic([1, 2], [1], order=8), 9),
+    "b+c=0": lambda: coefficient_matrix(LBPFamily.constant(1, -1, order=8), 9),
+    "2b+c=0": lambda: coefficient_matrix(LBPFamily.constant(1, -2, order=8), 9),
+    # g(0) = 2 and f'(0) = 3: no entry of the diagonal is 1
+    "non-monic": lambda: RiordanArray(
+        TruncatedSeries([coerce_scalar(v) for v in (2, -1, 1, 3)], order=ORDER),
+        TruncatedSeries([coerce_scalar(v) for v in (0, 3, 1, -2)], order=ORDER),
+    ).matrix(8),
+}
+
+
+class TestProductionOfInverse:
+    @pytest.mark.parametrize("name", sorted(PRODUCTION_BLOCKS))
+    def test_matches_forward_solve_of_the_inverse(self, name):
+        block = PRODUCTION_BLOCKS[name]()
+        assert production_of_inverse(block) == forward_solve_production(block)
+
+    @pytest.mark.parametrize("name", sorted(PRODUCTION_BLOCKS))
+    def test_production_matrix_is_the_production_of_its_inverse(self, name):
+        block = PRODUCTION_BLOCKS[name]()
+        assert production_matrix(block) == forward_solve_production(block.inverse())
+
+    def test_needs_two_rows(self):
+        with pytest.raises(ValueError, match="2x2"):
+            production_of_inverse(LowerTriangularMatrix([[1]]))
