@@ -55,7 +55,6 @@ from .cfrac import (
 from .hankel_toeplitz import (
     BiInfiniteMoments,
     determinant,
-    extend_moments,
     hankel_transform,
     lbp_by_determinant,
     recover_parameters,
@@ -77,7 +76,7 @@ __all__ = [
     "verify_factorizations",
     "JFraction", "SFraction", "TFraction", "cf_expand",
     "jfraction_from_moments", "tfraction_closed_form", "verify_uv_equality",
-    "BiInfiniteMoments", "determinant", "extend_moments", "hankel_transform",
+    "BiInfiniteMoments", "determinant", "hankel_transform",
     "lbp_by_determinant", "recover_parameters", "toeplitz_dets",
     "Check", "ScenarioReport",
     "__version__",

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .combinat import binomial, catalan
 from .hankel_toeplitz import hankel_and_shifted
 from .report import Check, ScenarioReport
 from .scalars import coerce_scalar, scalar_inv
@@ -86,6 +85,8 @@ def cf_expand(cf, order: int = DEFAULT_ORDER) -> TruncatedSeries:
     it is expanded only to order - k (order - 2k), and the product with t or
     t^2 is a shift.
     """
+    if order < 0:
+        raise ValueError(f"order must be at least 0, got {order}")
     if isinstance(cf, SFraction):
         step, diag, nums = 1, (), cf.alphas
     elif isinstance(cf, JFraction):
@@ -155,17 +156,6 @@ def tfraction_via_transform(b, c, order: int = DEFAULT_ORDER) -> TruncatedSeries
     return prefix * cat.compose(inner)
 
 
-def shifted_moment_sum(b, c, n: int):
-    """mu~_n = sum_k binom(n+k, 2k) c^(n-k) b^k C_k."""
-    b, c = coerce_scalar(b), coerce_scalar(c)
-    total = b * 0
-    for k in range(n + 1):
-        w = binomial(n + k, 2 * k) * catalan(k)
-        if w:
-            total = total + w * c ** (n - k) * b ** k
-    return total
-
-
 def jfraction_from_moments(mu, depth: int | None = None) -> JFraction:
     """Recover the J-fraction from raw moments via Hankel determinant ratios.
 
@@ -176,6 +166,9 @@ def jfraction_from_moments(mu, depth: int | None = None) -> JFraction:
     mu = list(mu)
     if depth is None:
         depth = (len(mu) - 2) // 2
+    if depth < 1:
+        raise ValueError(f"a j-fraction needs depth >= 1, i.e. 4 moments; "
+                         f"got depth {depth} from {len(mu)} moments")
     h, s = hankel_and_shifted(mu, depth)
     ratios = [s[n] * scalar_inv(h[n]) for n in range(depth + 1)]
     diag = [ratios[0]]

@@ -36,7 +36,7 @@ from .lbp import (
     moments,
 )
 from .hankel_toeplitz import (
-    extend_moments,
+    BiInfiniteMoments,
     hankel_transform,
     toeplitz_dets,
 )
@@ -104,9 +104,10 @@ def _generate_data(args) -> list[str]:
         mu = moments(fam, "gf_expansion", 2 * order)
         return [str(v) for v in hankel_transform(list(mu), order)]
     if args.kind == "toeplitz":
-        fam = LBPFamily.constant(b, c, order=2 * order + 2)
-        mu = moments(fam, "gf_expansion", 2 * order + 1)
-        bi = extend_moments(list(mu), c, max(order, 1))
+        # the determinants read mu_{-order}..mu_{order+1}
+        fam = LBPFamily.constant(b, c, order=order + 1)
+        mu = moments(fam, "gf_expansion", order + 1)
+        bi = BiInfiniteMoments(list(mu), c, order)
         t_seq, tp_seq = toeplitz_dets(bi, order)
         return _matrix_lines([t_seq, tp_seq])
     if args.kind == "cfrac-expand":

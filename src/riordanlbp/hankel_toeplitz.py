@@ -27,7 +27,7 @@ last row 1, x, ..., x^n reproduces P_n(x) after division by t_{n-1}.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .combinat import binomial
@@ -156,6 +156,8 @@ def hankel_and_shifted(mu, depth: int) -> tuple[list, list]:
     where the pass has to stop.
     """
     values = [coerce_scalar(v) for v in mu]
+    if depth < 0:
+        raise ValueError(f"depth must be at least 0, got {depth}")
     if len(values) < 2 * depth + 2:
         raise ValueError(f"need {2 * depth + 2} moments for depth {depth}")
     mat, divide, scales = _clear([values[i:i + depth + 2] for i in range(depth + 1)])
@@ -175,48 +177,40 @@ def hankel_closed_form(b, c, n_max: int) -> list:
 
 @dataclass(frozen=True)
 class BiInfiniteMoments:
-    """Moments extended to negative index by mu_{-k} = mu_{1+k} / c^(1+2k)."""
+    """Moments mu_0.. as `forward`, extended to mu_{-1}..mu_{-depth} as `backward`.
+
+    The backward moments follow from mu_{-k} = mu_{1+k} / c^(1+2k), so they
+    need c != 0 and the forward moments through mu_{depth+1}.
+    """
 
     forward: tuple
-    backward: tuple
     c: object
+    depth: int
+    backward: tuple = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "forward", tuple(coerce_scalar(v) for v in self.forward))
-        object.__setattr__(self, "backward", tuple(coerce_scalar(v) for v in self.backward))
-        object.__setattr__(self, "c", coerce_scalar(self.c))
-        if not self.forward or not self.forward[0] == 1:
+        forward = tuple(coerce_scalar(v) for v in self.forward)
+        c = coerce_scalar(self.c)
+        if not c:
+            raise ValueError("extension to negative index requires invertible c")
+        if len(forward) < self.depth + 2:
+            raise ValueError(f"need {self.depth + 2} moments for backward depth {self.depth}")
+        if not forward or not forward[0] == 1:
             raise ValueError("moments are normalized to mu_0 = 1")
-        if len(self.forward) < len(self.backward) + 2:
-            raise ValueError("backward depth exceeds available forward moments")
-        for k, value in enumerate(self.backward):
-            if not value * self.c ** (3 + 2 * k) == self.forward[2 + k]:
-                raise ValueError(f"backward moment at index -{k + 1} breaks the defining relation")
-
-    @property
-    def depth(self) -> int:
-        return len(self.backward)
+        inv_c = scalar_inv(c)
+        object.__setattr__(self, "forward", forward)
+        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "backward", tuple(
+            forward[2 + k] * inv_c ** (3 + 2 * k) for k in range(self.depth)))
 
     def moment(self, n: int):
         if n >= 0:
             if n >= len(self.forward):
                 raise IndexError(f"forward moment {n} not stored")
             return self.forward[n]
-        if -n > len(self.backward):
+        if -n > self.depth:
             raise IndexError(f"backward moment {n} not stored")
         return self.backward[-n - 1]
-
-
-def extend_moments(mu, c, depth: int) -> BiInfiniteMoments:
-    values = [coerce_scalar(v) for v in mu]
-    c = coerce_scalar(c)
-    if not c:
-        raise ValueError("extension to negative index requires invertible c")
-    if len(values) < depth + 2:
-        raise ValueError(f"need {depth + 2} moments for backward depth {depth}")
-    inv_c = scalar_inv(c)
-    backward = [values[2 + k] * inv_c ** (3 + 2 * k) for k in range(depth)]
-    return BiInfiniteMoments(tuple(values), tuple(backward), c)
 
 
 def toeplitz_dets(bm: BiInfiniteMoments, n_max: int) -> tuple[list, list]:

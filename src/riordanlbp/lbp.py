@@ -14,7 +14,9 @@ Five independent routes compute the moments and must agree:
 * matrix_inverse     -- forward-solve the first column of the inverse of the
                         materialized coefficient block (works for arbitrary,
                         e.g. periodic, coefficient sequences);
-* catalan_sum        -- mu_n = sum_k C(2n-k-1, 2n-2k) C_{n-k} b^(n-k) c^k;
+* catalan_sum        -- mu_n = c mu~_{n-1}, the shifted moments given by the
+                        binomial-Catalan sum `shifted_moment_sum`
+                        mu~_n = sum_k C(n+k, 2k) c^(n-k) b^k C_k;
 * lagrange           -- the k = 0 case of the Lagrange-inversion entry formula;
 * shifted_tfraction  -- solve u = 1/(1 - ct - btu) order by order and shift
                         through mu(t) = 1 + c t u(t);
@@ -212,12 +214,25 @@ def tfraction_fixed_point(b, c, order: int = DEFAULT_ORDER) -> TruncatedSeries:
     return TruncatedSeries(u)
 
 
+def shifted_moment_sum(b, c, n: int):
+    """mu~_n = sum_k binom(n+k, 2k) c^(n-k) b^k C_k."""
+    b, c = coerce_scalar(b), coerce_scalar(c)
+    total = b * 0
+    for k in range(n + 1):
+        w = binomial(n + k, 2 * k) * catalan(k)
+        if w:
+            total = total + w * c ** (n - k) * b ** k
+    return total
+
+
 def moments(family: LBPFamily, route: str = "matrix_inverse",
             n_max: int | None = None) -> MomentSequence:
     if route not in MOMENT_ROUTES:
         raise ValueError(f"unknown moment route {route!r}; choose from {MOMENT_ROUTES}")
     if n_max is None:
         n_max = family.order
+    if n_max < 0:
+        raise ValueError(f"n_max must be at least 0, got {n_max}")
     if route == "matrix_inverse":
         values = coefficient_matrix(family, n_max + 1).inverse_column(0)
         return MomentSequence(tuple(values), route)
@@ -225,14 +240,7 @@ def moments(family: LBPFamily, route: str = "matrix_inverse",
         raise ValueError(f"route {route!r} applies to constant-coefficient families only")
     b, c = family.b, family.c
     if route == "catalan_sum":
-        values = []
-        for n in range(n_max + 1):
-            acc = b * 0
-            for k in range(n + 1):
-                w = binomial(2 * n - k - 1, 2 * n - 2 * k) * catalan(n - k)
-                if w:
-                    acc = acc + w * b ** (n - k) * c ** k
-            values.append(acc)
+        values = [b ** 0] + [c * shifted_moment_sum(b, c, n - 1) for n in range(1, n_max + 1)]
     elif route == "lagrange":
         values = [inverse_entry_lagrange(n, 0, b, c) for n in range(n_max + 1)]
     elif route == "shifted_tfraction":

@@ -69,7 +69,7 @@ def _schroeder_terms(count: int) -> list:
 
 def _peak_triangle_terms(count: int) -> list:
     """Flattened rows of [c^k] mu~_n at b=1; row n lists k = 0..n."""
-    from .cfrac import shifted_moment_sum
+    from .lbp import shifted_moment_sum
     from .scalars import PARAM_C
 
     out = []

@@ -24,7 +24,7 @@ equivalent polynomial identities mixing P_n from Q_k with binomial weights.
 from __future__ import annotations
 
 from .combinat import binomial
-from .lbp import LBPFamily, coefficient_array, rows_by_recurrence
+from .lbp import LBPFamily, coefficient_array, moment_gf, rows_by_recurrence
 from .report import Check, ScenarioReport
 from .riordan import RiordanArray, binomial_array
 from .scalars import coerce_scalar
@@ -131,8 +131,9 @@ def verify_factorizations(b, c, order: int = 8) -> ScenarioReport:
                 break
         checks.append(Check(name, ok, detail))
 
-    checks.append(Check(
-        "q-array inverse second component matches closed form",
-        q.inverse().f == ortho_inverse_f_closed_form(b, c, order),
-    ))
+    q_inv = q.inverse()
+    checks.append(Check("q-array inverse second component matches closed form",
+                        q_inv.f == ortho_inverse_f_closed_form(b, c, order)))
+    checks.append(Check("first column of q-array inverse gives the moments",
+                        q_inv.g == moment_gf(b, c, order)))
     return ScenarioReport("factorizations", checks)

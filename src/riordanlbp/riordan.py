@@ -126,14 +126,6 @@ class RiordanArray:
     def order(self) -> int:
         return min(self.g.order, self.f.order)
 
-    def entry(self, n: int, k: int):
-        if not 0 <= k <= n <= self.order:
-            raise IndexError("need 0 <= k <= n <= truncation order")
-        col = self.g
-        for _ in range(k):
-            col = col * self.f
-        return col.coeffs[n]
-
     def matrix(self, dim: int | None = None) -> LowerTriangularMatrix:
         if dim is None:
             dim = self.order + 1

@@ -24,7 +24,7 @@ from riordanlbp.cfrac import (
 )
 from riordanlbp.combinat import colored_path_count
 from riordanlbp.hankel_toeplitz import (
-    extend_moments,
+    BiInfiniteMoments,
     hankel_closed_form,
     hankel_transform,
     lbp_by_determinant,
@@ -108,7 +108,7 @@ def test_criterion_02_hankel():
 def test_criterion_03_toeplitz():
     b, c = PARAM_B, PARAM_C
     mu = moments(LBPFamily.constant(b, c, order=12), n_max=12)
-    bm = extend_moments(list(mu), c, 5)
+    bm = BiInfiniteMoments(list(mu), c, 5)
     t_seq, tp_seq = toeplitz_dets(bm, 5)
     expected = toeplitz_closed_form(b, c, 5)
     for n in range(6):
@@ -183,7 +183,7 @@ def test_criterion_09_determinantal_polynomials():
     b, c = PARAM_B, PARAM_C
     fam = LBPFamily.constant(b, c, order=12)
     mu = moments(fam, n_max=12)
-    bm = extend_moments(list(mu), c, 5)
+    bm = BiInfiniteMoments(list(mu), c, 5)
     expected = rows_by_recurrence(fam, 5)
     for n in range(6):
         got = lbp_by_determinant(bm, n)

@@ -18,13 +18,12 @@ from riordanlbp.cfrac import (
     jfraction_from_moments,
     moment_jfraction,
     moment_sfraction,
-    shifted_moment_sum,
     tfraction_closed_form,
     tfraction_via_transform,
     verify_uv_equality,
 )
 from riordanlbp.combinat import catalan
-from riordanlbp.lbp import LBPFamily, moment_gf, moments
+from riordanlbp.lbp import LBPFamily, moment_gf, moments, shifted_moment_sum
 from riordanlbp.scalars import PARAM_B, PARAM_C, coerce_scalar
 from riordanlbp.series import TruncatedSeries
 
@@ -57,6 +56,11 @@ class TestAdequacy:
         with pytest.raises(ValueError):
             cf_expand(short, 3)
         cf_expand(short, 2)
+
+    @pytest.mark.parametrize("cf", [SFraction((1,)), JFraction((1,), (1,)), TFraction((1,), (1,))])
+    def test_negative_order_rejected(self, cf):
+        with pytest.raises(ValueError, match="order must be at least 0, got -1"):
+            cf_expand(cf, -1)
 
 
 def reference_expand(cf, order):
@@ -250,6 +254,12 @@ class TestExtraction:
         assert got.diag == (cv, 0, 0, 0)
         assert got.sub == (bv * cv, bv * (bv + cv), bv * (bv + cv))
         assert all(got.sub)
+
+    @pytest.mark.parametrize("mu, depth", [([1, 1, 2], None), ([1, 1, 2, 5, 14], 0)])
+    def test_depth_below_one_rejected(self, mu, depth):
+        # the first coupling h_1 / h_0^2 needs h_1, so 4 moments at least
+        with pytest.raises(ValueError, match="needs depth >= 1, i.e. 4 moments"):
+            jfraction_from_moments(mu, depth)
 
     def test_hankel_from_jfraction(self):
         # couplings (1, 2, 2, ...) give dets 1, 1, 2, 8, 64 at b = c = 1

@@ -1,14 +1,16 @@
 """Command-line interface: output shapes, determinism, exit codes."""
 
+import argparse
 import json
 import subprocess
 import sys
 
 import pytest
 
-from riordanlbp import oeis
-from riordanlbp.cli import EXIT_BROKEN_PIPE, EXIT_INTERNAL, GENERATE_KINDS, main
+from riordanlbp import cli, oeis
+from riordanlbp.cli import EXIT_BROKEN_PIPE, EXIT_INTERNAL, GENERATE_KINDS, build_parser, main
 from riordanlbp.riordan import LowerTriangularMatrix
+from riordanlbp.scenarios import SCENARIOS
 
 
 def run_cli(capsys, *argv):
@@ -107,6 +109,16 @@ class TestGenerate:
         assert (code, err) == (0, "")
         assert out.splitlines()[1] == "b*c,c + b,1,0"
 
+    def test_toeplitz_reads_moments_through_order_plus_one(self, capsys, monkeypatch):
+        asked = []
+        real = cli.moments
+        monkeypatch.setattr(cli, "moments", lambda fam, route, n_max:
+                            asked.append(n_max) or real(fam, route, n_max))
+        code, _, _ = run_cli(capsys, "generate", "toeplitz", "--b", "1", "--c", "1",
+                             "--order", "5")
+        assert code == 0
+        assert asked == [6]
+
     def test_json_payload_shape(self, capsys):
         code, out, _ = run_cli(
             capsys, "generate", "moments", "--b", "1", "--c", "1",
@@ -185,6 +197,12 @@ class TestErrorHandling:
         )
         assert code == 2
         assert "rational" in err
+
+    def test_verify_choices_are_the_scenarios(self):
+        # the literal list keeps `import riordanlbp.scenarios` out of `generate`
+        (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+        (scenario,) = [a for a in sub.choices["verify"]._actions if a.dest == "scenario"]
+        assert tuple(scenario.choices) == ("all", *SCENARIOS)
 
     def test_unknown_scenario(self):
         # rejected by the argument parser itself

@@ -7,11 +7,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from riordanlbp import hankel_toeplitz
 from riordanlbp.combinat import binomial, catalan
 from riordanlbp.hankel_toeplitz import (
     BiInfiniteMoments,
     determinant,
-    extend_moments,
     hankel_and_shifted,
     hankel_closed_form,
     hankel_transform,
@@ -233,6 +233,10 @@ class TestHankelAndShifted:
         with pytest.raises(ValueError, match="need 6 moments for depth 2"):
             hankel_and_shifted([1, 1, 2, 5, 14], 2)
 
+    def test_negative_depth_rejected(self):
+        with pytest.raises(ValueError, match="depth must be at least 0, got -1"):
+            hankel_and_shifted([1, 1, 2], -1)
+
 
 class TestHankel:
     def test_symbolic_closed_form(self):
@@ -276,7 +280,7 @@ class TestHankel:
 class TestBiInfiniteMoments:
     def test_backward_values_unit_family(self):
         mu = moments(LBPFamily.constant(1, 1, order=8), n_max=8)
-        bm = extend_moments(list(mu), 1, 3)
+        bm = BiInfiniteMoments(list(mu), 1, 3)
         assert bm.moment(-1) == coerce_scalar(2)
         assert bm.moment(-2) == coerce_scalar(6)
         assert bm.moment(0) == coerce_scalar(1)
@@ -285,29 +289,47 @@ class TestBiInfiniteMoments:
     def test_backward_value_symbolic(self):
         b, c = PARAM_B, PARAM_C
         mu = moments(LBPFamily.constant(b, c, order=6), n_max=6)
-        bm = extend_moments(list(mu), c, 2)
+        bm = BiInfiniteMoments(list(mu), c, 2)
         assert not (bm.moment(-1) - (b + c) / (c * c))
 
-    def test_defining_relation_validated(self):
-        with pytest.raises(ValueError):
-            BiInfiniteMoments((1, 1, 2, 6), (coerce_scalar(5),), 1)
+    @pytest.mark.parametrize("b, c", [(PARAM_B, PARAM_C), (Fraction(3, 2), Fraction(-1, 3)),
+                                      (PARAM_C, -PARAM_C)])
+    def test_backward_moments_follow_the_defining_relation(self, b, c):
+        mu = moments(LBPFamily.constant(b, c, order=7), "gf_expansion", 7)
+        bm = BiInfiniteMoments(list(mu), c, 6)
+        assert len(bm.backward) == bm.depth == 6
+        for k, value in enumerate(bm.backward):
+            assert value * c ** (3 + 2 * k) == bm.forward[2 + k], k
+
+    def test_backward_moments_are_not_an_argument(self):
+        assert not hasattr(hankel_toeplitz, "extend_moments")
+        with pytest.raises(TypeError):
+            BiInfiniteMoments((1, 1, 2, 6), 1, 1, backward=(coerce_scalar(2),))
+
+    def test_short_forward_list_rejected(self):
+        with pytest.raises(ValueError, match="need 4 moments for backward depth 2"):
+            BiInfiniteMoments([1, 1, 2], 1, 2)
+
+    def test_unnormalized_moments_rejected(self):
+        with pytest.raises(ValueError, match="mu_0 = 1"):
+            BiInfiniteMoments([2, 1, 2], 1, 1)
 
     def test_out_of_range_access(self):
-        bm = extend_moments([1, 1, 2, 6], 1, 1)
+        bm = BiInfiniteMoments([1, 1, 2, 6], 1, 1)
         with pytest.raises(IndexError):
             bm.moment(-2)
         with pytest.raises(IndexError):
             bm.moment(9)
 
     def test_zero_c_rejected(self):
-        with pytest.raises(ValueError):
-            extend_moments([1, 0, 0, 0], 0, 1)
+        with pytest.raises(ValueError, match="invertible c"):
+            BiInfiniteMoments([1, 0, 0, 0], 0, 1)
 
 
 class TestToeplitz:
     def unit_bm(self, depth=6):
         mu = moments(LBPFamily.constant(1, 1, order=2 * depth + 2), n_max=2 * depth + 2)
-        return extend_moments(list(mu), 1, depth)
+        return BiInfiniteMoments(list(mu), 1, depth)
 
     def test_unit_values(self):
         t_seq, tp_seq = toeplitz_dets(self.unit_bm(), 4)
@@ -317,7 +339,7 @@ class TestToeplitz:
     def test_symbolic_closed_form(self):
         b, c = PARAM_B, PARAM_C
         mu = moments(LBPFamily.constant(b, c, order=12), n_max=12)
-        bm = extend_moments(list(mu), c, 5)
+        bm = BiInfiniteMoments(list(mu), c, 5)
         t_seq, _ = toeplitz_dets(bm, 5)
         expected = toeplitz_closed_form(b, c, 5)
         for n in range(6):
@@ -326,7 +348,7 @@ class TestToeplitz:
     def test_shifted_determinant_values(self):
         b, c = PARAM_B, PARAM_C
         mu = moments(LBPFamily.constant(b, c, order=10), n_max=10)
-        bm = extend_moments(list(mu), c, 4)
+        bm = BiInfiniteMoments(list(mu), c, 4)
         _, tp_seq = toeplitz_dets(bm, 3)
         expected = [
             c,
@@ -346,7 +368,7 @@ class TestRecovery:
     def test_symbolic(self):
         b, c = PARAM_B, PARAM_C
         mu = moments(LBPFamily.constant(b, c, order=12), n_max=12)
-        bm = extend_moments(list(mu), c, 5)
+        bm = BiInfiniteMoments(list(mu), c, 5)
         t_seq, tp_seq = toeplitz_dets(bm, 5)
         for n in range(1, 5):
             got_b, got_c = recover_parameters(t_seq, tp_seq, n)
@@ -358,7 +380,7 @@ class TestRecovery:
     def test_numeric(self, bc):
         bv, cv = bc
         mu = moments(LBPFamily.constant(bv, cv, order=8), n_max=8)
-        bm = extend_moments(list(mu), cv, 3)
+        bm = BiInfiniteMoments(list(mu), cv, 3)
         t_seq, tp_seq = toeplitz_dets(bm, 3)
         got_b, got_c = recover_parameters(t_seq, tp_seq, 1)
         assert got_b == coerce_scalar(bv)
@@ -376,7 +398,7 @@ class TestDeterminantalPolynomials:
         b, c = PARAM_B, PARAM_C
         fam = LBPFamily.constant(b, c, order=12)
         mu = moments(fam, n_max=12)
-        bm = extend_moments(list(mu), c, 5)
+        bm = BiInfiniteMoments(list(mu), c, 5)
         expected = rows_by_recurrence(fam, 5)
         for n in range(6):
             got = lbp_by_determinant(bm, n)
@@ -390,12 +412,12 @@ class TestDeterminantalPolynomials:
         bv, cv = bc
         fam = LBPFamily.constant(bv, cv, order=10)
         mu = moments(fam, n_max=10)
-        bm = extend_moments(list(mu), cv, 4)
+        bm = BiInfiniteMoments(list(mu), cv, 4)
         expected = rows_by_recurrence(fam, 4)
         for n in range(5):
             assert lbp_by_determinant(bm, n) == expected[n], n
 
     def test_depth_guard(self):
-        bm = extend_moments([1, 1, 2, 6], 1, 1)
+        bm = BiInfiniteMoments([1, 1, 2, 6], 1, 1)
         with pytest.raises(ValueError):
             lbp_by_determinant(bm, 4)

@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from riordanlbp import lbp
 from riordanlbp.cfrac import tfraction_via_transform
+from riordanlbp.combinat import binomial, catalan
 from riordanlbp.lbp import (
     MOMENT_ROUTES,
     LBPFamily,
@@ -121,7 +123,7 @@ class TestRecurrenceRows:
     def test_coefficient_array_agrees_with_recurrence(self, b, c):
         fam = LBPFamily.constant(b, c, order=8)
         rows = rows_by_recurrence(fam, 6)
-        arr = coefficient_array(fam)
+        arr = coefficient_array(fam).matrix(7)
         for n, row in enumerate(rows):
             for k, got in enumerate(row):
                 assert got == arr.entry(n, k), (n, k)
@@ -209,6 +211,33 @@ class TestMoments:
         moments(fam, n_max=6)  # matrix route is fine
         with pytest.raises(ValueError):
             moments(fam, route="catalan_sum", n_max=6)
+
+    @pytest.mark.parametrize("route", MOMENT_ROUTES)
+    def test_negative_n_max_rejected(self, route):
+        with pytest.raises(ValueError, match="n_max must be at least 0, got -1"):
+            moments(unit_family(), route, -1)
+
+    @pytest.mark.parametrize("b, c", [(PARAM_B, PARAM_C), (Fraction(111, 82), Fraction(-37, 123)),
+                                      (PARAM_C, -PARAM_C), (PARAM_C, -2 * PARAM_C)])
+    def test_catalan_route_equals_the_double_sum(self, b, c):
+        """The route lifts mu~_{n-1}; the reference is the sum over mu_n itself."""
+        def double_sum(n):
+            acc = b * 0
+            for k in range(n + 1):
+                w = binomial(2 * n - k - 1, 2 * n - 2 * k) * catalan(n - k)
+                if w:
+                    acc = acc + w * b ** (n - k) * c ** k
+            return acc
+        got = moments(LBPFamily.constant(b, c), "catalan_sum", 12)
+        assert list(got) == [double_sum(n) for n in range(13)]
+
+    def test_catalan_route_goes_through_the_shifted_sum(self, monkeypatch):
+        calls = []
+        real = lbp.shifted_moment_sum
+        monkeypatch.setattr(lbp, "shifted_moment_sum",
+                            lambda b, c, n: calls.append(n) or real(b, c, n))
+        moments(unit_family(), "catalan_sum", 5)
+        assert calls == [0, 1, 2, 3, 4]
 
     def test_moment_sequence_requires_unit_start(self):
         with pytest.raises(ValueError):

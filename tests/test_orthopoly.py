@@ -81,7 +81,7 @@ class TestArrayVersusRecurrence:
         """Array rows are exactly the coefficient rows of the recurrence."""
         b, c = PARAM_B, PARAM_C
         rows = ortho_rows_by_recurrence(kind, b, c, 6)
-        arr = ortho_array(kind, b, c, 6)
+        arr = ortho_array(kind, b, c, 6).matrix(7)
         for n, row in enumerate(rows):
             for k, got in enumerate(row):
                 assert not (got - arr.entry(n, k)), (kind, n, k)
@@ -92,7 +92,7 @@ class TestArrayVersusRecurrence:
     def test_numeric_agreement(self, kind, bc):
         bv, cv = bc
         rows = ortho_rows_by_recurrence(kind, bv, cv, 5)
-        arr = ortho_array(kind, bv, cv, 5)
+        arr = ortho_array(kind, bv, cv, 5).matrix(6)
         for n, row in enumerate(rows):
             for k, got in enumerate(row):
                 assert got == arr.entry(n, k), (kind, n, k)

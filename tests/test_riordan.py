@@ -69,10 +69,14 @@ class TestLowerTriangularMatrix:
 
 class TestRiordanArray:
     def test_pascal_entries(self):
-        a = pascal()
+        a = pascal().matrix(7)
         for n in range(7):
             for k in range(n + 1):
                 assert a.entry(n, k) == coerce_scalar(binomial(n, k))
+
+    def test_entries_only_through_the_block(self):
+        # matrix() holds the one column product g * f^k
+        assert not hasattr(RiordanArray, "entry")
 
     def test_constructor_rejects_improper_pairs(self):
         t = TruncatedSeries.identity(order=4)

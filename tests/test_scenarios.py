@@ -1,9 +1,27 @@
 """Named verification scenarios and their reporting surface."""
 
+from fractions import Fraction
+
 import pytest
 
+from riordanlbp import lbp, scenarios
 from riordanlbp.report import Check, ScenarioReport, check_equal
+from riordanlbp.riordan import RiordanArray
 from riordanlbp.scenarios import SCENARIOS, run_scenario
+
+
+def count_moment_gf(monkeypatch) -> list:
+    """Record the b of every moment_gf call, whichever module makes it."""
+    calls = []
+    real = lbp.moment_gf
+
+    def counted(b, *args):
+        calls.append(b)
+        return real(b, *args)
+
+    for module in (lbp, scenarios):
+        monkeypatch.setattr(module, "moment_gf", counted)
+    return calls
 
 
 class TestReportPrimitives:
@@ -44,6 +62,27 @@ class TestRunScenario:
         reports = run_scenario("all", order=8)
         assert {r.scenario for r in reports} == set(SCENARIOS)
         assert all(r.passed for r in reports)
+
+    def test_cfrac_expands_the_moments_once(self, monkeypatch):
+        calls = count_moment_gf(monkeypatch)
+        (report,) = run_scenario("cfrac", order=12)
+        assert report.passed
+        assert len(calls) == 1
+
+    def test_hankel_expands_the_symbolic_moments_once(self, monkeypatch):
+        calls = count_moment_gf(monkeypatch)
+        (report,) = run_scenario("hankel")
+        assert report.passed
+        assert len([b for b in calls if not isinstance(b, Fraction)]) == 1
+
+    def test_factorizations_inverts_each_array_once(self, monkeypatch):
+        calls = []
+        real = RiordanArray.inverse
+        monkeypatch.setattr(RiordanArray, "inverse",
+                            lambda self: calls.append(self) or real(self))
+        (report,) = run_scenario("factorizations")
+        assert report.passed
+        assert len(calls) == 3  # the q-, qtilde- and binomial arrays
 
     def test_unknown_name_rejected(self):
         with pytest.raises(KeyError):
