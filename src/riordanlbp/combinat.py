@@ -1,11 +1,11 @@
 """Integer combinatorics: binomials, Catalan and Schroeder numbers, and a
-brute-force enumerator of Schroeder lattice paths used as an independent
+transfer recursion counting Schroeder lattice paths, used as an independent
 oracle for the moment identities."""
 
 from __future__ import annotations
 
+from collections import Counter, defaultdict
 from fractions import Fraction
-from functools import lru_cache
 from math import comb
 
 
@@ -37,41 +37,35 @@ def schroeder_path_statistics(n: int) -> dict[tuple[int, int], int]:
 
     Paths use up (1,1), down (1,-1) and long level (2,0) steps and never dip
     below the axis.  A peak is an up step immediately followed by a down
-    step.  Deliberately brute force: every path is walked explicitly, so the
-    result is independent of all series machinery.
+    step.  A transfer recursion over the abscissa x, independent of all
+    series machinery: prefixes[x] maps (height, last step was up) to the
+    (levels, peaks) counts of the path prefixes ending there.
     """
+    if n < 0:
+        raise ValueError(f"path count needs n >= 0, got n={n}")
     target = 2 * n
-    counts: dict[tuple[int, int], int] = {}
-
-    def walk(pos: int, height: int, levels: int, peaks: int, last_up: bool):
-        if pos == target and height == 0:
-            key = (levels, peaks)
-            counts[key] = counts.get(key, 0) + 1
-            return
-        remaining = target - pos
-        if height > remaining:
-            return
-        if pos + 1 <= target:
-            walk(pos + 1, height + 1, levels, peaks, True)
-            if height > 0:
-                walk(pos + 1, height - 1, levels, peaks + (1 if last_up else 0), False)
-        if pos + 2 <= target:
-            walk(pos + 2, height, levels + 1, peaks, False)
-
-    walk(0, 0, 0, 0, False)
-    return counts
-
-
-@lru_cache(maxsize=None)
-def _path_counts(n: int) -> tuple[tuple[tuple[int, int], int], ...]:
-    """The walk's counts as ((levels, peaks), count) pairs, one walk per n."""
-    return tuple(schroeder_path_statistics(n).items())
+    prefixes = [defaultdict(Counter) for _ in range(target + 1)]
+    prefixes[0][0, False][0, 0] = 1
+    for x in range(target):
+        for (height, last_up), stats in prefixes[x].items():
+            if height:
+                down = prefixes[x + 1][height - 1, False]
+                for (levels, peaks), count in stats.items():
+                    down[levels, peaks + last_up] += count
+            # height has the parity of x, so this is when a path can still
+            # return to the axis after an up or a level step
+            if height < target - x:
+                prefixes[x + 1][height + 1, True].update(stats)
+                level = prefixes[x + 2][height, False]
+                for (levels, peaks), count in stats.items():
+                    level[levels + 1, peaks] += count
+    return dict(prefixes[target][0, False])
 
 
 def colored_path_count(n: int, colors: Fraction) -> Fraction:
     """Weighted path count: each level step may take any of `colors` colors."""
     total = Fraction(0)
-    for (levels, _), count in _path_counts(n):
+    for (levels, _), count in schroeder_path_statistics(n).items():
         total += count * Fraction(colors) ** levels
     return total
 
@@ -79,7 +73,7 @@ def colored_path_count(n: int, colors: Fraction) -> Fraction:
 def peak_count_row(n: int) -> list[int]:
     """Row n of the triangle counting Schroeder paths to (2n,0) by peaks."""
     row = [0] * (n + 1)
-    for (_, peaks), count in _path_counts(n):
+    for (_, peaks), count in schroeder_path_statistics(n).items():
         row[peaks] += count
     return row
 
@@ -87,6 +81,6 @@ def peak_count_row(n: int) -> list[int]:
 def level_count_row(n: int) -> list[int]:
     """Row n of the triangle counting Schroeder paths to (2n,0) by level steps."""
     row = [0] * (n + 1)
-    for (levels, _), count in _path_counts(n):
+    for (levels, _), count in schroeder_path_statistics(n).items():
         row[levels] += count
     return row

@@ -139,6 +139,8 @@ def leading_minors(rows) -> list:
 def hankel_transform(mu, n_max: int) -> list:
     """h_n = det(mu_{i+j}) for n = 0..n_max; needs 2 n_max + 1 moments."""
     values = list(mu)
+    if n_max < 0:
+        raise ValueError(f"n_max must be at least 0, got {n_max}")
     if len(values) < 2 * n_max + 1:
         raise ValueError(f"need {2 * n_max + 1} moments for depth {n_max}")
     return leading_minors(
@@ -193,6 +195,8 @@ class BiInfiniteMoments:
         c = coerce_scalar(self.c)
         if not c:
             raise ValueError("extension to negative index requires invertible c")
+        if self.depth < 0:
+            raise ValueError(f"backward depth must be at least 0, got {self.depth}")
         if len(forward) < self.depth + 2:
             raise ValueError(f"need {self.depth + 2} moments for backward depth {self.depth}")
         if not forward or not forward[0] == 1:
@@ -215,6 +219,8 @@ class BiInfiniteMoments:
 
 def toeplitz_dets(bm: BiInfiniteMoments, n_max: int) -> tuple[list, list]:
     """(t_n, t'_n) for n = 0..n_max with t from mu_{k-j}, t' from mu_{1+k-j}."""
+    if n_max < 0:
+        raise ValueError(f"n_max must be at least 0, got {n_max}")
     if bm.depth < n_max:
         raise ValueError(f"backward depth {bm.depth} < {n_max}")
     size = range(n_max + 1)
@@ -251,6 +257,8 @@ def lbp_by_determinant(bm: BiInfiniteMoments, n: int) -> list:
     the row (1, x, ..., x^n); expanding along that last row and dividing by
     t_{n-1} makes the result monic.
     """
+    if n < 0:
+        raise ValueError(f"n must be at least 0, got {n}")
     if n == 0:
         return [coerce_scalar(1)]
     if bm.depth < n - 1:

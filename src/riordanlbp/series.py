@@ -3,13 +3,15 @@
 A series is an eager coefficient list of length order + 1.  Binary operations
 truncate to the smaller operand order, so every result is exact through the
 order it reports.  Composition requires the inner series to vanish at 0;
-division requires an invertible constant term; reversion solves f(g(t)) = t
-order by order; square root assumes constant term 1 and a ring containing 1/2.
+division requires an invertible constant term; reversion uses Lagrange
+inversion; square root assumes constant term 1 and a ring containing 1/2.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate, repeat
+from operator import mul
 
 from .scalars import coerce_scalar, scalar_inv
 
@@ -218,19 +220,18 @@ class TruncatedSeries:
         return result
 
     def reversion(self) -> "TruncatedSeries":
-        """Compositional inverse g with self(g(t)) = t, solved order by order."""
+        """Compositional inverse g with self(g(t)) = t, by Lagrange inversion:
+        [t^m] g = [t^(m-1)] (t/self)^m / m (Stanley, EC2 5.4)."""
+        if self.order < 1:
+            raise ValueError(f"reversion needs order >= 1, got order {self.order}")
         if self.coeffs[0]:
             raise ValueError("reversion requires f(0) = 0")
         if not self.coeffs[1]:
             raise ValueError("reversion requires an invertible linear coefficient")
-        n = self.order
-        inv1 = scalar_inv(self.coeffs[1])
-        zero = self.coeffs[0] * 0
-        g = [zero, inv1 * 1] + [zero] * (n - 1)
-        for m in range(2, n + 1):
-            h = self.truncate(m).compose(TruncatedSeries(g[: m + 1]))
-            g[m] = -h.coeffs[m] * inv1
-        return TruncatedSeries(g)
+        h = self.shift_down(1).reciprocal()
+        powers = accumulate(repeat(h, self.order), mul)
+        return TruncatedSeries([self.coeffs[0]] + [
+            power.coeffs[m - 1] * Fraction(1, m) for m, power in enumerate(powers, 1)])
 
     def sqrt(self) -> "TruncatedSeries":
         """Square root of a series with constant term 1."""

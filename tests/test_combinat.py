@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from riordanlbp import combinat
 from riordanlbp.combinat import (
     binomial,
     catalan,
@@ -66,16 +65,45 @@ class TestCatalanAndSchroeder:
             assert total == SCHROEDER[n]
 
 
+def walked_path_statistics(n):
+    """Reference: walk every Schroeder path to (2n,0) and tally (levels, peaks)."""
+    counts = {}
+
+    def walk(pos, height, levels, peaks, last_up):
+        if pos == 2 * n and height == 0:
+            counts[levels, peaks] = counts.get((levels, peaks), 0) + 1
+            return
+        if height > 2 * n - pos:
+            return
+        if pos + 1 <= 2 * n:
+            walk(pos + 1, height + 1, levels, peaks, True)
+            if height > 0:
+                walk(pos + 1, height - 1, levels, peaks + last_up, False)
+        if pos + 2 <= 2 * n:
+            walk(pos + 2, height, levels + 1, peaks, False)
+
+    walk(0, 0, 0, 0, False)
+    return counts
+
+
 class TestPathStatistics:
+    @pytest.mark.parametrize("n", range(9))
+    def test_recursion_matches_the_walk(self, n):
+        assert schroeder_path_statistics(n) == walked_path_statistics(n)
+
     def test_counts_sum_to_schroeder(self):
-        for n in range(7):
+        for n in range(15):
             stats = schroeder_path_statistics(n)
-            assert sum(stats.values()) == SCHROEDER[n]
+            assert sum(stats.values()) == schroeder(n)
 
     def test_levels_and_peaks_distributions_agree(self):
         # the two one-variable refinements coincide row by row
-        for n in range(7):
+        for n in range(15):
             assert level_count_row(n) == peak_count_row(n)
+
+    def test_negative_n_is_refused(self):
+        with pytest.raises(ValueError, match="n=-1"):
+            schroeder_path_statistics(-1)
 
     @pytest.mark.parametrize("n", range(6))
     def test_refinement_rows(self, n):
@@ -93,26 +121,6 @@ class TestPathStatistics:
             for colors in (1, 2, 3):
                 value = sum(coef * colors**k for k, coef in enumerate(row))
                 assert value == colored_path_count(n, colors)
-
-    def test_one_walk_per_n(self, monkeypatch):
-        # the rows and colored counts share one brute-force walk per n
-        walks = []
-
-        def counted(n):
-            walks.append(n)
-            return schroeder_path_statistics(n)
-
-        monkeypatch.setattr(combinat, "schroeder_path_statistics", counted)
-        combinat._path_counts.cache_clear()
-        try:
-            for n in range(5):
-                peak_count_row(n)
-                level_count_row(n)
-                for colors in (1, 2, 3):
-                    colored_path_count(n, colors)
-        finally:
-            combinat._path_counts.cache_clear()
-        assert walks == list(range(5))
 
     def test_statistics_are_a_fresh_dict(self):
         stats = schroeder_path_statistics(3)

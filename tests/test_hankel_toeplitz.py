@@ -269,6 +269,10 @@ class TestHankel:
         with pytest.raises(ValueError):
             hankel_transform([1, 1, 2], 2)
 
+    def test_negative_size_rejected(self):
+        with pytest.raises(ValueError, match="n_max must be at least 0, got -1"):
+            hankel_transform([1, 1, 2], -1)
+
     @given(param_pairs)
     @settings(max_examples=10, deadline=None)
     def test_closed_form_numeric(self, bc):
@@ -325,6 +329,10 @@ class TestBiInfiniteMoments:
         with pytest.raises(ValueError, match="invertible c"):
             BiInfiniteMoments([1, 0, 0, 0], 0, 1)
 
+    def test_negative_depth_rejected(self):
+        with pytest.raises(ValueError, match="depth must be at least 0, got -2"):
+            BiInfiniteMoments([1, 1, 2], 1, -2)
+
 
 class TestToeplitz:
     def unit_bm(self, depth=6):
@@ -362,6 +370,10 @@ class TestToeplitz:
     def test_depth_guard(self):
         with pytest.raises(ValueError):
             toeplitz_dets(self.unit_bm(depth=2), 4)
+
+    def test_negative_size_rejected(self):
+        with pytest.raises(ValueError, match="n_max must be at least 0, got -3"):
+            toeplitz_dets(self.unit_bm(depth=2), -3)
 
 
 class TestRecovery:
@@ -421,3 +433,8 @@ class TestDeterminantalPolynomials:
         bm = BiInfiniteMoments([1, 1, 2, 6], 1, 1)
         with pytest.raises(ValueError):
             lbp_by_determinant(bm, 4)
+
+    def test_negative_degree_rejected(self):
+        bm = BiInfiniteMoments([1, 1, 2, 6], 1, 1)
+        with pytest.raises(ValueError, match="n must be at least 0, got -1"):
+            lbp_by_determinant(bm, -1)

@@ -75,6 +75,17 @@ class TestRunScenario:
         assert report.passed
         assert len([b for b in calls if not isinstance(b, Fraction)]) == 1
 
+    def test_toeplitz_expands_only_the_moments_it_reads(self, monkeypatch):
+        # BiInfiniteMoments(..., 6) reads mu_0..mu_7
+        n_maxes = []
+        real = scenarios.moments
+        monkeypatch.setattr(scenarios, "moments",
+                            lambda family, route, n_max: n_maxes.append(n_max)
+                            or real(family, route, n_max))
+        (report,) = run_scenario("toeplitz")
+        assert report.passed
+        assert n_maxes and max(n_maxes) <= 7
+
     def test_factorizations_inverts_each_array_once(self, monkeypatch):
         calls = []
         real = RiordanArray.inverse

@@ -7,7 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from riordanlbp.combinat import catalan
-from riordanlbp.scalars import PARAM_B, PARAM_C, coerce_scalar
+from riordanlbp.orthopoly import ortho_array
+from riordanlbp.riordan import binomial_array
+from riordanlbp.scalars import PARAM_B, PARAM_C, coerce_scalar, scalar_inv
 from riordanlbp.series import TruncatedSeries, catalan_series
 
 ORDER = 10
@@ -21,6 +23,17 @@ coeff_lists = st.lists(
 
 def series_of(coeffs, order=ORDER):
     return TruncatedSeries([coerce_scalar(v) for v in coeffs], order=order)
+
+
+def reversion_by_composition(f):
+    """Reference: solve f(g(t)) = t order by order, one composition per order."""
+    inv1 = scalar_inv(f.coeffs[1])
+    zero = f.coeffs[0] * 0
+    g = [zero, inv1 * 1] + [zero] * (f.order - 1)
+    for m in range(2, f.order + 1):
+        h = f.truncate(m).compose(TruncatedSeries(g[: m + 1]))
+        g[m] = -h.coeffs[m] * inv1
+    return TruncatedSeries(g)
 
 
 class TestConstruction:
@@ -114,9 +127,34 @@ class TestCompose:
         assert f.compose(rev) == TruncatedSeries.identity(order=ORDER)
         assert rev.compose(f) == TruncatedSeries.identity(order=ORDER)
 
+    @given(st.fractions(min_value=-5, max_value=5, max_denominator=3).filter(bool),
+           coeff_lists, st.integers(1, 12))
+    @settings(max_examples=50, deadline=None)
+    def test_reversion_matches_composition_per_order(self, slope, tail, order):
+        f = series_of([0, slope, *tail], order)
+        rev = f.reversion()
+        ref = reversion_by_composition(f)
+        assert rev == ref and str(rev) == str(ref)
+        assert f.compose(rev) == TruncatedSeries.identity(order)
+
+    @pytest.mark.parametrize("array", [
+        ortho_array("q", PARAM_B, PARAM_C, 8),
+        ortho_array("qtilde", PARAM_B, PARAM_C, 8),
+        binomial_array(PARAM_B, 8),
+    ], ids=["q", "qtilde", "binomial"])
+    def test_symbolic_reversion_matches_composition_per_order(self, array):
+        rev = array.f.reversion()
+        ref = reversion_by_composition(array.f)
+        assert rev == ref and str(rev) == str(ref)
+        assert array.f.compose(rev) == TruncatedSeries.identity(8)
+
     def test_reversion_requires_unit_slope(self):
         with pytest.raises(ValueError):
             TruncatedSeries([coerce_scalar(0), coerce_scalar(0)], order=4).reversion()
+
+    def test_reversion_needs_a_linear_term(self):
+        with pytest.raises(ValueError, match="order 0"):
+            TruncatedSeries([0]).reversion()
 
 
 class TestSqrt:
