@@ -27,7 +27,6 @@ from .riordan import (
 from .lbp import (
     LBPFamily,
     MOMENT_ROUTES,
-    MomentSequence,
     coefficient_array,
     coefficient_matrix,
     entry_closed_form,
@@ -69,7 +68,7 @@ __all__ = [
     "DEFAULT_ORDER", "TruncatedSeries", "catalan_series",
     "LowerTriangularMatrix", "RiordanArray", "binomial_array",
     "has_column_shift", "production_matrix", "production_of_inverse",
-    "LBPFamily", "MOMENT_ROUTES", "MomentSequence", "coefficient_array",
+    "LBPFamily", "MOMENT_ROUTES", "coefficient_array",
     "coefficient_matrix", "entry_closed_form", "inverse_entry_lagrange",
     "moment_gf", "moment_matrix", "moments", "rows_by_recurrence",
     "ORTHO_KINDS", "ortho_array", "ortho_rows_by_recurrence",

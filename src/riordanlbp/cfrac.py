@@ -16,7 +16,9 @@ The moment series mu(t) is expanded by the S-fraction with coefficients
 2b+c, ...) over couplings (bc, b(b+c), b(b+c), ...).  The T-fraction with
 constant coefficients expands the shifted moments mu~(t), where
 mu(t) = 1 + c t mu~(t).  The J-fraction is also recoverable from raw moments
-through ratios of Hankel determinants.
+through ratios of Hankel determinants.  `verify_uv_equality` returns one
+bool: the constant T-fraction in c equals the S-fraction (c+1, 1, c+1, ...)
+and the closed form at b = 1.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .hankel_toeplitz import hankel_and_shifted
-from .report import Check, ScenarioReport
 from .scalars import coerce_scalar, scalar_inv
 from .series import DEFAULT_ORDER, TruncatedSeries
 
@@ -109,6 +110,8 @@ def cf_expand(cf, order: int = DEFAULT_ORDER) -> TruncatedSeries:
 
 def moment_sfraction(b, c, order: int = DEFAULT_ORDER) -> SFraction:
     """Coefficients (c, b, b+c, b, b+c, ...), enough levels for `order`."""
+    if order < 0:
+        raise ValueError(f"order must be at least 0, got {order}")
     b, c = coerce_scalar(b), coerce_scalar(c)
     alphas = [c]
     while len(alphas) < order:
@@ -118,6 +121,8 @@ def moment_sfraction(b, c, order: int = DEFAULT_ORDER) -> SFraction:
 
 def moment_jfraction(b, c, order: int = DEFAULT_ORDER) -> JFraction:
     """Diagonal (c, 2b+c, ...), couplings (bc, b(b+c), ...)."""
+    if order < 0:
+        raise ValueError(f"order must be at least 0, got {order}")
     b, c = coerce_scalar(b), coerce_scalar(c)
     depth = order // 2 + 1
     diag = (c,) + (2 * b + c,) * (depth - 1)
@@ -127,14 +132,10 @@ def moment_jfraction(b, c, order: int = DEFAULT_ORDER) -> JFraction:
 
 def constant_tfraction(b, c, order: int = DEFAULT_ORDER) -> TFraction:
     """The T-shape with constant entries; expands the shifted moments."""
+    if order < 0:
+        raise ValueError(f"order must be at least 0, got {order}")
     b, c = coerce_scalar(b), coerce_scalar(c)
     return TFraction((c,) * max(order, 1), (b,) * max(order, 1))
-
-
-def catalan_sfraction(b, order: int = DEFAULT_ORDER) -> SFraction:
-    """All coefficients b; expands sum b^n C_n t^n."""
-    b = coerce_scalar(b)
-    return SFraction((b,) * max(order, 1))
 
 
 def tfraction_closed_form(b, c, order: int = DEFAULT_ORDER) -> TruncatedSeries:
@@ -182,6 +183,8 @@ def jfraction_from_moments(mu, depth: int | None = None) -> JFraction:
 
 def hankel_from_jfraction(sub, n_max: int) -> list:
     """h_n = prod_k lambda_k^(n+1-k); inverse direction of the extraction."""
+    if n_max < 0:
+        raise ValueError(f"n_max must be at least 0, got {n_max}")
     subs = [coerce_scalar(v) for v in sub]
     if len(subs) < n_max:
         raise ValueError(f"need {n_max} couplings")
@@ -194,14 +197,10 @@ def hankel_from_jfraction(sub, n_max: int) -> list:
     return out
 
 
-def verify_uv_equality(c, order: int = 12) -> ScenarioReport:
-    """The constant T-fraction in c equals the S-fraction (c+1, 1, c+1, ...)."""
+def verify_uv_equality(c, order: int = 12) -> bool:
+    """The constant T-fraction u in c equals the S-fraction v = (c+1, 1, c+1, ...)
+    and the shifted-moment closed form at b = 1."""
     c = coerce_scalar(c)
     u = cf_expand(TFraction((c,) * order, (coerce_scalar(1),) * order), order)
     alphas = tuple(c + 1 if i % 2 == 0 else coerce_scalar(1) for i in range(order))
-    v = cf_expand(SFraction(alphas), order)
-    checks = [Check("t-shape u equals s-shape v", u == v,
-                    "" if u == v else "series differ")]
-    closed = tfraction_closed_form(1, c, order)
-    checks.append(Check("u equals shifted-moment closed form at b=1", u == closed))
-    return ScenarioReport("uv-equality", checks)
+    return u == cf_expand(SFraction(alphas), order) and u == tfraction_closed_form(1, c, order)

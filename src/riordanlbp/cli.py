@@ -102,12 +102,12 @@ def _generate_data(args) -> list[str]:
     if args.kind == "hankel":
         fam = LBPFamily.constant(b, c, order=2 * order + 1)
         mu = moments(fam, "gf_expansion", 2 * order)
-        return [str(v) for v in hankel_transform(list(mu), order)]
+        return [str(v) for v in hankel_transform(mu, order)]
     if args.kind == "toeplitz":
         # the determinants read mu_{-order}..mu_{order+1}
         fam = LBPFamily.constant(b, c, order=order + 1)
         mu = moments(fam, "gf_expansion", order + 1)
-        bi = BiInfiniteMoments(list(mu), c, order)
+        bi = BiInfiniteMoments(mu, c, order)
         t_seq, tp_seq = toeplitz_dets(bi, order)
         return _matrix_lines([t_seq, tp_seq])
     if args.kind == "cfrac-expand":

@@ -1,6 +1,7 @@
-"""Integer combinatorics: binomials, Catalan and Schroeder numbers, and a
-transfer recursion counting Schroeder lattice paths, used as an independent
-oracle for the moment identities."""
+"""Integer combinatorics: binomials, Catalan numbers, and a transfer
+recursion counting Schroeder lattice paths, used as an independent oracle for
+the moment identities.  The Schroeder numbers themselves are
+`lbp.shifted_moment_sum(1, 1, n)`."""
 
 from __future__ import annotations
 
@@ -25,11 +26,6 @@ def binomial(n: int, k: int) -> int:
 def catalan(n: int) -> int:
     """Catalan number C(2n, n)/(n + 1)."""
     return comb(2 * n, n) // (n + 1)
-
-
-def schroeder(n: int) -> int:
-    """Large Schroeder number, as the binomial-weighted Catalan sum."""
-    return sum(binomial(n + k, 2 * k) * catalan(k) for k in range(n + 1))
 
 
 def schroeder_path_statistics(n: int) -> dict[tuple[int, int], int]:
@@ -62,25 +58,28 @@ def schroeder_path_statistics(n: int) -> dict[tuple[int, int], int]:
     return dict(prefixes[target][0, False])
 
 
-def colored_path_count(n: int, colors: Fraction) -> Fraction:
-    """Weighted path count: each level step may take any of `colors` colors."""
+def colored_path_count(stats: dict, colors: Fraction) -> Fraction:
+    """Weighted count of the paths `stats` tallies: each level step may take
+    any of `colors` colors."""
     total = Fraction(0)
-    for (levels, _), count in schroeder_path_statistics(n).items():
+    for (levels, _), count in stats.items():
         total += count * Fraction(colors) ** levels
     return total
 
 
-def peak_count_row(n: int) -> list[int]:
-    """Row n of the triangle counting Schroeder paths to (2n,0) by peaks."""
+def peak_count_row(stats: dict, n: int) -> list[int]:
+    """Row n of the triangle counting Schroeder paths to (2n,0) by peaks,
+    read off `stats` = schroeder_path_statistics(n)."""
     row = [0] * (n + 1)
-    for (_, peaks), count in schroeder_path_statistics(n).items():
+    for (_, peaks), count in stats.items():
         row[peaks] += count
     return row
 
 
-def level_count_row(n: int) -> list[int]:
-    """Row n of the triangle counting Schroeder paths to (2n,0) by level steps."""
+def level_count_row(stats: dict, n: int) -> list[int]:
+    """Row n of the triangle counting Schroeder paths to (2n,0) by level steps,
+    read off `stats` = schroeder_path_statistics(n)."""
     row = [0] * (n + 1)
-    for (levels, _), count in schroeder_path_statistics(n).items():
+    for (levels, _), count in stats.items():
         row[levels] += count
     return row

@@ -171,6 +171,8 @@ def hankel_and_shifted(mu, depth: int) -> tuple[list, list]:
 
 
 def hankel_closed_form(b, c, n_max: int) -> list:
+    if n_max < 0:
+        raise ValueError(f"n_max must be at least 0, got {n_max}")
     b, c = coerce_scalar(b), coerce_scalar(c)
     return [
         (b * c) ** n * (b * (b + c)) ** binomial(n, 2) for n in range(n_max + 1)
@@ -230,6 +232,8 @@ def toeplitz_dets(bm: BiInfiniteMoments, n_max: int) -> tuple[list, list]:
 
 
 def toeplitz_closed_form(b, c, n_max: int) -> list:
+    if n_max < 0:
+        raise ValueError(f"n_max must be at least 0, got {n_max}")
     b, c = coerce_scalar(b), coerce_scalar(c)
     ratio = -b * scalar_inv(c)
     return [ratio ** binomial(n + 1, 2) for n in range(n_max + 1)]

@@ -9,7 +9,8 @@ array is the Riordan array (1/(1+ct), t(1-bt)/(1+ct)) and the moment matrix
 is its inverse; the moment sequence mu_n (the inverse's first column) begins
 1, c, c(b+c), c(b+c)(2b+c), ...
 
-Five independent routes compute the moments and must agree:
+Five independent routes compute the moments and must agree; `moments`
+returns mu_0..mu_n_max by any of them as a plain list:
 
 * matrix_inverse     -- forward-solve the first column of the inverse of the
                         materialized coefficient block (works for arbitrary,
@@ -93,31 +94,6 @@ class LBPFamily:
         return self.c_seq[0]
 
 
-@dataclass(frozen=True)
-class MomentSequence:
-    values: tuple
-    route: str
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", tuple(self.values))
-        if not self.values or not self.values[0] == 1:
-            raise ValueError("moment sequences are normalized to mu_0 = 1")
-
-    def __getitem__(self, n: int):
-        return self.values[n]
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def __iter__(self):
-        return iter(self.values)
-
-    def __eq__(self, other):
-        if isinstance(other, MomentSequence):
-            other = other.values
-        return list(self.values) == list(other)
-
-
 def rows_by_recurrence(family: LBPFamily, n_max: int | None = None) -> list[list]:
     """Polynomial rows as ascending coefficient lists; row n has length n+1.
 
@@ -126,8 +102,10 @@ def rows_by_recurrence(family: LBPFamily, n_max: int | None = None) -> list[list
     """
     if n_max is None:
         n_max = family.order
+    if n_max < 0:
+        raise ValueError(f"n_max must be at least 0, got {n_max}")
     one = Fraction(1)
-    rows = [[one], [-family.c_at(0), one]][:max(n_max + 1, 0)]
+    rows = [[one], [-family.c_at(0), one]][:n_max + 1]
     for n in range(2, n_max + 1):
         b, c, prev = family.b_at(n - 1), family.c_at(n - 1), rows[n - 1]
         rows.append([
@@ -204,6 +182,8 @@ def moment_gf(b, c, order: int = DEFAULT_ORDER) -> TruncatedSeries:
 
 def tfraction_fixed_point(b, c, order: int = DEFAULT_ORDER) -> TruncatedSeries:
     """Solve u = 1/(1 - ct - btu), i.e. u_n = c u_{n-1} + b [t^(n-1)] u^2."""
+    if order < 0:
+        raise ValueError(f"order must be at least 0, got {order}")
     b, c = coerce_scalar(b), coerce_scalar(c)
     u = [b ** 0]
     for n in range(1, order + 1):
@@ -216,6 +196,8 @@ def tfraction_fixed_point(b, c, order: int = DEFAULT_ORDER) -> TruncatedSeries:
 
 def shifted_moment_sum(b, c, n: int):
     """mu~_n = sum_k binom(n+k, 2k) c^(n-k) b^k C_k."""
+    if n < 0:
+        raise ValueError(f"n must be at least 0, got {n}")
     b, c = coerce_scalar(b), coerce_scalar(c)
     total = b * 0
     for k in range(n + 1):
@@ -226,7 +208,8 @@ def shifted_moment_sum(b, c, n: int):
 
 
 def moments(family: LBPFamily, route: str = "matrix_inverse",
-            n_max: int | None = None) -> MomentSequence:
+            n_max: int | None = None) -> list:
+    """mu_0..mu_n_max by the named route, as a list."""
     if route not in MOMENT_ROUTES:
         raise ValueError(f"unknown moment route {route!r}; choose from {MOMENT_ROUTES}")
     if n_max is None:
@@ -234,19 +217,16 @@ def moments(family: LBPFamily, route: str = "matrix_inverse",
     if n_max < 0:
         raise ValueError(f"n_max must be at least 0, got {n_max}")
     if route == "matrix_inverse":
-        values = coefficient_matrix(family, n_max + 1).inverse_column(0)
-        return MomentSequence(tuple(values), route)
+        return coefficient_matrix(family, n_max + 1).inverse_column(0)
     if not family.is_constant:
         raise ValueError(f"route {route!r} applies to constant-coefficient families only")
     b, c = family.b, family.c
     if route == "catalan_sum":
-        values = [b ** 0] + [c * shifted_moment_sum(b, c, n - 1) for n in range(1, n_max + 1)]
-    elif route == "lagrange":
-        values = [inverse_entry_lagrange(n, 0, b, c) for n in range(n_max + 1)]
-    elif route == "shifted_tfraction":
+        return [b ** 0] + [c * shifted_moment_sum(b, c, n - 1) for n in range(1, n_max + 1)]
+    if route == "lagrange":
+        return [inverse_entry_lagrange(n, 0, b, c) for n in range(n_max + 1)]
+    if route == "shifted_tfraction":
         u = tfraction_fixed_point(b, c, max(n_max - 1, 0))
-        values = [b ** 0] + [c * u.coeffs[n - 1] for n in range(1, n_max + 1)]
-    else:  # gf_expansion
-        values = list(moment_gf(b, c, n_max).coeffs)
-    return MomentSequence(tuple(values), route)
+        return [b ** 0] + [c * u.coeffs[n - 1] for n in range(1, n_max + 1)]
+    return list(moment_gf(b, c, n_max).coeffs)  # gf_expansion
 

@@ -15,7 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 
-from .combinat import binomial, schroeder
+from .combinat import binomial
+from .lbp import shifted_moment_sum
 from .report import Check
 from .series import TruncatedSeries, catalan_series
 
@@ -88,8 +89,9 @@ def _reversion_terms(count: int) -> list:
 
 
 def _schroeder_binomial_sum_terms(count: int) -> list:
+    schroeder = [int(shifted_moment_sum(1, 1, k)) for k in range(count)]
     return [
-        sum(binomial(n + k, 2 * k) * schroeder(k) for k in range(n + 1))
+        sum(binomial(n + k, 2 * k) * schroeder[k] for k in range(n + 1))
         for n in range(count)
     ]
 

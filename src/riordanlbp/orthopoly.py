@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from .combinat import binomial
 from .lbp import LBPFamily, coefficient_array, moment_gf, rows_by_recurrence
-from .report import Check, ScenarioReport
+from .report import Check, ScenarioReport, check_equal
 from .riordan import RiordanArray, binomial_array
 from .scalars import coerce_scalar
 from .series import DEFAULT_ORDER, TruncatedSeries
@@ -57,6 +57,8 @@ def ortho_array(kind: str, b, c, order: int = DEFAULT_ORDER) -> RiordanArray:
 def ortho_rows_by_recurrence(kind: str, b, c, n_max: int) -> list[list]:
     """Rows as ascending coefficient lists; row n has length n+1."""
     _check_kind(kind)
+    if n_max < 0:
+        raise ValueError(f"n_max must be at least 0, got {n_max}")
     b, c = coerce_scalar(b), coerce_scalar(c)
     one = b ** 0
     first = {"q": c, "qtilde": b + c, "qhat": 2 * b + c}[kind]
@@ -70,7 +72,7 @@ def ortho_rows_by_recurrence(kind: str, b, c, n_max: int) -> list[list]:
             x_prev - shift * p - drop * p2
             for x_prev, p, p2 in zip([0, *prev], [*prev, 0], [*rows[n - 2], 0, 0])
         ])
-    return rows[:max(n_max + 1, 0)]
+    return rows[:n_max + 1]
 
 
 def ortho_inverse_f_closed_form(b, c, order: int = DEFAULT_ORDER) -> TruncatedSeries:
@@ -121,15 +123,12 @@ def verify_factorizations(b, c, order: int = 8) -> ScenarioReport:
          ortho_rows_by_recurrence("qhat", b, c, n_max),
          lambda n, k: binomial(n + 1, k + 1)),
     ):
-        ok, detail = True, ""
+        mixed = []
         for n in range(n_max + 1):
             weights = [weight(n, k) * b ** (n - k) for k in range(n + 1)]
-            mixed = [sum(weights[k] * rows[k][j] for k in range(j, n + 1))
-                     for j in range(n + 1)]
-            if mixed != p_rows[n]:
-                ok, detail = False, f"row {n}"
-                break
-        checks.append(Check(name, ok, detail))
+            mixed.append([sum(weights[k] * rows[k][j] for k in range(j, n + 1))
+                          for j in range(n + 1)])
+        checks.append(check_equal(name, mixed, p_rows))
 
     q_inv = q.inverse()
     checks.append(Check("q-array inverse second component matches closed form",

@@ -40,6 +40,8 @@ class LowerTriangularMatrix:
         return len(self.rows)
 
     def entry(self, n: int, k: int):
+        if not (0 <= n < self.dim and 0 <= k < self.dim):
+            raise IndexError(f"entry ({n}, {k}) outside the {self.dim} x {self.dim} block")
         if k > n:
             return self.rows[0][0] * 0
         return self.rows[n][k]
@@ -89,6 +91,8 @@ class LowerTriangularMatrix:
 
     def inverse_column(self, j: int) -> list:
         """Column j of the inverse from row j down, in O(dim^2) operations."""
+        if not 0 <= j < self.dim:
+            raise IndexError(f"column {j} outside the {self.dim} x {self.dim} block")
         return self._solve_column(j, self._inverse_diagonal())
 
     def inverse(self) -> "LowerTriangularMatrix":

@@ -18,7 +18,7 @@ from .combinat import (
     colored_path_count,
     level_count_row,
     peak_count_row,
-    schroeder,
+    schroeder_path_statistics,
 )
 from .lbp import (
     LBPFamily,
@@ -134,30 +134,29 @@ def scenario_example1(order: int = 12) -> ScenarioReport:
     checks.append(check_equal("c-coefficient rows equal binom(2n-k,k)C(n-k)",
                               triangle, expected_rows))
 
-    schroeder = [int(v) for v in cfrac.tfraction_closed_form(1, 1, 8).coeffs]
+    shifted_at_1 = [int(v) for v in cfrac.tfraction_closed_form(1, 1, 8).coeffs]
     checks.append(check_equal("row n sums to the n-th shifted moment at c=1",
-                              [sum(row) for row in triangle], schroeder))
+                              [sum(row) for row in triangle], shifted_at_1))
 
-    uv = cfrac.verify_uv_equality(PARAM_C, order)
-    checks.append(Check("u = v symbolically in c", uv.passed))
+    checks.append(Check("u = v symbolically in c", cfrac.verify_uv_equality(PARAM_C, order)))
     for cv, label in ((1, "schroeder numbers"), (0, "catalan numbers")):
-        checks.append(Check(f"u = v at c={cv} ({label})",
-                            cfrac.verify_uv_equality(cv, order).passed))
+        checks.append(Check(f"u = v at c={cv} ({label})", cfrac.verify_uv_equality(cv, order)))
 
     mu_c1 = moments(LBPFamily.constant(1, 1, order=9), "gf_expansion", 9)
     checks.append(check_equal("moments at b=c=1 are 1-prefixed schroeder numbers",
                               [int(v) for v in mu_c1],
                               [1, *SCHROEDER_PREFIX]))
     checks.append(check_equal("shifted moments at b=c=1 are schroeder numbers",
-                              schroeder, list(SCHROEDER_PREFIX)))
+                              shifted_at_1, list(SCHROEDER_PREFIX)))
 
-    path_rows = [peak_count_row(n) for n in range(9)]
+    stats = [schroeder_path_statistics(n) for n in range(9)]
+    path_rows = [peak_count_row(s, n) for n, s in enumerate(stats)]
     checks.append(check_equal("persistent peak statistic matches the triangle",
                               path_rows, expected_rows))
     checks.append(check_equal("level-step statistic matches the peak statistic",
-                              [level_count_row(n) for n in range(9)], path_rows))
+                              [level_count_row(s, n) for n, s in enumerate(stats)], path_rows))
     for colors in (1, 2, 3):
-        got = [colored_path_count(n, colors) for n in range(9)]
+        got = [colored_path_count(s, colors) for s in stats]
         want = [v.evaluate(1, colors) for v in
                 (coeff.num for coeff in shifted.coeffs[:9])]
         checks.append(check_equal(f"colored path counts at c={colors}", got, want))
@@ -195,7 +194,7 @@ def scenario_example2(order: int = 12) -> ScenarioReport:
     first_column = [int(table.entry(n, 0)) for n in range(1, 8)]
     checks.append(check_equal("first column follows the schroeder binomial sum",
                               first_column,
-                              [sum(binomial(n + k, 2 * k) * schroeder(k)
+                              [sum(binomial(n + k, 2 * k) * shifted_moment_sum(1, 1, k)
                                    for k in range(n + 1)) for n in range(7)]))
     return ScenarioReport("example2", checks)
 
@@ -256,10 +255,10 @@ def scenario_example4(order: int = 12) -> ScenarioReport:
                               inv.rows, expected_inv))
 
     mu = moments(fam, "gf_expansion", 8)
-    shifted_schroeder = [1] + [schroeder(n) for n in range(8)]
+    shifted_schroeder = [1] + [shifted_moment_sum(1, 1, n) for n in range(8)]
     checks.append(check_equal(
         "moments are c^n times the 1-prefixed schroeder numbers",
-        list(mu), [_C ** n * int(v) for n, v in enumerate(shifted_schroeder)]))
+        mu, [_C ** n * int(v) for n, v in enumerate(shifted_schroeder)]))
     return ScenarioReport("example4", checks)
 
 
@@ -286,14 +285,14 @@ def scenario_factorizations(order: int = 12) -> ScenarioReport:
 
 def scenario_hankel(order: int = 12) -> ScenarioReport:
     checks = []
-    mu = list(moments(LBPFamily.constant(PARAM_B, PARAM_C, order=12), "gf_expansion", 12))
+    mu = moments(LBPFamily.constant(PARAM_B, PARAM_C, order=12), "gf_expansion", 12)
     h = hankel_toeplitz.hankel_transform(mu, 5)
     checks.append(check_equal("hankel transform equals (bc)^n (b(b+c))^binom(n,2)",
                               h, hankel_toeplitz.hankel_closed_form(PARAM_B, PARAM_C, 5)))
 
     mu11 = moments(LBPFamily.constant(1, 1, order=10), "gf_expansion", 10)
     checks.append(check_equal("hankel transform at b=c=1",
-                              hankel_toeplitz.hankel_transform(list(mu11), 5),
+                              hankel_toeplitz.hankel_transform(mu11, 5),
                               [Fraction(2) ** binomial(n, 2) for n in range(6)]))
 
     jf = cfrac.jfraction_from_moments(mu)
@@ -306,24 +305,20 @@ def scenario_toeplitz(order: int = 12) -> ScenarioReport:
     checks = []
     # backward depth 6 needs the forward moments through mu_7
     mu = moments(LBPFamily.constant(PARAM_B, PARAM_C), "gf_expansion", 7)
-    bm = hankel_toeplitz.BiInfiniteMoments(list(mu), PARAM_C, 6)
+    bm = hankel_toeplitz.BiInfiniteMoments(mu, PARAM_C, 6)
     t_seq, tp_seq = hankel_toeplitz.toeplitz_dets(bm, 5)
     checks.append(check_equal("toeplitz determinants equal (-b/c)^binom(n+1,2)",
                               t_seq,
                               hankel_toeplitz.toeplitz_closed_form(PARAM_B, PARAM_C, 5)))
 
-    ok = True
-    detail = ""
-    for n in range(1, 5):
-        rb, rc = hankel_toeplitz.recover_parameters(t_seq, tp_seq, n)
-        if not (rb == PARAM_B and rc == PARAM_C):
-            ok, detail = False, f"n={n}"
-            break
-    checks.append(Check("parameter recovery is exact for n=1..4", ok, detail))
+    checks.append(check_equal(
+        "parameter recovery is exact for n=1..4",
+        [hankel_toeplitz.recover_parameters(t_seq, tp_seq, n) for n in range(1, 5)],
+        [(PARAM_B, PARAM_C)] * 4))
 
     for bv, cv in ((1, 1), (2, 3)):
         m = moments(LBPFamily.constant(bv, cv), "gf_expansion", 7)
-        bmn = hankel_toeplitz.BiInfiniteMoments(list(m), cv, 6)
+        bmn = hankel_toeplitz.BiInfiniteMoments(m, cv, 6)
         ts, tps = hankel_toeplitz.toeplitz_dets(bmn, 5)
         good = all(
             hankel_toeplitz.recover_parameters(ts, tps, n) == (bv, cv)
@@ -331,14 +326,9 @@ def scenario_toeplitz(order: int = 12) -> ScenarioReport:
         )
         checks.append(Check(f"numeric recovery at b={bv}, c={cv}", good))
 
-    rows = rows_by_recurrence(LBPFamily.constant(PARAM_B, PARAM_C), 5)
-    ok = True
-    detail = ""
-    for n in range(6):
-        if hankel_toeplitz.lbp_by_determinant(bm, n) != rows[n]:
-            ok, detail = False, f"n={n}"
-            break
-    checks.append(Check("bordered determinant reproduces the recurrence rows", ok, detail))
+    checks.append(check_equal("bordered determinant reproduces the recurrence rows",
+                              [hankel_toeplitz.lbp_by_determinant(bm, n) for n in range(6)],
+                              rows_by_recurrence(LBPFamily.constant(PARAM_B, PARAM_C), 5)))
     return ScenarioReport("toeplitz", checks)
 
 
@@ -377,7 +367,7 @@ def scenario_cfrac(order: int = 12) -> ScenarioReport:
                         cfrac.cf_expand(jf, 13) == mu.truncate(13)))
 
     checks.append(Check("u = v equality holds symbolically",
-                        cfrac.verify_uv_equality(PARAM_C, order).passed))
+                        cfrac.verify_uv_equality(PARAM_C, order)))
     return ScenarioReport("cfrac", checks)
 
 

@@ -43,8 +43,8 @@ class TruncatedSeries:
 
     @classmethod
     def monomial(cls, k: int, coeff=1, order: int = DEFAULT_ORDER) -> "TruncatedSeries":
-        if k > order:
-            raise ValueError("monomial degree beyond truncation order")
+        if not 0 <= k <= order:
+            raise ValueError(f"monomial degree {k} outside 0..{order}")
         coeffs = [0] * (order + 1)
         coeffs[k] = coeff
         return cls(coeffs, order)
@@ -191,6 +191,8 @@ class TruncatedSeries:
 
     def shift_up(self, k: int) -> "TruncatedSeries":
         """Multiply by t^k; all new coefficients are known, so order grows."""
+        if k < 0:
+            raise ValueError(f"shift exponent k must be at least 0, got {k}")
         if k == 0:
             return self
         pad = self.coeffs[0] * 0
@@ -198,12 +200,14 @@ class TruncatedSeries:
 
     def shift_down(self, k: int) -> "TruncatedSeries":
         """Divide by t^k; requires the first k coefficients to vanish."""
+        if k < 0:
+            raise ValueError(f"shift exponent k must be at least 0, got {k}")
         if k == 0:
             return self
         if k > self.order:
             raise ValueError("shift below constant term")
         if any(self.coeffs[:k]):
-            raise ValueError("series not divisible by t^k")
+            raise ValueError(f"series not divisible by t^{k}")
         return TruncatedSeries(self.coeffs[k:])
 
     # -- composition, reversion, square root ---------------------------------

@@ -22,7 +22,7 @@ from riordanlbp.cfrac import (
     tfraction_closed_form,
     verify_uv_equality,
 )
-from riordanlbp.combinat import colored_path_count
+from riordanlbp.combinat import colored_path_count, schroeder_path_statistics
 from riordanlbp.hankel_toeplitz import (
     BiInfiniteMoments,
     hankel_closed_form,
@@ -133,8 +133,7 @@ def test_criterion_04_continued_fractions():
         c * shifted.truncate(11)
     ).shift_up(1)
     assert_series_equal(lifted, gf.truncate(11), "shift lift")
-    report = verify_uv_equality(PARAM_C, order=12)
-    assert report.passed, [chk.name for chk in report.checks if not chk.passed]
+    assert verify_uv_equality(PARAM_C, order=12), "u = v"
 
 
 @criterion(5, "unit-parameter shifted moments are the large Schroeder numbers")
@@ -146,7 +145,8 @@ def test_criterion_05_schroeder():
     for colors in (1, 2, 3):
         enumerator = tfraction_closed_form(1, colors, 8)
         for n in range(9):
-            assert colored_path_count(n, colors) == enumerator[n], (colors, n)
+            stats = schroeder_path_statistics(n)
+            assert colored_path_count(stats, colors) == enumerator[n], (colors, n)
 
 
 @criterion(6, "periodic-coefficient tables and the column-shift dichotomy")

@@ -6,12 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from riordanlbp import hankel_toeplitz
+from riordanlbp import cfrac, hankel_toeplitz
 from riordanlbp.cfrac import (
     JFraction,
     SFraction,
     TFraction,
-    catalan_sfraction,
     cf_expand,
     constant_tfraction,
     hankel_from_jfraction,
@@ -132,13 +131,13 @@ class TestExpansion:
         assert s[1] == coerce_scalar(3)
 
     def test_catalan_sfraction(self):
-        s = cf_expand(catalan_sfraction(1, ORDER), ORDER)
+        s = cf_expand(SFraction((1,) * ORDER), ORDER)
         assert [s[n] for n in range(ORDER + 1)] == [
             coerce_scalar(catalan(n)) for n in range(ORDER + 1)
         ]
 
     def test_catalan_sfraction_scales_by_parameter(self):
-        s = cf_expand(catalan_sfraction(PARAM_B, 6), 6)
+        s = cf_expand(SFraction((PARAM_B,) * 6), 6)
         for n in range(7):
             assert not (s[n] - catalan(n) * PARAM_B**n), n
 
@@ -270,10 +269,13 @@ class TestExtraction:
 
 class TestUVEquality:
     def test_symbolic(self):
-        report = verify_uv_equality(PARAM_C, order=12)
-        failed = [check.name for check in report.checks if not check.passed]
-        assert not failed, failed
+        assert verify_uv_equality(PARAM_C, order=12) is True
 
     @pytest.mark.parametrize("cv", [1, 2, Fraction(-1, 2)])
     def test_numeric(self, cv):
-        assert verify_uv_equality(cv, order=10).passed
+        assert verify_uv_equality(cv, order=10) is True
+
+    def test_closed_form_mismatch_fails(self, monkeypatch):
+        monkeypatch.setattr(cfrac, "tfraction_closed_form",
+                            lambda b, c, order: TruncatedSeries.constant(2, order))
+        assert verify_uv_equality(1, order=6) is False

@@ -12,9 +12,9 @@ from riordanlbp.combinat import (
     colored_path_count,
     level_count_row,
     peak_count_row,
-    schroeder,
     schroeder_path_statistics,
 )
+from riordanlbp.lbp import shifted_moment_sum
 
 CATALAN = [1, 1, 2, 5, 14, 42, 132, 429, 1430, 4862]
 SCHROEDER = [1, 2, 6, 22, 90, 394, 1806, 8558, 41586, 206098]
@@ -54,7 +54,7 @@ class TestCatalanAndSchroeder:
         assert [catalan(n) for n in range(10)] == CATALAN
 
     def test_schroeder_prefix(self):
-        assert [schroeder(n) for n in range(10)] == SCHROEDER
+        assert [shifted_moment_sum(1, 1, n) for n in range(10)] == SCHROEDER
 
     def test_schroeder_from_catalan_sum(self):
         # large Schroeder as a binomial-weighted Catalan sum
@@ -94,12 +94,13 @@ class TestPathStatistics:
     def test_counts_sum_to_schroeder(self):
         for n in range(15):
             stats = schroeder_path_statistics(n)
-            assert sum(stats.values()) == schroeder(n)
+            assert sum(stats.values()) == shifted_moment_sum(1, 1, n)
 
     def test_levels_and_peaks_distributions_agree(self):
         # the two one-variable refinements coincide row by row
         for n in range(15):
-            assert level_count_row(n) == peak_count_row(n)
+            stats = schroeder_path_statistics(n)
+            assert level_count_row(stats, n) == peak_count_row(stats, n)
 
     def test_negative_n_is_refused(self):
         with pytest.raises(ValueError, match="n=-1"):
@@ -107,24 +108,27 @@ class TestPathStatistics:
 
     @pytest.mark.parametrize("n", range(6))
     def test_refinement_rows(self, n):
-        assert level_count_row(n) == STATISTIC_ROWS[n]
+        assert level_count_row(schroeder_path_statistics(n), n) == STATISTIC_ROWS[n]
 
     def test_colored_counts(self):
         # one color gives plain Schroeder; more colors weight each flat run
-        assert [colored_path_count(n, 1) for n in range(7)] == SCHROEDER[:7]
-        assert [colored_path_count(n, 2) for n in range(5)] == [1, 3, 12, 57, 300]
-        assert [colored_path_count(n, 3) for n in range(5)] == [1, 4, 20, 116, 740]
+        stats = [schroeder_path_statistics(n) for n in range(7)]
+        assert [colored_path_count(s, 1) for s in stats] == SCHROEDER[:7]
+        assert [colored_path_count(s, 2) for s in stats[:5]] == [1, 3, 12, 57, 300]
+        assert [colored_path_count(s, 3) for s in stats[:5]] == [1, 4, 20, 116, 740]
 
     def test_colored_matches_row_evaluation(self):
         for n in range(6):
-            row = level_count_row(n)
+            stats = schroeder_path_statistics(n)
+            row = level_count_row(stats, n)
             for colors in (1, 2, 3):
                 value = sum(coef * colors**k for k, coef in enumerate(row))
-                assert value == colored_path_count(n, colors)
+                assert value == colored_path_count(stats, colors)
 
     def test_statistics_are_a_fresh_dict(self):
         stats = schroeder_path_statistics(3)
         stats.clear()
         assert sum(schroeder_path_statistics(3).values()) == SCHROEDER[3]
-        peak_count_row(3)[0] = 999
-        assert peak_count_row(3) == level_count_row(3) == STATISTIC_ROWS[3]
+        stats = schroeder_path_statistics(3)
+        peak_count_row(stats, 3)[0] = 999
+        assert peak_count_row(stats, 3) == level_count_row(stats, 3) == STATISTIC_ROWS[3]

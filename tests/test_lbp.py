@@ -12,7 +12,6 @@ from riordanlbp.combinat import binomial, catalan
 from riordanlbp.lbp import (
     MOMENT_ROUTES,
     LBPFamily,
-    MomentSequence,
     coefficient_array,
     coefficient_matrix,
     entry_closed_form,
@@ -144,8 +143,7 @@ class TestRecurrenceRows:
 
     def test_short_row_counts(self):
         fam = unit_family()
-        assert [len(rows_by_recurrence(fam, n)) for n in (-2, -1, 0, 1, 2)] == [
-            0, 0, 1, 2, 3]
+        assert [len(rows_by_recurrence(fam, n)) for n in (0, 1, 2)] == [1, 2, 3]
 
     def test_coefficient_array_requires_constant_family(self):
         with pytest.raises(ValueError):
@@ -170,7 +168,7 @@ class TestMoments:
         fam = symbolic_family(8)
         baseline = moments(fam, n_max=8)
         got = moments(fam, route=route, n_max=8)
-        assert got.route == route
+        assert type(got) is list and len(got) == 9
         for n in range(9):
             assert not (got[n] - baseline[n]), (route, n)
 
@@ -238,10 +236,6 @@ class TestMoments:
                             lambda b, c, n: calls.append(n) or real(b, c, n))
         moments(unit_family(), "catalan_sum", 5)
         assert calls == [0, 1, 2, 3, 4]
-
-    def test_moment_sequence_requires_unit_start(self):
-        with pytest.raises(ValueError):
-            MomentSequence((coerce_scalar(2),), "matrix_inverse")
 
 
 class TestClosedFormEntries:

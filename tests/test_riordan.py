@@ -66,6 +66,22 @@ class TestLowerTriangularMatrix:
         with pytest.raises(ZeroDivisionError):
             m.inverse()
 
+    @pytest.mark.parametrize("n, k", [(2, -1), (-1, 0), (3, 0), (0, 3)])
+    def test_entry_outside_the_block_is_named(self, n, k):
+        m = LowerTriangularMatrix([[1], [2, 3], [4, 5, 6]])
+        with pytest.raises(IndexError, match=rf"entry \({n}, {k}\) outside the 3 x 3 block"):
+            m.entry(n, k)
+
+    def test_entry_above_the_diagonal_is_zero(self):
+        assert LowerTriangularMatrix([[1], [2, 3], [4, 5, 6]]).entry(0, 2) == 0
+
+    @pytest.mark.parametrize("j", [-1, 3])
+    def test_inverse_column_outside_the_block_is_named(self, j):
+        m = LowerTriangularMatrix([[Fraction(1)], [Fraction(2), Fraction(1)],
+                                   [Fraction(3), Fraction(4), Fraction(1)]])
+        with pytest.raises(IndexError, match=rf"column {j} outside the 3 x 3 block"):
+            m.inverse_column(j)
+
 
 class TestRiordanArray:
     def test_pascal_entries(self):

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from riordanlbp import lbp, scenarios
+from riordanlbp import combinat, lbp, scenarios
 from riordanlbp.report import Check, ScenarioReport, check_equal
 from riordanlbp.riordan import RiordanArray
 from riordanlbp.scenarios import SCENARIOS, run_scenario
@@ -94,6 +94,20 @@ class TestRunScenario:
         (report,) = run_scenario("factorizations")
         assert report.passed
         assert len(calls) == 3  # the q-, qtilde- and binomial arrays
+
+    def test_example1_builds_each_path_statistic_once(self, monkeypatch):
+        calls = []
+        real = combinat.schroeder_path_statistics
+
+        def counted(n):
+            calls.append(n)
+            return real(n)
+
+        for module in (combinat, scenarios):
+            monkeypatch.setattr(module, "schroeder_path_statistics", counted, raising=False)
+        (report,) = run_scenario("example1")
+        assert report.passed
+        assert sorted(calls) == list(range(9))
 
     def test_unknown_name_rejected(self):
         with pytest.raises(KeyError):

@@ -42,8 +42,12 @@ class TestConstruction:
         assert all(s[n] == coerce_scalar(1) for n in range(7))
 
     def test_monomial_beyond_order_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="monomial degree 5 outside 0..4"):
             TruncatedSeries.monomial(5, order=4)
+
+    def test_negative_monomial_degree_rejected(self):
+        with pytest.raises(ValueError, match="monomial degree -1 outside 0..3"):
+            TruncatedSeries.monomial(-1, 1, 3)
 
     def test_truncate_only_shrinks(self):
         s = TruncatedSeries.identity(order=6)
@@ -100,8 +104,14 @@ class TestShifts:
 
     def test_shift_down_requires_divisibility(self):
         s = TruncatedSeries.constant(1, order=4)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="not divisible by t\\^1"):
             s.shift_down(1)
+
+    @pytest.mark.parametrize("shift", ["shift_up", "shift_down"])
+    def test_negative_shift_is_named(self, shift):
+        s = TruncatedSeries.ratio([1, 1], [1, -2], order=4)
+        with pytest.raises(ValueError, match="k must be at least 0, got -1"):
+            getattr(s, shift)(-1)
 
 
 class TestCompose:
