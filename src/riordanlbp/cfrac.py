@@ -82,9 +82,21 @@ class TFraction:
 def cf_expand(cf, order: int = DEFAULT_ORDER) -> TruncatedSeries:
     """Truncated series of the fraction, exact through the requested order.
 
-    Level k enters the result multiplied by t^k (t^(2k) for the J shape), so
-    it is expanded only to order - k (order - 2k), and the product with t or
-    t^2 is a shift.
+    The convergent is A_0/B_0, built backward over the stored levels from
+    A = B = 1 (the first unstored level replaced by 1) by the Euler-Wallis
+    recurrence A_k = B_{k+1}, B_k = (1 - d_k t) B_{k+1} - n_k t^s A_{k+1},
+    with s = 1 for the S and T shapes and 2 for the J shape (Jones & Thron,
+    *Continued Fractions*, 1980).  A and B are coefficient lists truncated
+    mod t^(order+1), so the cost is O(N^2) scalar operations and one series
+    division, where a reciprocal per level costs O(N^3).  B_0(0) = 1, so the
+    division always succeeds.
+
+    B_0 is also the denominator Q_L of the convergent with L levels, which
+    the forward recurrence Q_{k+1} = (1 - d_k t) Q_k - n_{k-1} t^s Q_{k-1}
+    gives.  For a T-fraction with diagonal c_0, c_1, ... and numerators
+    b_1, b_2, ... that is `lbp.rows_by_recurrence`: x^k Q_k(1/x) is the LBP
+    row P_k (Hendriksen & van Rossum 1986; Zhedanov 1998).  For the moment
+    J-fraction the reversed Q_k are the "q" rows (Flajolet 1980).
     """
     if order < 0:
         raise ValueError(f"order must be at least 0, got {order}")
@@ -97,15 +109,24 @@ def cf_expand(cf, order: int = DEFAULT_ORDER) -> TruncatedSeries:
     else:
         raise TypeError(f"not a continued fraction descriptor: {type(cf).__name__}")
     levels = cf.levels_for(order)
-    # the first unstored level is replaced by 1
-    value = TruncatedSeries.constant(1, max(order - step * levels, 0))
+    entries = diag + nums
+    one = entries[0] ** 0 if entries else coerce_scalar(1)
+    num, den = [one], [one]
     for k in reversed(range(levels)):
-        n = order - step * k
-        body = TruncatedSeries([1, -diag[k]] if diag else [1], n)
-        if k < len(nums) and n >= step:
-            body = body - (value * nums[k]).shift_up(step)
-        value = body.reciprocal()
-    return value
+        new = _minus_shifted(den, 1, diag[k], den, order) if diag else den
+        if k < len(nums):
+            new = _minus_shifted(new, step, nums[k], num, order)
+        num, den = den, new
+    return TruncatedSeries(num, order) / TruncatedSeries(den, order)
+
+
+def _minus_shifted(p: list, s: int, coeff, q: list, order: int) -> list:
+    """Coefficients of p - coeff t^s q, truncated mod t^(order+1)."""
+    zero = p[0] - p[0]
+    out = p + [zero] * (min(len(q) + s, order + 1) - len(p))
+    for i, v in zip(range(s, len(out)), q):
+        out[i] = out[i] - coeff * v
+    return out
 
 
 def moment_sfraction(b, c, order: int = DEFAULT_ORDER) -> SFraction:
@@ -140,6 +161,8 @@ def constant_tfraction(b, c, order: int = DEFAULT_ORDER) -> TFraction:
 
 def tfraction_closed_form(b, c, order: int = DEFAULT_ORDER) -> TruncatedSeries:
     """Shifted moments mu~(t) = (1 - ct - sqrt(1 - 2(2b+c)t + c^2 t^2))/(2bt)."""
+    if order < 0:
+        raise ValueError(f"order must be at least 0, got {order}")
     b, c = coerce_scalar(b), coerce_scalar(c)
     root = TruncatedSeries([1, -2 * (2 * b + c), c * c], order + 1).sqrt()
     num = TruncatedSeries([1, -c], order + 1) - root
@@ -148,6 +171,8 @@ def tfraction_closed_form(b, c, order: int = DEFAULT_ORDER) -> TruncatedSeries:
 
 def tfraction_via_transform(b, c, order: int = DEFAULT_ORDER) -> TruncatedSeries:
     """mu~(t) by pushing the Catalan series through (1/(1-ct), t/(1-ct)^2)."""
+    if order < 0:
+        raise ValueError(f"order must be at least 0, got {order}")
     from .series import catalan_series
 
     b, c = coerce_scalar(b), coerce_scalar(c)

@@ -163,13 +163,22 @@ class BivarPoly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return self + (-other)
+        out = dict(self.terms)
+        for key, val in other.terms.items():
+            acc = out.get(key, 0) - val
+            if acc:
+                out[key] = _exact(acc)
+            else:
+                del out[key]
+        res = BivarPoly.__new__(BivarPoly)
+        res.terms = out
+        return res
 
     def __rsub__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return other + (-self)
+        return other - self
 
     def __mul__(self, other):
         other = self._coerce(other)
@@ -413,13 +422,16 @@ class RationalFunction:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return self + (-other)
+        if self.exps == other.exps == _NO_DEN:
+            return _value(self.num - other.num, _NO_DEN)
+        exps = tuple(map(max, self.exps, other.exps))
+        return _value(*_lowest(self._over(exps) - other._over(exps), exps))
 
     def __rsub__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return other + (-self)
+        return other - self
 
     def __mul__(self, other):
         other = self._coerce(other)

@@ -27,7 +27,7 @@ class TruncatedSeries:
             raise ValueError("a series needs at least the constant coefficient")
         if order is not None:
             if order < 0:
-                raise ValueError("order must be >= 0")
+                raise ValueError(f"order must be at least 0, got {order}")
             if len(cs) > order + 1:
                 cs = cs[: order + 1]
             else:
@@ -283,6 +283,8 @@ def _series_div(num: TruncatedSeries, den: TruncatedSeries) -> TruncatedSeries:
 
 def catalan_series(order: int = DEFAULT_ORDER) -> TruncatedSeries:
     """Generating function of the Catalan numbers, (1 - sqrt(1-4t))/(2t)."""
+    if order < 0:
+        raise ValueError(f"order must be at least 0, got {order}")
     inner = TruncatedSeries([1, -4], order + 1)
     num = 1 - inner.sqrt()
     return num.shift_down(1) * Fraction(1, 2)

@@ -23,6 +23,7 @@ from riordanlbp.cfrac import (
 )
 from riordanlbp.combinat import catalan
 from riordanlbp.lbp import LBPFamily, moment_gf, moments, shifted_moment_sum
+from riordanlbp.orthopoly import ortho_rows_by_recurrence
 from riordanlbp.scalars import PARAM_B, PARAM_C, coerce_scalar
 from riordanlbp.series import TruncatedSeries
 
@@ -83,6 +84,26 @@ def reference_expand(cf, order):
     return value
 
 
+def levels_expand(cf, order):
+    """One series reciprocal per level, level k expanded only to order - k
+    (order - 2k for the J shape), and t multiplied in as a shift."""
+    if isinstance(cf, SFraction):
+        step, diag, nums = 1, (), cf.alphas
+    elif isinstance(cf, JFraction):
+        step, diag, nums = 2, cf.diag, cf.sub
+    else:
+        step, diag, nums = 1, cf.diag, cf.num
+    levels = cf.levels_for(order)
+    value = TruncatedSeries.constant(1, max(order - step * levels, 0))
+    for k in reversed(range(levels)):
+        n = order - step * k
+        body = TruncatedSeries([1, -diag[k]] if diag else [1], n)
+        if k < len(nums) and n >= step:
+            body = body - (value * nums[k]).shift_up(step)
+        value = body.reciprocal()
+    return value
+
+
 def same_series(got, want):
     return got.order == want.order and [str(v) for v in got.coeffs] == [
         str(v) for v in want.coeffs]
@@ -108,19 +129,57 @@ def fractions_and_orders(draw):
     return TFraction(levels(order), levels(order - 1)), order
 
 
-class TestTruncatedLevels:
-    @given(fractions_and_orders())
-    @settings(max_examples=120, deadline=None)
-    def test_matches_full_order_reference(self, cf_order):
-        cf, order = cf_order
-        assert same_series(cf_expand(cf, order), reference_expand(cf, order))
+BUILDERS = (moment_sfraction, moment_jfraction, constant_tfraction)
 
-    @pytest.mark.parametrize("order", range(7))
-    @pytest.mark.parametrize("builder", [moment_sfraction, moment_jfraction,
-                                         constant_tfraction])
+
+@st.composite
+def builder_descriptors(draw):
+    """A moment builder's descriptor, symbolic or on the b+c=0 / 2b+c=0 locus."""
+    order = draw(st.integers(min_value=0, max_value=14))
+    builder = draw(st.sampled_from(BUILDERS))
+    bv = draw(nonzero_fractions)
+    b, c = draw(st.sampled_from([(PARAM_B, PARAM_C), (bv, -bv), (bv, -2 * bv)]))
+    return builder(b, c, order), order
+
+
+class TestConvergentRecurrence:
+    @given(st.one_of(fractions_and_orders(), builder_descriptors()))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_both_references(self, cf_order):
+        cf, order = cf_order
+        got = cf_expand(cf, order)
+        assert same_series(got, reference_expand(cf, order))
+        assert same_series(got, levels_expand(cf, order))
+
+    @pytest.mark.parametrize("order", range(15))
+    @pytest.mark.parametrize("builder", BUILDERS)
     def test_symbolic_builders(self, builder, order):
         cf = builder(PARAM_B, PARAM_C, order)
-        assert same_series(cf_expand(cf, order), reference_expand(cf, order))
+        got = cf_expand(cf, order)
+        assert same_series(got, reference_expand(cf, order))
+        assert same_series(got, levels_expand(cf, order))
+
+
+def jfraction_denominators(jf, n_max):
+    """Q_0..Q_n_max by Q_{k+1} = (1 - d_k t) Q_k - l_k t^2 Q_{k-1}, where
+    l_k = jf.sub[k-1] is the coupling below level k-1."""
+    one = jf.diag[0] ** 0
+    rows = [[one], [one, -jf.diag[0]]]
+    for k in range(1, n_max):
+        d, lam, prev, prev2 = jf.diag[k], jf.sub[k - 1], rows[k], rows[k - 1]
+        rows.append([p - d * q - lam * r
+                     for p, q, r in zip(prev + [0], [0] + prev, [0, 0] + prev2)])
+    return rows
+
+
+class TestJFractionDenominators:
+    @pytest.mark.parametrize("b, c", [(PARAM_B, PARAM_C), (1, -1), (1, -2),
+                                      (Fraction(3, 2), Fraction(-1, 3))])
+    def test_reversed_denominators_are_q_rows(self, b, c):
+        # Flajolet 1980: the J-fraction denominators are the orthogonal
+        # polynomials, here x^k Q_k(1/x) = the "q" family row k
+        rows = jfraction_denominators(moment_jfraction(b, c, 14), 8)
+        assert [row[::-1] for row in rows] == ortho_rows_by_recurrence("q", b, c, 8)
 
 
 class TestExpansion:

@@ -2,8 +2,10 @@
 
 import argparse
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -247,6 +249,12 @@ class TestErrorHandling:
         assert f"--order must be at least {floor}" in capsys.readouterr().err
 
 
+#: src first on the child's PYTHONPATH, however pytest itself found the package
+SRC = Path(__file__).resolve().parent.parent / "src"
+CHILD_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+
+
 class TestConsoleScript:
     def test_module_entry_point(self):
         proc = subprocess.run(
@@ -254,6 +262,7 @@ class TestConsoleScript:
              "--b", "1", "--c", "1", "--order", "3"],
             capture_output=True,
             text=True,
+            env=CHILD_ENV,
         )
         assert proc.returncode == 0
         assert proc.stdout.splitlines() == ["1", "1", "2", "6"]
@@ -265,6 +274,7 @@ class TestConsoleScript:
             [sys.executable, "-m", "riordanlbp", "generate", "hankel", "--order", "7"],
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
+            env=CHILD_ENV,
         )
         proc.stdout.close()
         err = proc.stderr.read()

@@ -139,6 +139,32 @@ class TestCoefficientNormalForm:
             assert_normal_form(value.den)
 
 
+rational_functions = st.builds(
+    lambda num, i, j, k: RationalFunction(
+        num, BivarPoly.monomial(i, j) * (BivarPoly.b() + BivarPoly.c()) ** k),
+    exact_polys, st.integers(0, 2), st.integers(0, 2), st.integers(0, 2))
+
+
+class TestSubtraction:
+    """a - b is computed in one pass; it must equal a + (-b)."""
+
+    @given(exact_polys, exact_polys, exact_coefficients)
+    @settings(max_examples=60, deadline=None)
+    def test_bivar_poly(self, p, q, s):
+        for x, y in ((p, q), (p, p), (p, s), (s, p)):
+            assert x - y == x + (-y)
+        assert (p - p).is_zero
+
+    @given(rational_functions, rational_functions, exact_coefficients)
+    @settings(max_examples=60, deadline=None)
+    def test_rational_function(self, r, u, s):
+        for x, y in ((r, u), (r, r), (r, s), (s, r)):
+            diff = x - y
+            assert diff == x + (-y)
+            assert str(diff) == str(x + (-y))
+        assert (r - r).is_zero and (r - r).is_polynomial
+
+
 class TestRationalFunction:
     def test_parameter_identities(self):
         b, c = PARAM_B, PARAM_C

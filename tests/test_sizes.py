@@ -2,7 +2,7 @@
 
 import pytest
 
-from riordanlbp import cfrac, hankel_toeplitz, lbp, orthopoly
+from riordanlbp import cfrac, hankel_toeplitz, lbp, orthopoly, series
 from riordanlbp.lbp import LBPFamily
 
 # label -> (entry point, arguments ending in the negative size, the size's name)
@@ -18,6 +18,10 @@ NEGATIVE_SIZES = {
     "moment_sfraction": (cfrac.moment_sfraction, (1, 1, -1), "order"),
     "moment_jfraction": (cfrac.moment_jfraction, (1, 1, -1), "order"),
     "constant_tfraction": (cfrac.constant_tfraction, (1, 1, -1), "order"),
+    "TruncatedSeries": (series.TruncatedSeries, ([1], -1), "order"),
+    "tfraction_closed_form": (cfrac.tfraction_closed_form, (1, 1, -1), "order"),
+    "tfraction_via_transform": (cfrac.tfraction_via_transform, (1, 1, -1), "order"),
+    "catalan_series": (series.catalan_series, (-1,), "order"),
 }
 
 
