@@ -15,7 +15,7 @@ from .scalars import (
     RationalFunction,
     parse_rational,
 )
-from .series import DEFAULT_ORDER, TruncatedSeries, catalan_series
+from .series import TruncatedSeries, catalan_series
 from .riordan import (
     LowerTriangularMatrix,
     RiordanArray,
@@ -25,6 +25,7 @@ from .riordan import (
     production_of_inverse,
 )
 from .lbp import (
+    DEFAULT_ORDER,
     LBPFamily,
     MOMENT_ROUTES,
     coefficient_array,

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 from .hankel_toeplitz import hankel_and_shifted
 from .scalars import coerce_scalar, scalar_inv
-from .series import DEFAULT_ORDER, TruncatedSeries
+from .series import TruncatedSeries
 
 
 @dataclass(frozen=True)
@@ -79,7 +79,7 @@ class TFraction:
         return order
 
 
-def cf_expand(cf, order: int = DEFAULT_ORDER) -> TruncatedSeries:
+def cf_expand(cf, order: int) -> TruncatedSeries:
     """Truncated series of the fraction, exact through the requested order.
 
     The convergent is A_0/B_0, built backward over the stored levels from
@@ -129,7 +129,7 @@ def _minus_shifted(p: list, s: int, coeff, q: list, order: int) -> list:
     return out
 
 
-def moment_sfraction(b, c, order: int = DEFAULT_ORDER) -> SFraction:
+def moment_sfraction(b, c, order: int) -> SFraction:
     """Coefficients (c, b, b+c, b, b+c, ...), enough levels for `order`."""
     if order < 0:
         raise ValueError(f"order must be at least 0, got {order}")
@@ -140,7 +140,7 @@ def moment_sfraction(b, c, order: int = DEFAULT_ORDER) -> SFraction:
     return SFraction(tuple(alphas[:max(order, 1)]))
 
 
-def moment_jfraction(b, c, order: int = DEFAULT_ORDER) -> JFraction:
+def moment_jfraction(b, c, order: int) -> JFraction:
     """Diagonal (c, 2b+c, ...), couplings (bc, b(b+c), ...)."""
     if order < 0:
         raise ValueError(f"order must be at least 0, got {order}")
@@ -151,7 +151,7 @@ def moment_jfraction(b, c, order: int = DEFAULT_ORDER) -> JFraction:
     return JFraction(diag, sub)
 
 
-def constant_tfraction(b, c, order: int = DEFAULT_ORDER) -> TFraction:
+def constant_tfraction(b, c, order: int) -> TFraction:
     """The T-shape with constant entries; expands the shifted moments."""
     if order < 0:
         raise ValueError(f"order must be at least 0, got {order}")
@@ -159,7 +159,7 @@ def constant_tfraction(b, c, order: int = DEFAULT_ORDER) -> TFraction:
     return TFraction((c,) * max(order, 1), (b,) * max(order, 1))
 
 
-def tfraction_closed_form(b, c, order: int = DEFAULT_ORDER) -> TruncatedSeries:
+def tfraction_closed_form(b, c, order: int) -> TruncatedSeries:
     """Shifted moments mu~(t) = (1 - ct - sqrt(1 - 2(2b+c)t + c^2 t^2))/(2bt)."""
     if order < 0:
         raise ValueError(f"order must be at least 0, got {order}")
@@ -169,7 +169,7 @@ def tfraction_closed_form(b, c, order: int = DEFAULT_ORDER) -> TruncatedSeries:
     return num.shift_down(1) / (2 * b)
 
 
-def tfraction_via_transform(b, c, order: int = DEFAULT_ORDER) -> TruncatedSeries:
+def tfraction_via_transform(b, c, order: int) -> TruncatedSeries:
     """mu~(t) by pushing the Catalan series through (1/(1-ct), t/(1-ct)^2)."""
     if order < 0:
         raise ValueError(f"order must be at least 0, got {order}")
@@ -222,7 +222,7 @@ def hankel_from_jfraction(sub, n_max: int) -> list:
     return out
 
 
-def verify_uv_equality(c, order: int = 12) -> bool:
+def verify_uv_equality(c, order: int) -> bool:
     """The constant T-fraction u in c equals the S-fraction v = (c+1, 1, c+1, ...)
     and the shifted-moment closed form at b = 1."""
     c = coerce_scalar(c)

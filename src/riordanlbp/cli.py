@@ -90,22 +90,22 @@ def _generate_data(args) -> list[str]:
     c = _parse_param(args.c, PARAM_C)
     order = args.order
     if args.kind == "lbp-coeffs":
-        fam = LBPFamily.constant(b, c, order=order)
+        fam = LBPFamily.constant(b, c)
         return _matrix_lines(coefficient_matrix(fam, order + 1).rows)
     if args.kind == "moments":
-        fam = LBPFamily.constant(b, c, order=order)
+        fam = LBPFamily.constant(b, c)
         return [str(v) for v in moments(fam, args.route, order)]
     if args.kind == "production":
-        fam = LBPFamily.constant(b, c, order=order + 1)
+        fam = LBPFamily.constant(b, c)
         block = production_of_inverse(coefficient_matrix(fam, order + 2))
         return _matrix_lines(block)
     if args.kind == "hankel":
-        fam = LBPFamily.constant(b, c, order=2 * order + 1)
+        fam = LBPFamily.constant(b, c)
         mu = moments(fam, "gf_expansion", 2 * order)
         return [str(v) for v in hankel_transform(mu, order)]
     if args.kind == "toeplitz":
         # the determinants read mu_{-order}..mu_{order+1}
-        fam = LBPFamily.constant(b, c, order=order + 1)
+        fam = LBPFamily.constant(b, c)
         mu = moments(fam, "gf_expansion", order + 1)
         bi = BiInfiniteMoments(mu, c, order)
         t_seq, tp_seq = toeplitz_dets(bi, order)

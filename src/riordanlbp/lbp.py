@@ -23,6 +23,9 @@ returns mu_0..mu_n_max by any of them as a plain list:
                         through mu(t) = 1 + c t u(t);
 * gf_expansion       -- expand the closed form
                         (c + 2b - c^2 t - c sqrt(1 - 2(2b+c)t + c^2 t^2))/(2b).
+
+Sizes are arguments: every function here takes the order, `n_max` or `dim`
+it computes to.  `LBPFamily.order` is not read by any of them.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from fractions import Fraction
 from .combinat import binomial, catalan
 from .riordan import LowerTriangularMatrix, RiordanArray
 from .scalars import coerce_scalar
-from .series import DEFAULT_ORDER, TruncatedSeries
+from .series import TruncatedSeries
 
 MOMENT_ROUTES = (
     "matrix_inverse",
@@ -43,10 +46,17 @@ MOMENT_ROUTES = (
     "gf_expansion",
 )
 
+#: default of `LBPFamily.order`, a size that no function reads
+DEFAULT_ORDER = 16
+
 
 @dataclass(frozen=True)
 class LBPFamily:
-    """Recurrence data; b_seq and c_seq are cycled indefinitely by index."""
+    """Recurrence data; b_seq and c_seq are cycled indefinitely by index.
+
+    `order` is stored for callers that pass it; every function takes its
+    size as an argument instead.
+    """
 
     b_seq: tuple
     c_seq: tuple
@@ -94,14 +104,12 @@ class LBPFamily:
         return self.c_seq[0]
 
 
-def rows_by_recurrence(family: LBPFamily, n_max: int | None = None) -> list[list]:
+def rows_by_recurrence(family: LBPFamily, n_max: int) -> list[list]:
     """Polynomial rows as ascending coefficient lists; row n has length n+1.
 
     Row n is x P_{n-1} - c_{n-1} P_{n-1} - b_{n-1} x P_{n-2}, built entry by
     entry from the previous two rows padded with zeros to length n+1.
     """
-    if n_max is None:
-        n_max = family.order
     if n_max < 0:
         raise ValueError(f"n_max must be at least 0, got {n_max}")
     one = Fraction(1)
@@ -115,18 +123,16 @@ def rows_by_recurrence(family: LBPFamily, n_max: int | None = None) -> list[list
     return rows
 
 
-def coefficient_matrix(family: LBPFamily, dim: int | None = None) -> LowerTriangularMatrix:
-    if dim is None:
-        dim = family.order + 1
+def coefficient_matrix(family: LBPFamily, dim: int) -> LowerTriangularMatrix:
+    if dim < 1:
+        raise ValueError(f"dim must be at least 1, got {dim}")
     return LowerTriangularMatrix(rows_by_recurrence(family, dim - 1))
 
 
-def coefficient_array(family: LBPFamily, order: int | None = None) -> RiordanArray:
+def coefficient_array(family: LBPFamily, order: int) -> RiordanArray:
     """(1/(1+ct), t(1-bt)/(1+ct)); constant-coefficient families only."""
     if not family.is_constant:
         raise ValueError("only constant-coefficient families form a Riordan array")
-    if order is None:
-        order = family.order
     b, c = family.b, family.c
     return RiordanArray(
         TruncatedSeries.ratio([1], [1, c], order),
@@ -134,7 +140,7 @@ def coefficient_array(family: LBPFamily, order: int | None = None) -> RiordanArr
     )
 
 
-def moment_matrix(family: LBPFamily, dim: int | None = None) -> LowerTriangularMatrix:
+def moment_matrix(family: LBPFamily, dim: int) -> LowerTriangularMatrix:
     """Inverse of the coefficient block; first column is the moment sequence."""
     return coefficient_matrix(family, dim).inverse()
 
@@ -172,7 +178,7 @@ def inverse_entry_lagrange(n: int, k: int, b, c):
     return total
 
 
-def moment_gf(b, c, order: int = DEFAULT_ORDER) -> TruncatedSeries:
+def moment_gf(b, c, order: int) -> TruncatedSeries:
     """Closed form (c + 2b - c^2 t - c sqrt(1 - 2(2b+c)t + c^2 t^2)) / (2b)."""
     b, c = coerce_scalar(b), coerce_scalar(c)
     root = TruncatedSeries([1, -2 * (2 * b + c), c * c], order).sqrt()
@@ -180,7 +186,7 @@ def moment_gf(b, c, order: int = DEFAULT_ORDER) -> TruncatedSeries:
     return num / (2 * b)
 
 
-def tfraction_fixed_point(b, c, order: int = DEFAULT_ORDER) -> TruncatedSeries:
+def tfraction_fixed_point(b, c, order: int) -> TruncatedSeries:
     """Solve u = 1/(1 - ct - btu), i.e. u_n = c u_{n-1} + b [t^(n-1)] u^2."""
     if order < 0:
         raise ValueError(f"order must be at least 0, got {order}")
@@ -207,13 +213,10 @@ def shifted_moment_sum(b, c, n: int):
     return total
 
 
-def moments(family: LBPFamily, route: str = "matrix_inverse",
-            n_max: int | None = None) -> list:
+def moments(family: LBPFamily, route: str, n_max: int) -> list:
     """mu_0..mu_n_max by the named route, as a list."""
     if route not in MOMENT_ROUTES:
         raise ValueError(f"unknown moment route {route!r}; choose from {MOMENT_ROUTES}")
-    if n_max is None:
-        n_max = family.order
     if n_max < 0:
         raise ValueError(f"n_max must be at least 0, got {n_max}")
     if route == "matrix_inverse":

@@ -28,7 +28,7 @@ from .lbp import LBPFamily, coefficient_array, moment_gf, rows_by_recurrence
 from .report import Check, ScenarioReport, check_equal
 from .riordan import RiordanArray, binomial_array
 from .scalars import coerce_scalar
-from .series import DEFAULT_ORDER, TruncatedSeries
+from .series import TruncatedSeries
 
 ORTHO_KINDS = ("q", "qtilde", "qhat")
 
@@ -44,7 +44,7 @@ def _check_kind(kind: str) -> None:
         raise ValueError(f"unknown kind {kind!r}; choose from {ORTHO_KINDS}")
 
 
-def ortho_array(kind: str, b, c, order: int = DEFAULT_ORDER) -> RiordanArray:
+def ortho_array(kind: str, b, c, order: int) -> RiordanArray:
     _check_kind(kind)
     b, c = coerce_scalar(b), coerce_scalar(c)
     den = [1, 2 * b + c, b * (b + c)]
@@ -75,7 +75,7 @@ def ortho_rows_by_recurrence(kind: str, b, c, n_max: int) -> list[list]:
     return rows[:n_max + 1]
 
 
-def ortho_inverse_f_closed_form(b, c, order: int = DEFAULT_ORDER) -> TruncatedSeries:
+def ortho_inverse_f_closed_form(b, c, order: int) -> TruncatedSeries:
     """Second component of the "q" array's inverse:
 
         (1 - (2b+c)t - sqrt(1 - 2(2b+c)t + c^2 t^2)) / (2b(b+c)t).
@@ -86,7 +86,7 @@ def ortho_inverse_f_closed_form(b, c, order: int = DEFAULT_ORDER) -> TruncatedSe
     return num.shift_down(1) / (2 * b * (b + c))
 
 
-def verify_factorizations(b, c, order: int = 8) -> ScenarioReport:
+def verify_factorizations(b, c, order: int) -> ScenarioReport:
     """Split L off each companion array and cross-check the row identities."""
     b, c = coerce_scalar(b), coerce_scalar(c)
     family = LBPFamily.constant(b, c)

@@ -11,12 +11,15 @@ solved from P L = L S against L itself, with no inverse.  For a Riordan
 array P has the characteristic column-shift structure (every column from
 the second on is the previous one pushed down), which is also a practical
 test for showing that a matrix is NOT Riordan.
+
+Sizes are arguments: `binomial_array` takes the order of its series and
+`RiordanArray.matrix` the dimension of the block it materializes.
 """
 
 from __future__ import annotations
 
 from .scalars import scalar_inv
-from .series import DEFAULT_ORDER, TruncatedSeries
+from .series import TruncatedSeries
 
 
 class LowerTriangularMatrix:
@@ -45,9 +48,6 @@ class LowerTriangularMatrix:
         if k > n:
             return self.rows[0][0] * 0
         return self.rows[n][k]
-
-    def first_column(self) -> list:
-        return [row[0] for row in self.rows]
 
     def __eq__(self, other):
         if not isinstance(other, LowerTriangularMatrix):
@@ -117,22 +117,20 @@ class RiordanArray:
             raise ValueError("g(0) must be invertible")
         if f.coeffs[0]:
             raise ValueError("f(0) must vanish")
-        if f.order < 1 or not f.coeffs[1]:
+        if f.order < 1:
+            raise ValueError(f"f must have order at least 1, got {f.order}")
+        if not f.coeffs[1]:
             raise ValueError("f'(0) must be invertible")
         self.g = g
         self.f = f
-
-    @classmethod
-    def identity(cls, order: int = DEFAULT_ORDER) -> "RiordanArray":
-        return cls(TruncatedSeries([1], order), TruncatedSeries.identity(order))
 
     @property
     def order(self) -> int:
         return min(self.g.order, self.f.order)
 
-    def matrix(self, dim: int | None = None) -> LowerTriangularMatrix:
-        if dim is None:
-            dim = self.order + 1
+    def matrix(self, dim: int) -> LowerTriangularMatrix:
+        if dim < 1:
+            raise ValueError(f"dim must be at least 1, got {dim}")
         if dim > self.order + 1:
             raise ValueError("block larger than the truncation order allows")
         rows = [[None] * (n + 1) for n in range(dim)]
@@ -166,7 +164,7 @@ class RiordanArray:
         return f"RiordanArray(order={self.order})"
 
 
-def binomial_array(b, order: int = DEFAULT_ORDER) -> RiordanArray:
+def binomial_array(b, order: int) -> RiordanArray:
     """(1/(1-bt), t/(1-bt)); entries binomial(n, k) * b^(n-k)."""
     return RiordanArray(
         TruncatedSeries.ratio([1], [1, -b], order),

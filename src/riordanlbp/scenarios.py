@@ -109,7 +109,7 @@ def _symbolic_production_block(dim: int) -> list[list]:
 
 def _moment_c_rows(b_value: BivarPoly, n_max: int) -> list[list]:
     """Moments with b replaced by a polynomial in c, as c-coefficient rows."""
-    fam = LBPFamily.constant(PARAM_B, PARAM_C, order=n_max)
+    fam = LBPFamily.constant(PARAM_B, PARAM_C)
     rows = []
     for value in moments(fam, "gf_expansion", n_max):
         poly = value.num.substitute(b_value=b_value)
@@ -142,7 +142,7 @@ def scenario_example1(order: int = 12) -> ScenarioReport:
     for cv, label in ((1, "schroeder numbers"), (0, "catalan numbers")):
         checks.append(Check(f"u = v at c={cv} ({label})", cfrac.verify_uv_equality(cv, order)))
 
-    mu_c1 = moments(LBPFamily.constant(1, 1, order=9), "gf_expansion", 9)
+    mu_c1 = moments(LBPFamily.constant(1, 1), "gf_expansion", 9)
     checks.append(check_equal("moments at b=c=1 are 1-prefixed schroeder numbers",
                               [int(v) for v in mu_c1],
                               [1, *SCHROEDER_PREFIX]))
@@ -166,7 +166,7 @@ def scenario_example1(order: int = 12) -> ScenarioReport:
 def scenario_example2(order: int = 12) -> ScenarioReport:
     """The periodic-coefficient family b = (1, 2, 1, 2, ...), c = 1."""
     checks = []
-    fam = LBPFamily.periodic([1, 2], [1], order=order)
+    fam = LBPFamily.periodic([1, 2], [1])
     table = moment_matrix(fam, 8)
     checks.append(check_equal("periodic moment matrix rows 0..7",
                               table.rows, [list(r) for r in PERIODIC_MOMENT_TABLE]))
@@ -178,7 +178,7 @@ def scenario_example2(order: int = 12) -> ScenarioReport:
     checks.append(Check("column-shift test fails on the periodic production block",
                         not has_column_shift(prod)))
 
-    sym_coeffs = coefficient_matrix(LBPFamily.constant(PARAM_B, PARAM_C, order=8), 8)
+    sym_coeffs = coefficient_matrix(LBPFamily.constant(PARAM_B, PARAM_C), 8)
     sym_prod = production_of_inverse(sym_coeffs)
     expected_block = _symbolic_production_block(6)
     checks.append(check_equal("symbolic production block of the moment matrix",
@@ -186,7 +186,7 @@ def scenario_example2(order: int = 12) -> ScenarioReport:
     checks.append(Check("column-shift test passes on the moment-matrix production block",
                         has_column_shift(sym_prod)))
     coeff_prod = production_matrix(
-        coefficient_array(LBPFamily.constant(PARAM_B, PARAM_C, order=8)).matrix(8)
+        coefficient_array(LBPFamily.constant(PARAM_B, PARAM_C), 8).matrix(8)
     )
     checks.append(Check("column-shift test passes on the coefficient-array production block",
                         has_column_shift(coeff_prod)))
@@ -237,7 +237,7 @@ def scenario_example3(order: int = 12) -> ScenarioReport:
 def scenario_example4(order: int = 12) -> ScenarioReport:
     """The b = c family: signed Delannoy triangle and scaled Schroeder moments."""
     checks = []
-    fam = LBPFamily.constant(PARAM_C, PARAM_C, order=8)
+    fam = LBPFamily.constant(PARAM_C, PARAM_C)
     coeff = coefficient_matrix(fam, 6)
     expected = [
         [int(v) * _C ** (n - k) for k, v in enumerate(row)]
@@ -285,12 +285,12 @@ def scenario_factorizations(order: int = 12) -> ScenarioReport:
 
 def scenario_hankel(order: int = 12) -> ScenarioReport:
     checks = []
-    mu = moments(LBPFamily.constant(PARAM_B, PARAM_C, order=12), "gf_expansion", 12)
+    mu = moments(LBPFamily.constant(PARAM_B, PARAM_C), "gf_expansion", 12)
     h = hankel_toeplitz.hankel_transform(mu, 5)
     checks.append(check_equal("hankel transform equals (bc)^n (b(b+c))^binom(n,2)",
                               h, hankel_toeplitz.hankel_closed_form(PARAM_B, PARAM_C, 5)))
 
-    mu11 = moments(LBPFamily.constant(1, 1, order=10), "gf_expansion", 10)
+    mu11 = moments(LBPFamily.constant(1, 1), "gf_expansion", 10)
     checks.append(check_equal("hankel transform at b=c=1",
                               hankel_toeplitz.hankel_transform(mu11, 5),
                               [Fraction(2) ** binomial(n, 2) for n in range(6)]))

@@ -5,6 +5,10 @@ truncate to the smaller operand order, so every result is exact through the
 order it reports.  Composition requires the inner series to vanish at 0;
 division requires an invertible constant term; reversion uses Lagrange
 inversion; square root assumes constant term 1 and a ring containing 1/2.
+
+Sizes are arguments: every constructor takes the order it builds to, and
+nothing falls back to a default size.  Only ``TruncatedSeries(coeffs)``
+without an order takes it from the length of ``coeffs``.
 """
 
 from __future__ import annotations
@@ -14,8 +18,6 @@ from itertools import accumulate, repeat
 from operator import mul
 
 from .scalars import coerce_scalar, scalar_inv
-
-DEFAULT_ORDER = 16
 
 
 class TruncatedSeries:
@@ -38,11 +40,11 @@ class TruncatedSeries:
     # -- constructors --------------------------------------------------------
 
     @classmethod
-    def constant(cls, value, order: int = DEFAULT_ORDER) -> "TruncatedSeries":
+    def constant(cls, value, order: int) -> "TruncatedSeries":
         return cls([value], order)
 
     @classmethod
-    def monomial(cls, k: int, coeff=1, order: int = DEFAULT_ORDER) -> "TruncatedSeries":
+    def monomial(cls, k: int, coeff, order: int) -> "TruncatedSeries":
         if not 0 <= k <= order:
             raise ValueError(f"monomial degree {k} outside 0..{order}")
         coeffs = [0] * (order + 1)
@@ -50,12 +52,12 @@ class TruncatedSeries:
         return cls(coeffs, order)
 
     @classmethod
-    def identity(cls, order: int = DEFAULT_ORDER) -> "TruncatedSeries":
+    def identity(cls, order: int) -> "TruncatedSeries":
         """The series t."""
         return cls.monomial(1, 1, order)
 
     @classmethod
-    def ratio(cls, num, den, order: int = DEFAULT_ORDER) -> "TruncatedSeries":
+    def ratio(cls, num, den, order: int) -> "TruncatedSeries":
         """Series of num(t)/den(t) for polynomial coefficient lists."""
         return cls(num, order) / cls(den, order)
 
@@ -65,15 +67,9 @@ class TruncatedSeries:
     def order(self) -> int:
         return len(self.coeffs) - 1
 
-    def coefficient(self, n: int):
-        if not 0 <= n <= self.order:
-            raise IndexError(f"coefficient {n} beyond truncation order {self.order}")
-        return self.coeffs[n]
-
-    def __getitem__(self, n: int):
-        return self.coefficient(n)
-
     def truncate(self, order: int) -> "TruncatedSeries":
+        if order < 0:
+            raise ValueError(f"order must be at least 0, got {order}")
         if order > self.order:
             raise ValueError("cannot extend a truncated series")
         return TruncatedSeries(self.coeffs[: order + 1])
@@ -105,21 +101,22 @@ class TruncatedSeries:
 
     def __sub__(self, other):
         if isinstance(other, TruncatedSeries):
-            return self + (-other)
+            n = min(self.order, other.order)
+            return TruncatedSeries(
+                [self.coeffs[k] - other.coeffs[k] for k in range(n + 1)]
+            )
         try:
             value = coerce_scalar(other)
         except TypeError:
             return NotImplemented
-        return self + (-value)
+        return TruncatedSeries((self.coeffs[0] - value,) + self.coeffs[1:])
 
     def __rsub__(self, other):
-        if isinstance(other, TruncatedSeries):
-            return other + (-self)
         try:
             value = coerce_scalar(other)
         except TypeError:
             return NotImplemented
-        return (-self) + value
+        return TruncatedSeries([value - self.coeffs[0]] + [-v for v in self.coeffs[1:]])
 
     def __mul__(self, other):
         if not isinstance(other, TruncatedSeries):
@@ -156,8 +153,6 @@ class TruncatedSeries:
         return self * scalar_inv(value)
 
     def __rtruediv__(self, other):
-        if isinstance(other, TruncatedSeries):
-            return _series_div(other, self)
         try:
             value = coerce_scalar(other)
         except TypeError:
@@ -250,16 +245,6 @@ class TruncatedSeries:
             out.append(acc * half)
         return TruncatedSeries(out)
 
-    # -- comparison helpers ---------------------------------------------------
-
-    def agrees_with(self, other: "TruncatedSeries", through: int | None = None) -> bool:
-        n = min(self.order, other.order)
-        if through is not None:
-            if through > n:
-                raise ValueError("comparison order beyond both truncations")
-            n = through
-        return all(self.coeffs[k] == other.coeffs[k] for k in range(n + 1))
-
     def __str__(self):
         return " + ".join(f"({v})*t^{n}" for n, v in enumerate(self.coeffs))
 
@@ -281,7 +266,7 @@ def _series_div(num: TruncatedSeries, den: TruncatedSeries) -> TruncatedSeries:
     return TruncatedSeries(out)
 
 
-def catalan_series(order: int = DEFAULT_ORDER) -> TruncatedSeries:
+def catalan_series(order: int) -> TruncatedSeries:
     """Generating function of the Catalan numbers, (1 - sqrt(1-4t))/(2t)."""
     if order < 0:
         raise ValueError(f"order must be at least 0, got {order}")

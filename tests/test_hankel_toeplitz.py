@@ -240,14 +240,14 @@ class TestHankelAndShifted:
 
 class TestHankel:
     def test_symbolic_closed_form(self):
-        mu = moments(LBPFamily.constant(PARAM_B, PARAM_C, order=11), n_max=11)
+        mu = moments(LBPFamily.constant(PARAM_B, PARAM_C, order=11), "matrix_inverse", 11)
         got = hankel_transform(list(mu), 5)
         expected = hankel_closed_form(PARAM_B, PARAM_C, 5)
         for n in range(6):
             assert not (got[n] - expected[n]), n
 
     def test_unit_values(self):
-        mu = moments(LBPFamily.constant(1, 1, order=11), n_max=11)
+        mu = moments(LBPFamily.constant(1, 1, order=11), "matrix_inverse", 11)
         got = hankel_transform(list(mu), 5)
         assert got == [coerce_scalar(2 ** binomial(n, 2)) for n in range(6)]
 
@@ -277,13 +277,13 @@ class TestHankel:
     @settings(max_examples=10, deadline=None)
     def test_closed_form_numeric(self, bc):
         bv, cv = bc
-        mu = moments(LBPFamily.constant(bv, cv, order=9), n_max=9)
+        mu = moments(LBPFamily.constant(bv, cv, order=9), "matrix_inverse", 9)
         assert hankel_transform(list(mu), 4) == hankel_closed_form(bv, cv, 4)
 
 
 class TestBiInfiniteMoments:
     def test_backward_values_unit_family(self):
-        mu = moments(LBPFamily.constant(1, 1, order=8), n_max=8)
+        mu = moments(LBPFamily.constant(1, 1, order=8), "matrix_inverse", 8)
         bm = BiInfiniteMoments(list(mu), 1, 3)
         assert bm.moment(-1) == coerce_scalar(2)
         assert bm.moment(-2) == coerce_scalar(6)
@@ -292,7 +292,7 @@ class TestBiInfiniteMoments:
 
     def test_backward_value_symbolic(self):
         b, c = PARAM_B, PARAM_C
-        mu = moments(LBPFamily.constant(b, c, order=6), n_max=6)
+        mu = moments(LBPFamily.constant(b, c, order=6), "matrix_inverse", 6)
         bm = BiInfiniteMoments(list(mu), c, 2)
         assert not (bm.moment(-1) - (b + c) / (c * c))
 
@@ -336,7 +336,8 @@ class TestBiInfiniteMoments:
 
 class TestToeplitz:
     def unit_bm(self, depth=6):
-        mu = moments(LBPFamily.constant(1, 1, order=2 * depth + 2), n_max=2 * depth + 2)
+        mu = moments(LBPFamily.constant(1, 1, order=2 * depth + 2), "matrix_inverse",
+                     2 * depth + 2)
         return BiInfiniteMoments(list(mu), 1, depth)
 
     def test_unit_values(self):
@@ -346,7 +347,7 @@ class TestToeplitz:
 
     def test_symbolic_closed_form(self):
         b, c = PARAM_B, PARAM_C
-        mu = moments(LBPFamily.constant(b, c, order=12), n_max=12)
+        mu = moments(LBPFamily.constant(b, c, order=12), "matrix_inverse", 12)
         bm = BiInfiniteMoments(list(mu), c, 5)
         t_seq, _ = toeplitz_dets(bm, 5)
         expected = toeplitz_closed_form(b, c, 5)
@@ -355,7 +356,7 @@ class TestToeplitz:
 
     def test_shifted_determinant_values(self):
         b, c = PARAM_B, PARAM_C
-        mu = moments(LBPFamily.constant(b, c, order=10), n_max=10)
+        mu = moments(LBPFamily.constant(b, c, order=10), "matrix_inverse", 10)
         bm = BiInfiniteMoments(list(mu), c, 4)
         _, tp_seq = toeplitz_dets(bm, 3)
         expected = [
@@ -379,7 +380,7 @@ class TestToeplitz:
 class TestRecovery:
     def test_symbolic(self):
         b, c = PARAM_B, PARAM_C
-        mu = moments(LBPFamily.constant(b, c, order=12), n_max=12)
+        mu = moments(LBPFamily.constant(b, c, order=12), "matrix_inverse", 12)
         bm = BiInfiniteMoments(list(mu), c, 5)
         t_seq, tp_seq = toeplitz_dets(bm, 5)
         for n in range(1, 5):
@@ -391,7 +392,7 @@ class TestRecovery:
     @settings(max_examples=10, deadline=None)
     def test_numeric(self, bc):
         bv, cv = bc
-        mu = moments(LBPFamily.constant(bv, cv, order=8), n_max=8)
+        mu = moments(LBPFamily.constant(bv, cv, order=8), "matrix_inverse", 8)
         bm = BiInfiniteMoments(list(mu), cv, 3)
         t_seq, tp_seq = toeplitz_dets(bm, 3)
         got_b, got_c = recover_parameters(t_seq, tp_seq, 1)
@@ -409,7 +410,7 @@ class TestDeterminantalPolynomials:
     def test_matches_recurrence_symbolically(self):
         b, c = PARAM_B, PARAM_C
         fam = LBPFamily.constant(b, c, order=12)
-        mu = moments(fam, n_max=12)
+        mu = moments(fam, "matrix_inverse", 12)
         bm = BiInfiniteMoments(list(mu), c, 5)
         expected = rows_by_recurrence(fam, 5)
         for n in range(6):
@@ -423,7 +424,7 @@ class TestDeterminantalPolynomials:
     def test_matches_recurrence_numerically(self, bc):
         bv, cv = bc
         fam = LBPFamily.constant(bv, cv, order=10)
-        mu = moments(fam, n_max=10)
+        mu = moments(fam, "matrix_inverse", 10)
         bm = BiInfiniteMoments(list(mu), cv, 4)
         expected = rows_by_recurrence(fam, 4)
         for n in range(5):

@@ -122,7 +122,7 @@ class TestRecurrenceRows:
     def test_coefficient_array_agrees_with_recurrence(self, b, c):
         fam = LBPFamily.constant(b, c, order=8)
         rows = rows_by_recurrence(fam, 6)
-        arr = coefficient_array(fam).matrix(7)
+        arr = coefficient_array(fam, 8).matrix(7)
         for n, row in enumerate(rows):
             for k, got in enumerate(row):
                 assert got == arr.entry(n, k), (n, k)
@@ -147,17 +147,17 @@ class TestRecurrenceRows:
 
     def test_coefficient_array_requires_constant_family(self):
         with pytest.raises(ValueError):
-            coefficient_array(LBPFamily.periodic([1, 2], [1]))
+            coefficient_array(LBPFamily.periodic([1, 2], [1]), 16)
 
 
 class TestMoments:
     def test_symbolic_prefix(self):
-        mu = moments(symbolic_family(6), n_max=5)
+        mu = moments(symbolic_family(6), "matrix_inverse", 5)
         for n, factor in enumerate(SYMBOLIC_MOMENT_FACTORS):
             assert not (mu[n] - factor(PARAM_B, PARAM_C)), n
 
     def test_unit_family_is_shifted_schroeder(self):
-        mu = moments(unit_family(), n_max=9)
+        mu = moments(unit_family(), "matrix_inverse", 9)
         assert list(mu) == [
             coerce_scalar(v)
             for v in (1, 1, 2, 6, 22, 90, 394, 1806, 8558, 41586)
@@ -166,7 +166,7 @@ class TestMoments:
     @pytest.mark.parametrize("route", MOMENT_ROUTES)
     def test_all_routes_agree_symbolically(self, route):
         fam = symbolic_family(8)
-        baseline = moments(fam, n_max=8)
+        baseline = moments(fam, "matrix_inverse", 8)
         got = moments(fam, route=route, n_max=8)
         assert type(got) is list and len(got) == 9
         for n in range(9):
@@ -177,7 +177,7 @@ class TestMoments:
     def test_all_routes_agree_numerically(self, bc):
         bv, cv = bc
         fam = LBPFamily.constant(bv, cv, order=7)
-        baseline = moments(fam, n_max=7)
+        baseline = moments(fam, "matrix_inverse", 7)
         for route in MOMENT_ROUTES[1:]:
             got = moments(fam, route=route, n_max=7)
             assert list(got) == list(baseline), route
@@ -191,22 +191,22 @@ class TestMoments:
     def test_matrix_route_is_first_column_of_inverse(self, b_seq, c_seq, n_max):
         fam = LBPFamily.periodic(b_seq, c_seq, order=n_max)
         got = moments(fam, "matrix_inverse", n_max)
-        assert list(got) == moment_matrix(fam, n_max + 1).first_column()
+        assert list(got) == [row[0] for row in moment_matrix(fam, n_max + 1).rows]
 
     def test_matrix_route_symbolic_periodic(self):
         b, c = PARAM_B, PARAM_C
         fam = LBPFamily.periodic([b, b + c], [c, 2 * b], order=7)
         got = moments(fam, "matrix_inverse", 7)
-        expected = moment_matrix(fam, 8).first_column()
+        expected = [row[0] for row in moment_matrix(fam, 8).rows]
         assert [str(v) for v in got] == [str(v) for v in expected]
 
     def test_unknown_route_rejected(self):
         with pytest.raises(ValueError):
-            moments(unit_family(), route="divination")
+            moments(unit_family(), "divination", 10)
 
     def test_closed_form_routes_need_constant_coefficients(self):
         fam = LBPFamily.periodic([1, 2], [1], order=6)
-        moments(fam, n_max=6)  # matrix route is fine
+        moments(fam, "matrix_inverse", 6)  # matrix route is fine
         with pytest.raises(ValueError):
             moments(fam, route="catalan_sum", n_max=6)
 
@@ -269,10 +269,10 @@ class TestGeneratingFunctions:
         assert a == b
 
     def test_gf_matches_moments(self):
-        mu = moments(symbolic_family(7), n_max=7)
+        mu = moments(symbolic_family(7), "matrix_inverse", 7)
         gf = moment_gf(PARAM_B, PARAM_C, 7)
         for n in range(8):
-            assert not (gf[n] - mu[n]), n
+            assert not (gf.coeffs[n] - mu[n]), n
 
 
 class TestProductionStructure:

@@ -72,7 +72,7 @@ class TestRowsByRecurrence:
         with pytest.raises(ValueError):
             ortho_rows_by_recurrence("p", 1, 1, 3)
         with pytest.raises(ValueError):
-            ortho_array("p", 1, 1)
+            ortho_array("p", 1, 1, 16)
 
 
 class TestArrayVersusRecurrence:
@@ -101,14 +101,14 @@ class TestArrayVersusRecurrence:
 class TestMomentColumns:
     def test_q_inverse_first_column_is_moments(self):
         b, c = PARAM_B, PARAM_C
-        mu = moments(LBPFamily.constant(b, c, order=7), n_max=7)
-        col = ortho_array("q", b, c, 7).inverse().matrix(8).first_column()
+        mu = moments(LBPFamily.constant(b, c, order=7), "matrix_inverse", 7)
+        col = [row[0] for row in ortho_array("q", b, c, 7).inverse().matrix(8).rows]
         for n in range(8):
             assert not (col[n] - mu[n]), n
 
     def test_qtilde_inverse_first_column_prefix(self):
         b, c = PARAM_B, PARAM_C
-        col = ortho_array("qtilde", b, c, 4).inverse().matrix(5).first_column()
+        col = [row[0] for row in ortho_array("qtilde", b, c, 4).inverse().matrix(5).rows]
         expected = [
             b**0,
             b + c,

@@ -57,7 +57,8 @@ class TestLowerTriangularMatrix:
 
     def test_inverse_round_trip(self):
         a = pascal().matrix(6)
-        ident = RiordanArray.identity(order=ORDER).matrix(6)
+        ident = RiordanArray(TruncatedSeries([1], ORDER),
+                             TruncatedSeries.identity(ORDER)).matrix(6)
         assert a * a.inverse() == ident
         assert a.inverse() * a == ident
 
@@ -118,7 +119,7 @@ class TestRiordanArray:
     @settings(max_examples=25, deadline=None)
     def test_inverse_round_trip(self, g_tail, f_tail):
         a = random_array(g_tail, f_tail)
-        ident = RiordanArray.identity(order=ORDER)
+        ident = RiordanArray(TruncatedSeries([1], ORDER), TruncatedSeries.identity(ORDER))
         assert a * a.inverse() == ident
         assert a.inverse() * a == ident
 

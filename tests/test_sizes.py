@@ -1,8 +1,12 @@
-"""Every public entry point that takes a size refuses a negative one by name."""
+"""Sizes are arguments: no public size has a default, and a size out of
+range is refused by the name and value the caller passed."""
+
+import inspect
 
 import pytest
 
-from riordanlbp import cfrac, hankel_toeplitz, lbp, orthopoly, series
+import riordanlbp
+from riordanlbp import cfrac, hankel_toeplitz, lbp, orthopoly, riordan, series
 from riordanlbp.lbp import LBPFamily
 
 # label -> (entry point, arguments ending in the negative size, the size's name)
@@ -22,6 +26,8 @@ NEGATIVE_SIZES = {
     "tfraction_closed_form": (cfrac.tfraction_closed_form, (1, 1, -1), "order"),
     "tfraction_via_transform": (cfrac.tfraction_via_transform, (1, 1, -1), "order"),
     "catalan_series": (series.catalan_series, (-1,), "order"),
+    "truncate": (series.TruncatedSeries([1, 2, 3, 4, 5]).truncate, (-3,), "order"),
+    "truncate_to_nothing": (series.TruncatedSeries([1, 2, 3]).truncate, (-1,), "order"),
 }
 
 
@@ -30,3 +36,62 @@ def test_negative_size_is_refused_by_name(label):
     entry, args, name = NEGATIVE_SIZES[label]
     with pytest.raises(ValueError, match=f"^{name} must be at least 0, got {args[-1]}$"):
         entry(*args)
+
+
+# label -> (entry point, arguments ending in a size too small, the error it raises)
+SMALL_SIZES = {
+    "coefficient_matrix": (lbp.coefficient_matrix, (LBPFamily.constant(1, 1), 0),
+                           "dim must be at least 1, got 0"),
+    "moment_matrix": (lbp.moment_matrix, (LBPFamily.constant(1, 1), 0),
+                      "dim must be at least 1, got 0"),
+    "RiordanArray.matrix": (riordan.binomial_array(1, 4).matrix, (0,),
+                            "dim must be at least 1, got 0"),
+    "RiordanArray.matrix_negative": (riordan.binomial_array(1, 4).matrix, (-2,),
+                                     "dim must be at least 1, got -2"),
+    "coefficient_array": (lbp.coefficient_array, (LBPFamily.constant(1, 1), 0),
+                          "f must have order at least 1, got 0"),
+    "ortho_array": (orthopoly.ortho_array, ("q", 1, 1, 0),
+                    "f must have order at least 1, got 0"),
+    "binomial_array": (riordan.binomial_array, (1, 0),
+                       "f must have order at least 1, got 0"),
+}
+
+
+@pytest.mark.parametrize("label", sorted(SMALL_SIZES))
+def test_small_size_is_refused_by_name(label):
+    entry, args, message = SMALL_SIZES[label]
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        entry(*args)
+
+
+SIZE_PARAMETERS = ("order", "n_max", "dim", "depth")
+# callable -> why its size parameter keeps a default
+SIZE_DEFAULTS_KEPT = {
+    "LBPFamily.__init__": "the unread order field stays while perfbench/checks.py passes order=",
+    "LBPFamily.constant": "the unread order field stays while perfbench/checks.py passes order=",
+    "LBPFamily.periodic": "the unread order field stays while perfbench/checks.py passes order=",
+    "jfraction_from_moments": "depth is worked out from the number of moments",
+    "TruncatedSeries.__init__": "order is worked out from the coefficients",
+}
+
+
+def public_callables():
+    for name in riordanlbp.__all__:
+        obj = getattr(riordanlbp, name)
+        if inspect.isfunction(obj):
+            yield name, obj
+        elif inspect.isclass(obj):
+            for attr, member in vars(obj).items():
+                member = getattr(member, "__func__", member)
+                if inspect.isfunction(member):
+                    yield f"{name}.{attr}", member
+
+
+def test_public_sizes_have_no_default():
+    defaulted = sorted(
+        name
+        for name, func in public_callables()
+        for param in inspect.signature(func).parameters.values()
+        if param.name in SIZE_PARAMETERS and param.default is not param.empty
+    )
+    assert defaulted == sorted(SIZE_DEFAULTS_KEPT)
