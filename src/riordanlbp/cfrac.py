@@ -110,7 +110,7 @@ def cf_expand(cf, order: int) -> TruncatedSeries:
         raise TypeError(f"not a continued fraction descriptor: {type(cf).__name__}")
     levels = cf.levels_for(order)
     entries = diag + nums
-    one = entries[0] ** 0 if entries else coerce_scalar(1)
+    one = entries[0] ** 0 if entries else 1
     num, den = [one], [one]
     for k in reversed(range(levels)):
         new = _minus_shifted(den, 1, diag[k], den, order) if diag else den
@@ -213,9 +213,9 @@ def hankel_from_jfraction(sub, n_max: int) -> list:
     subs = [coerce_scalar(v) for v in sub]
     if len(subs) < n_max:
         raise ValueError(f"need {n_max} couplings")
-    out = [coerce_scalar(1)]
+    out = [1]
     for n in range(1, n_max + 1):
-        acc = coerce_scalar(1)
+        acc = 1
         for k in range(1, n + 1):
             acc = acc * subs[k - 1] ** (n + 1 - k)
         out.append(acc)
@@ -226,6 +226,6 @@ def verify_uv_equality(c, order: int) -> bool:
     """The constant T-fraction u in c equals the S-fraction v = (c+1, 1, c+1, ...)
     and the shifted-moment closed form at b = 1."""
     c = coerce_scalar(c)
-    u = cf_expand(TFraction((c,) * order, (coerce_scalar(1),) * order), order)
-    alphas = tuple(c + 1 if i % 2 == 0 else coerce_scalar(1) for i in range(order))
+    u = cf_expand(TFraction((c,) * order, (1,) * order), order)
+    alphas = tuple(c + 1 if i % 2 == 0 else 1 for i in range(order))
     return u == cf_expand(SFraction(alphas), order) and u == tfraction_closed_form(1, c, order)

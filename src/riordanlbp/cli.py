@@ -27,6 +27,8 @@ import json
 import os
 import sys
 import traceback
+from fractions import Fraction
+from math import lcm
 
 from . import cfrac, oeis
 from .lbp import (
@@ -81,35 +83,44 @@ def _parse_param(text: str, symbol):
     return parse_rational(text)
 
 
-def _matrix_lines(rows) -> list[str]:
-    return [",".join(str(v) for v in row) for row in rows]
+#: degree in (b, c) of entry k on line n of each kind's output.  Every table
+#: is homogeneous: (b, c, x) -> (lb, lc, lx) sends P_n to l^n P_n, so at
+#: (b, c) = (B/D, C/D) entry (n, k) is its value at (B, C) over D^degree.
+DEGREES = {
+    "lbp-coeffs": lambda n, k: n - k,
+    "moments": lambda n, k: n,
+    # entries right of the superdiagonal are 0
+    "production": lambda n, k: max(n - k + 1, 0),
+    "hankel": lambda n, k: n * (n + 1),
+    # line 0 is t_k, of degree 0, and line 1 is t'_k, of degree k + 1
+    "toeplitz": lambda n, k: n * (k + 1),
+    "cfrac-expand": lambda n, k: n,
+    "ortho-array": lambda n, k: n - k,
+}
 
 
-def _generate_data(args) -> list[str]:
-    b = _parse_param(args.b, PARAM_B)
-    c = _parse_param(args.c, PARAM_C)
+def _table(args, b, c) -> list:
+    """Rows of the table args asks for at (b, c); a sequence has one value a row."""
     order = args.order
     if args.kind == "lbp-coeffs":
         fam = LBPFamily.constant(b, c)
-        return _matrix_lines(coefficient_matrix(fam, order + 1).rows)
+        return coefficient_matrix(fam, order + 1).rows
     if args.kind == "moments":
         fam = LBPFamily.constant(b, c)
-        return [str(v) for v in moments(fam, args.route, order)]
+        return [[v] for v in moments(fam, args.route, order)]
     if args.kind == "production":
         fam = LBPFamily.constant(b, c)
-        block = production_of_inverse(coefficient_matrix(fam, order + 2))
-        return _matrix_lines(block)
+        return production_of_inverse(coefficient_matrix(fam, order + 2))
     if args.kind == "hankel":
         fam = LBPFamily.constant(b, c)
         mu = moments(fam, "gf_expansion", 2 * order)
-        return [str(v) for v in hankel_transform(mu, order)]
+        return [[v] for v in hankel_transform(mu, order)]
     if args.kind == "toeplitz":
         # the determinants read mu_{-order}..mu_{order+1}
         fam = LBPFamily.constant(b, c)
         mu = moments(fam, "gf_expansion", order + 1)
         bi = BiInfiniteMoments(mu, c, order)
-        t_seq, tp_seq = toeplitz_dets(bi, order)
-        return _matrix_lines([t_seq, tp_seq])
+        return toeplitz_dets(bi, order)
     if args.kind == "cfrac-expand":
         builder = {
             "s": cfrac.moment_sfraction,
@@ -117,11 +128,33 @@ def _generate_data(args) -> list[str]:
             "t": cfrac.constant_tfraction,
         }[args.shape]
         series = cfrac.cf_expand(builder(b, c, order), order)
-        return [str(v) for v in series.coeffs]
+        return [[v] for v in series.coeffs]
     if args.kind == "ortho-array":
         arr = ortho_array(args.family, b, c, order)
-        return _matrix_lines(arr.matrix(order + 1).rows)
+        return arr.matrix(order + 1).rows
     raise ValueError(f"unknown kind {args.kind!r}")
+
+
+def _graded_lines(args, b: Fraction, c: Fraction) -> list[str]:
+    """Lines of the table at rational (b, c), computed on integers.
+
+    With D the lcm of the denominators, the table is computed at the
+    integers (B, C) = (Db, Dc), where no Fraction gcd is taken, and entry
+    (n, k) is divided by D^DEGREES[kind](n, k) as its row is rendered.
+    """
+    scale = lcm(b.denominator, c.denominator)
+    degree = DEGREES[args.kind]
+    rows = _table(args, int(b * scale), int(c * scale))
+    return [",".join(str(Fraction(v, scale ** degree(n, k))) for k, v in enumerate(row))
+            for n, row in enumerate(rows)]
+
+
+def _generate_data(args) -> list[str]:
+    b = _parse_param(args.b, PARAM_B)
+    c = _parse_param(args.c, PARAM_C)
+    if isinstance(b, Fraction) and isinstance(c, Fraction):
+        return _graded_lines(args, b, c)
+    return [",".join(str(v) for v in row) for row in _table(args, b, c)]
 
 
 def cmd_generate(args) -> int:

@@ -27,6 +27,7 @@ last row 1, x, ..., x^n reproduces P_n(x) after division by t_{n-1}.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -37,14 +38,18 @@ from .scalars import BivarPoly, RationalFunction, coerce_scalar, over_lcm, scala
 def _clear(mat: list[list]) -> tuple[list[list], object, list | None]:
     """Entries ready for fraction-free elimination.
 
-    Returns (matrix, exact divide, scales).  A Fraction matrix is eliminated
-    as it is and scales is None.  Any other matrix is cleared to polynomial
-    rows, row i multiplied by the lcm of its denominators, and scales[i] is
-    the product of the factors of rows 0..i: a determinant over rows 0..i of
-    the cleared matrix is scales[i] times the original one.
+    Returns (matrix, exact divide, scales).  An int matrix is eliminated as
+    it is with `//`, which Bareiss makes exact, and a matrix of ints and
+    Fractions as Fractions with `/`; scales is then None.  Any other matrix
+    is cleared to polynomial rows, row i multiplied by the lcm of its
+    denominators, and scales[i] is the product of the factors of rows 0..i:
+    a determinant over rows 0..i of the cleared matrix is scales[i] times
+    the original one.
     """
-    if all(isinstance(v, Fraction) for row in mat for v in row):
-        return mat, lambda a, b: a / b, None
+    if all(type(v) is int for row in mat for v in row):
+        return mat, operator.floordiv, None
+    if all(isinstance(v, (int, Fraction)) for row in mat for v in row):
+        return [[Fraction(v) for v in row] for row in mat], operator.truediv, None
     poly_rows: list[list[BivarPoly]] = []
     scales = []
     cleared = BivarPoly.one()
@@ -106,7 +111,8 @@ def _square(rows) -> list[list]:
 
 
 def determinant(rows) -> object:
-    """Exact determinant of a square matrix of Fraction / polynomial scalars."""
+    """Exact determinant of a square matrix of int / Fraction / polynomial
+    scalars; an int matrix has an int determinant."""
     mat = _square(rows)
     n = len(mat)
     if n == 0:
@@ -264,7 +270,7 @@ def lbp_by_determinant(bm: BiInfiniteMoments, n: int) -> list:
     if n < 0:
         raise ValueError(f"n must be at least 0, got {n}")
     if n == 0:
-        return [coerce_scalar(1)]
+        return [1]
     if bm.depth < n - 1:
         raise ValueError(f"backward depth {bm.depth} < {n - 1}")
     moment_rows = [[bm.moment(k - j) for k in range(n + 1)] for j in range(n)]

@@ -112,7 +112,7 @@ def rows_by_recurrence(family: LBPFamily, n_max: int) -> list[list]:
     """
     if n_max < 0:
         raise ValueError(f"n_max must be at least 0, got {n_max}")
-    one = Fraction(1)
+    one = family.c_at(0) ** 0
     rows = [[one], [-family.c_at(0), one]][:n_max + 1]
     for n in range(2, n_max + 1):
         b, c, prev = family.b_at(n - 1), family.c_at(n - 1), rows[n - 1]

@@ -132,7 +132,8 @@ class RiordanArray:
         if dim < 1:
             raise ValueError(f"dim must be at least 1, got {dim}")
         if dim > self.order + 1:
-            raise ValueError("block larger than the truncation order allows")
+            raise ValueError(
+                f"dim must be at most {self.order + 1} for order {self.order}, got {dim}")
         rows = [[None] * (n + 1) for n in range(dim)]
         col = self.g
         for k in range(dim):

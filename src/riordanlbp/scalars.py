@@ -1,7 +1,10 @@
 """Exact scalar arithmetic for the whole package.
 
-Three kinds of scalar circulate here:
+Four kinds of scalar circulate here:
 
+* ``int``             -- exact integers, kept as ``int`` so that integer
+                         parameters compute without a single gcd; an inverse
+                         that leaves the integers is a Fraction;
 * ``Rational``        -- arbitrary-precision rationals (stdlib Fraction);
 * ``BivarPoly``       -- sparse polynomials in the two recurrence parameters
                          b and c, with exact coefficients stored as ``int``
@@ -562,18 +565,20 @@ PARAM_C = RationalFunction(BivarPoly.c())
 
 
 def coerce_scalar(x):
-    """Normalize raw ints to Fractions; pass exact scalars through."""
-    if isinstance(x, int):
-        return Fraction(x)
+    """Pass exact scalars (int, Fraction, RationalFunction) through; a
+    BivarPoly becomes a RationalFunction."""
+    if isinstance(x, (int, Fraction, RationalFunction)):
+        return x
     if isinstance(x, BivarPoly):
         return RationalFunction(x)
-    if isinstance(x, (Fraction, RationalFunction)):
-        return x
     raise TypeError(f"not an exact scalar: {type(x).__name__}")
 
 
 def scalar_inv(s):
-    """Multiplicative inverse inside the ambient field of s."""
+    """Multiplicative inverse inside the ambient field of s; the inverse of
+    an int is an int only for the units 1 and -1."""
+    if isinstance(s, int):
+        return s if s in (1, -1) else Fraction(1, s)
     if isinstance(s, Fraction):
         return Fraction(1) / s
     if isinstance(s, RationalFunction):

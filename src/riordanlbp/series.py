@@ -71,7 +71,7 @@ class TruncatedSeries:
         if order < 0:
             raise ValueError(f"order must be at least 0, got {order}")
         if order > self.order:
-            raise ValueError("cannot extend a truncated series")
+            raise ValueError(f"order must be at most {self.order}, got {order}")
         return TruncatedSeries(self.coeffs[: order + 1])
 
     def valuation(self) -> int | None:

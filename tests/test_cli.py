@@ -5,12 +5,17 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from riordanlbp import cli, oeis
 from riordanlbp.cli import EXIT_BROKEN_PIPE, EXIT_INTERNAL, GENERATE_KINDS, build_parser, main
+from riordanlbp.lbp import MOMENT_ROUTES
+from riordanlbp.orthopoly import ORTHO_KINDS
 from riordanlbp.riordan import LowerTriangularMatrix
 from riordanlbp.scenarios import SCENARIOS
 
@@ -143,6 +148,50 @@ class TestGenerate:
         payload = json.loads(out)
         assert payload["params"] == {"b": "sym", "c": "sym"}
         assert payload["data"][2] == "c^2 + b*c"
+
+
+#: every kind with each of its routes, shapes and families
+VARIANTS = (
+    [("lbp-coeffs",), ("production",), ("hankel",), ("toeplitz",)]
+    + [("moments", "--route", route) for route in MOMENT_ROUTES]
+    + [("cfrac-expand", "--shape", shape) for shape in "sjt"]
+    + [("ortho-array", "--family", family) for family in ORTHO_KINDS]
+)
+integral = st.integers(-9, 9).map(Fraction)
+# denominators up to 10^4, so the lcm D can reach 10^8
+rational = st.fractions(min_value=-20, max_value=20, max_denominator=10**4)
+parameter = st.one_of(integral, rational)
+parameter_pairs = st.one_of(
+    st.tuples(parameter, parameter),
+    parameter.map(lambda b: (b, -b)),  # b + c = 0
+    parameter.map(lambda b: (b, -2 * b)),  # 2b + c = 0
+)
+
+
+def lines_or_error(compute):
+    try:
+        return compute()
+    except (ValueError, ZeroDivisionError) as exc:
+        return type(exc), str(exc)
+
+
+class TestGradedRoute:
+    """Rational (b, c) are computed on the integers (Db, Dc) and rescaled by
+    degree; that must print what the library gives at (b, c) itself."""
+
+    def test_every_kind_has_a_degree(self):
+        assert set(cli.DEGREES) == set(GENERATE_KINDS)
+
+    @given(parameter_pairs, st.integers(1, 7))
+    @settings(max_examples=80, deadline=None)
+    def test_graded_lines_equal_the_direct_lines(self, pair, order):
+        b, c = pair
+        for variant in VARIANTS:
+            args = build_parser().parse_args(
+                ["generate", *variant, "--order", str(order), f"--b={b}", f"--c={c}"])
+            direct = lines_or_error(lambda: [",".join(str(v) for v in row)
+                                             for row in cli._table(args, b, c)])
+            assert lines_or_error(lambda: cli._generate_data(args)) == direct, variant
 
 
 class TestVerify:

@@ -56,10 +56,25 @@ SMALL_SIZES = {
                        "f must have order at least 1, got 0"),
 }
 
+# label -> (entry point, arguments ending in a size too large, the error it raises)
+LARGE_SIZES = {
+    "RiordanArray.matrix": (riordan.binomial_array(1, 4).matrix, (9,),
+                            "dim must be at most 5 for order 4, got 9"),
+    "truncate": (series.TruncatedSeries([1, 2, 3]).truncate, (5,),
+                 "order must be at most 2, got 5"),
+}
+
 
 @pytest.mark.parametrize("label", sorted(SMALL_SIZES))
 def test_small_size_is_refused_by_name(label):
     entry, args, message = SMALL_SIZES[label]
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        entry(*args)
+
+
+@pytest.mark.parametrize("label", sorted(LARGE_SIZES))
+def test_large_size_is_refused_by_name(label):
+    entry, args, message = LARGE_SIZES[label]
     with pytest.raises(ValueError, match=f"^{message}$"):
         entry(*args)
 
