@@ -28,7 +28,8 @@ import os
 import sys
 import traceback
 from fractions import Fraction
-from math import lcm
+from functools import cache
+from math import gcd, lcm
 
 from . import cfrac, oeis
 from .lbp import (
@@ -113,12 +114,12 @@ def _table(args, b, c) -> list:
         return production_of_inverse(coefficient_matrix(fam, order + 2))
     if args.kind == "hankel":
         fam = LBPFamily.constant(b, c)
-        mu = moments(fam, "gf_expansion", 2 * order)
+        mu = moments(fam, "shifted_tfraction", 2 * order)
         return [[v] for v in hankel_transform(mu, order)]
     if args.kind == "toeplitz":
         # the determinants read mu_{-order}..mu_{order+1}
         fam = LBPFamily.constant(b, c)
-        mu = moments(fam, "gf_expansion", order + 1)
+        mu = moments(fam, "shifted_tfraction", order + 1)
         bi = BiInfiniteMoments(mu, c, order)
         return toeplitz_dets(bi, order)
     if args.kind == "cfrac-expand":
@@ -135,17 +136,27 @@ def _table(args, b, c) -> list:
     raise ValueError(f"unknown kind {args.kind!r}")
 
 
+def _over_power(v, power: int) -> str:
+    """str(Fraction(v, power)) for power > 0, with one gcd for an int v."""
+    if type(v) is not int:
+        return str(Fraction(v, power))
+    g = gcd(v, power)
+    return str(v // g) if g == power else f"{v // g}/{power // g}"
+
+
 def _graded_lines(args, b: Fraction, c: Fraction) -> list[str]:
     """Lines of the table at rational (b, c), computed on integers.
 
     With D the lcm of the denominators, the table is computed at the
-    integers (B, C) = (Db, Dc), where no Fraction gcd is taken, and entry
-    (n, k) is divided by D^DEGREES[kind](n, k) as its row is rendered.
+    integers (B, C) = (Db, Dc), and entry (n, k) is divided by
+    D^DEGREES[kind](n, k) as its row is rendered; each power of D is
+    computed once.
     """
     scale = lcm(b.denominator, c.denominator)
     degree = DEGREES[args.kind]
+    power = cache(lambda d: scale ** d)
     rows = _table(args, int(b * scale), int(c * scale))
-    return [",".join(str(Fraction(v, scale ** degree(n, k))) for k, v in enumerate(row))
+    return [",".join(_over_power(v, power(degree(n, k))) for k, v in enumerate(row))
             for n, row in enumerate(rows)]
 
 

@@ -1,9 +1,11 @@
 """Hankel and Toeplitz determinants of a moment sequence.
 
-Everything here is exact.  Determinants over polynomial scalars use
-fraction-free (Bareiss) elimination so intermediate entries stay polynomial;
-matrices of rational functions are cleared to polynomial rows first and the
-accumulated row factors divided back out at the end.
+Everything here is exact.  Determinants use fraction-free (Bareiss)
+elimination, so intermediate entries stay integral or polynomial.  Each row
+is cleared first, multiplied by the lcm of its denominators: numeric rows
+(ints and Fractions) to int rows, eliminated with exact `//`, and rows of
+rational functions to polynomial rows.  The accumulated row factors are
+divided back out at the end.
 
 h_0..h_n and t_0..t_n are the leading principal minors of one matrix, and
 the pivots of one Bareiss pass without row swaps are exactly those minors
@@ -30,6 +32,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 
 from .combinat import binomial
 from .scalars import BivarPoly, RationalFunction, coerce_scalar, over_lcm, scalar_inv
@@ -38,18 +41,22 @@ from .scalars import BivarPoly, RationalFunction, coerce_scalar, over_lcm, scala
 def _clear(mat: list[list]) -> tuple[list[list], object, list | None]:
     """Entries ready for fraction-free elimination.
 
-    Returns (matrix, exact divide, scales).  An int matrix is eliminated as
-    it is with `//`, which Bareiss makes exact, and a matrix of ints and
-    Fractions as Fractions with `/`; scales is then None.  Any other matrix
-    is cleared to polynomial rows, row i multiplied by the lcm of its
-    denominators, and scales[i] is the product of the factors of rows 0..i:
-    a determinant over rows 0..i of the cleared matrix is scales[i] times
-    the original one.
+    Returns (matrix, exact divide, scales).  Row i is multiplied by the lcm
+    of its denominators, and scales[i] is the product of the factors of rows
+    0..i: a determinant over rows 0..i of the cleared matrix is scales[i]
+    times the original one.  A matrix of ints and Fractions is cleared to
+    ints and eliminated with `//`, which Bareiss makes exact; scales is None
+    when every factor is 1, as for an int matrix.  Any other matrix is
+    cleared to polynomial rows over b^i c^j (b+c)^k.
     """
-    if all(type(v) is int for row in mat for v in row):
-        return mat, operator.floordiv, None
     if all(isinstance(v, (int, Fraction)) for row in mat for v in row):
-        return [[Fraction(v) for v in row] for row in mat], operator.truediv, None
+        int_rows, scales, cleared = [], [], 1
+        for row in mat:
+            factor = lcm(*(v.denominator for v in row))
+            int_rows.append([v.numerator * (factor // v.denominator) for v in row])
+            cleared *= factor
+            scales.append(cleared)
+        return int_rows, operator.floordiv, None if cleared == 1 else scales
     poly_rows: list[list[BivarPoly]] = []
     scales = []
     cleared = BivarPoly.one()
@@ -100,7 +107,8 @@ def _unscale(minors: list, scales: list | None) -> list:
     """Minors over rows 0..k of a `_clear`ed matrix, divided back to the original."""
     if scales is None:
         return minors
-    return [RationalFunction(v, scales[k]) for k, v in enumerate(minors)]
+    over = Fraction if type(scales[0]) is int else RationalFunction
+    return [over(v, scale) for v, scale in zip(minors, scales)]
 
 
 def _square(rows) -> list[list]:
@@ -122,7 +130,7 @@ def determinant(rows) -> object:
     mat, divide, scales = _clear(mat)
     sign, pivots = _bareiss(mat, divide, swap=True)
     det = pivots[-1] if sign == 1 else -pivots[-1]
-    return det if scales is None else RationalFunction(det, scales[-1])
+    return det if scales is None else _unscale([det], scales[-1:])[0]
 
 
 def leading_minors(rows) -> list:

@@ -208,14 +208,23 @@ class TruncatedSeries:
     # -- composition, reversion, square root ---------------------------------
 
     def compose(self, inner: "TruncatedSeries") -> "TruncatedSeries":
-        """self(inner(t)); inner must have zero constant term."""
+        """self(inner(t)) through t^n, n = min(orders); inner must have zero
+        constant term.
+
+        Horner's rule, truncated: the partial sum r_k = sum_{j>=k} f_j
+        inner^(j-k) enters the result times inner^k, which starts at t^k,
+        so r_k is only needed through t^(n-k).  With inner = t h, r_k is
+        f_k + t (h r_{k+1}), and each product is taken at the order of
+        r_{k+1}, one less than r_k's.
+        """
         if inner.coeffs[0]:
             raise ValueError("composition requires inner series with f(0) = 0")
         n = min(self.order, inner.order)
-        inner = inner.truncate(n)
-        result = TruncatedSeries([self.coeffs[n]], n)
-        for k in range(n - 1, -1, -1):
-            result = result * inner + self.coeffs[k]
+        result = TruncatedSeries([self.coeffs[n]])
+        if n:
+            h = inner.truncate(n).shift_down(1)
+            for k in range(n - 1, -1, -1):
+                result = (h * result).shift_up(1) + self.coeffs[k]
         return result
 
     def reversion(self) -> "TruncatedSeries":

@@ -182,6 +182,13 @@ class TestGradedRoute:
     def test_every_kind_has_a_degree(self):
         assert set(cli.DEGREES) == set(GENERATE_KINDS)
 
+    @pytest.mark.parametrize("v", [-12, -7, -1, 0, 1, 7, 12, 360, -360, 10**30 + 6,
+                                   Fraction(-9, 4), Fraction(0), Fraction(7)])
+    @pytest.mark.parametrize("power", [1, 2, 6, 360, 6 ** 17])
+    def test_entry_prints_as_its_fraction(self, v, power):
+        # negative, zero and divisible entries, and D^d = 1
+        assert cli._over_power(v, power) == str(Fraction(v, power))
+
     @given(parameter_pairs, st.integers(1, 7))
     @settings(max_examples=80, deadline=None)
     def test_graded_lines_equal_the_direct_lines(self, pair, order):

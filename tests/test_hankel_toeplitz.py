@@ -1,6 +1,7 @@
 """Hankel and Toeplitz determinants of the moment sequence."""
 
 import itertools
+import operator
 from fractions import Fraction
 
 import pytest
@@ -236,6 +237,112 @@ class TestHankelAndShifted:
     def test_negative_depth_rejected(self):
         with pytest.raises(ValueError, match="depth must be at least 0, got -1"):
             hankel_and_shifted([1, 1, 2], -1)
+
+
+def fraction_bareiss(rows, swap):
+    """The elimination numeric matrices had before their rows were cleared to
+    ints: the entries as Fractions, divided with `/`."""
+    mat = [[Fraction(v) for v in row] for row in rows]
+    sign, pivots = hankel_toeplitz._bareiss(mat, operator.truediv, swap)
+    return mat, sign, pivots
+
+
+def fraction_determinant(rows):
+    if len(rows) <= 1:
+        return rows[0][0] if rows else Fraction(1)
+    _, sign, pivots = fraction_bareiss(rows, swap=True)
+    return sign * pivots[-1]
+
+
+def fraction_leading_minors(rows):
+    _, _, pivots = fraction_bareiss(rows, swap=False)
+    return pivots + [fraction_determinant([row[:m] for row in rows[:m]])
+                     for m in range(len(pivots) + 1, len(rows) + 1)]
+
+
+def fraction_hankel_and_shifted(values, depth):
+    mat, _, pivots = fraction_bareiss(
+        [values[i:i + depth + 2] for i in range(depth + 1)], swap=False)
+    return pivots, [mat[n][n + 1] for n in range(len(pivots))]
+
+
+def numeric_entries(denominator):
+    """ints, zeros and Fractions whose denominators divide one row's denominator."""
+    return st.one_of(
+        st.just(0), st.just(0), st.integers(-20, 20),
+        st.integers(-10**4, 10**4).flatmap(
+            lambda num: st.sampled_from(
+                [d for d in range(1, min(denominator, 40) + 1) if denominator % d == 0]
+                + [denominator]).map(lambda d: Fraction(num, d))),
+    )
+
+
+def numeric_rows(height, width):
+    row = st.integers(1, 1000).flatmap(
+        lambda den: st.lists(numeric_entries(den), min_size=width, max_size=width))
+    return st.lists(row, min_size=height, max_size=height)
+
+
+def same(got, ref):
+    assert got == ref
+    assert [str(v) for v in got] == [str(v) for v in ref]
+
+
+class TestIntegerElimination:
+    """Numeric rows are cleared to ints before Bareiss; the Fraction
+    elimination they replace is the reference."""
+
+    @given(st.integers(1, 7).flatmap(lambda n: numeric_rows(n, n)), st.booleans())
+    @example([[0, 1], [Fraction(1, 3), 0]], False)  # determinant swaps rows
+    @example([[Fraction(1, 2), 1, 0], [1, 2, Fraction(1, 7)], [0, 1, Fraction(-1, 5)]],
+             False)  # zero second pivot, nonzero 3x3 minor: the fallback
+    @settings(max_examples=150, deadline=None)
+    def test_matches_fraction_elimination(self, rows, zero_corner):
+        if zero_corner:
+            rows[0][0] = 0
+        same([determinant(rows)], [fraction_determinant(rows)])
+        same(leading_minors(rows), fraction_leading_minors(rows))
+
+    @given(st.integers(0, 6).flatmap(lambda depth: st.tuples(
+        st.just(depth), numeric_rows(1, 2 * depth + 2).map(lambda rows: rows[0]))))
+    @settings(max_examples=100, deadline=None)
+    def test_rectangular_rows_match_fraction_elimination(self, drawn):
+        # hankel_and_shifted eliminates (depth+1) x (depth+2) rows
+        depth, values = drawn
+        ref_h, ref_s = fraction_hankel_and_shifted(values, depth)
+        if not ref_h[-1]:
+            with pytest.raises(ZeroDivisionError, match="vanishing Hankel determinant"):
+                hankel_and_shifted(values, depth)
+            return
+        got_h, got_s = hankel_and_shifted(values, depth)
+        same(got_h, ref_h)
+        same(got_s, ref_s)
+
+    def test_fraction_rows_reach_bareiss_as_ints(self, monkeypatch):
+        half, third = Fraction(1, 2), Fraction(-1, 3)
+        rows = [[half, 1, third], [0, third, 2], [third, half, 0]]
+        values = moments(LBPFamily.constant(half, third), "gf_expansion", 8)
+        expected = (fraction_determinant(rows), fraction_leading_minors(rows),
+                    fraction_hankel_and_shifted(values, 3))
+        bareiss = hankel_toeplitz._bareiss
+
+        def ints_only(mat, divide, swap):
+            assert all(type(v) is int for row in mat for v in row), mat
+            return bareiss(mat, divide, swap)
+
+        monkeypatch.setattr(hankel_toeplitz, "_bareiss", ints_only)
+        assert (determinant(rows), leading_minors(rows),
+                hankel_and_shifted(values, 3)) == expected
+        bm = BiInfiniteMoments(values, third, 3)
+        assert toeplitz_dets(bm, 3)[0] == toeplitz_closed_form(half, third, 3)
+
+    def test_scales_are_the_running_row_factors(self):
+        rows = [[Fraction(1, 2), Fraction(1, 3)], [2, 5], [Fraction(3, 4), Fraction(1, 10)]]
+        cleared, divide, scales = hankel_toeplitz._clear(rows)
+        assert cleared == [[3, 2], [2, 5], [15, 2]]
+        assert divide is operator.floordiv
+        assert scales == [6, 6, 120]
+        assert hankel_toeplitz._clear([[1, 2], [Fraction(3), -4]])[2] is None
 
 
 class TestHankel:

@@ -36,6 +36,23 @@ def reversion_by_composition(f):
     return TruncatedSeries(g)
 
 
+def compose_full_horner(f, inner):
+    """Reference: Horner's rule with every partial sum at the full order."""
+    if inner.coeffs[0]:
+        raise ValueError("composition requires inner series with f(0) = 0")
+    n = min(f.order, inner.order)
+    inner = inner.truncate(n)
+    result = TruncatedSeries([f.coeffs[n]], n)
+    for k in range(n - 1, -1, -1):
+        result = result * inner + f.coeffs[k]
+    return result
+
+
+small_fractions = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+symbolic_coeffs = st.tuples(st.integers(-2, 2), st.integers(-2, 2), st.integers(-2, 2)).map(
+    lambda pqr: pqr[0] * PARAM_B + pqr[1] * PARAM_C + pqr[2])
+
+
 class TestConstruction:
     def test_ratio_geometric(self):
         s = TruncatedSeries.ratio([1], [1, -1], order=6)
@@ -131,6 +148,29 @@ class TestCompose:
         s = TruncatedSeries.identity(order=4)
         with pytest.raises(ValueError):
             s.compose(TruncatedSeries.constant(1, order=4))
+
+    @given(st.sampled_from([small_fractions, symbolic_coeffs]).flatmap(
+        lambda coeff: st.tuples(
+            st.lists(coeff, min_size=1, max_size=13),
+            st.lists(coeff, min_size=0, max_size=12),
+            st.integers(0, 12), st.integers(0, 12), st.integers(1, 3))))
+    @settings(max_examples=80, deadline=None)
+    def test_truncated_horner_matches_full_horner(self, drawn):
+        # unequal operand orders, and an inner valuation of 1 to 3
+        outer, tail, outer_order, inner_order, valuation = drawn
+        f = series_of(outer, outer_order)
+        inner = series_of([0] * valuation + tail, inner_order)
+        got, ref = f.compose(inner), compose_full_horner(f, inner)
+        assert got.order == ref.order == min(outer_order, inner_order)
+        assert got == ref and str(got) == str(ref)
+
+    @given(st.one_of(small_fractions, symbolic_coeffs).filter(bool), st.integers(0, 12))
+    @settings(max_examples=20, deadline=None)
+    def test_nonzero_inner_constant_refused_like_full_horner(self, constant, order):
+        f, inner = series_of([1, 2, 3], order), series_of([constant, 1], order)
+        for compose in (f.compose, lambda g: compose_full_horner(f, g)):
+            with pytest.raises(ValueError, match="requires inner series with f\\(0\\) = 0"):
+                compose(inner)
 
     @given(coeff_lists)
     @settings(max_examples=30, deadline=None)
