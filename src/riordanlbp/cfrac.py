@@ -26,8 +26,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .hankel_toeplitz import hankel_and_shifted
-from .scalars import coerce_scalar, scalar_inv
-from .series import TruncatedSeries
+from .scalars import check_size, coerce_scalar, scalar_inv
+from .series import TruncatedSeries, catalan_series
 
 
 @dataclass(frozen=True)
@@ -98,8 +98,7 @@ def cf_expand(cf, order: int) -> TruncatedSeries:
     row P_k (Hendriksen & van Rossum 1986; Zhedanov 1998).  For the moment
     J-fraction the reversed Q_k are the "q" rows (Flajolet 1980).
     """
-    if order < 0:
-        raise ValueError(f"order must be at least 0, got {order}")
+    check_size("order", order)
     if isinstance(cf, SFraction):
         step, diag, nums = 1, (), cf.alphas
     elif isinstance(cf, JFraction):
@@ -131,8 +130,7 @@ def _minus_shifted(p: list, s: int, coeff, q: list, order: int) -> list:
 
 def moment_sfraction(b, c, order: int) -> SFraction:
     """Coefficients (c, b, b+c, b, b+c, ...), enough levels for `order`."""
-    if order < 0:
-        raise ValueError(f"order must be at least 0, got {order}")
+    check_size("order", order)
     b, c = coerce_scalar(b), coerce_scalar(c)
     alphas = [c]
     while len(alphas) < order:
@@ -142,8 +140,7 @@ def moment_sfraction(b, c, order: int) -> SFraction:
 
 def moment_jfraction(b, c, order: int) -> JFraction:
     """Diagonal (c, 2b+c, ...), couplings (bc, b(b+c), ...)."""
-    if order < 0:
-        raise ValueError(f"order must be at least 0, got {order}")
+    check_size("order", order)
     b, c = coerce_scalar(b), coerce_scalar(c)
     depth = order // 2 + 1
     diag = (c,) + (2 * b + c,) * (depth - 1)
@@ -153,16 +150,14 @@ def moment_jfraction(b, c, order: int) -> JFraction:
 
 def constant_tfraction(b, c, order: int) -> TFraction:
     """The T-shape with constant entries; expands the shifted moments."""
-    if order < 0:
-        raise ValueError(f"order must be at least 0, got {order}")
+    check_size("order", order)
     b, c = coerce_scalar(b), coerce_scalar(c)
     return TFraction((c,) * max(order, 1), (b,) * max(order, 1))
 
 
 def tfraction_closed_form(b, c, order: int) -> TruncatedSeries:
     """Shifted moments mu~(t) = (1 - ct - sqrt(1 - 2(2b+c)t + c^2 t^2))/(2bt)."""
-    if order < 0:
-        raise ValueError(f"order must be at least 0, got {order}")
+    check_size("order", order)
     b, c = coerce_scalar(b), coerce_scalar(c)
     root = TruncatedSeries([1, -2 * (2 * b + c), c * c], order + 1).sqrt()
     num = TruncatedSeries([1, -c], order + 1) - root
@@ -171,10 +166,7 @@ def tfraction_closed_form(b, c, order: int) -> TruncatedSeries:
 
 def tfraction_via_transform(b, c, order: int) -> TruncatedSeries:
     """mu~(t) by pushing the Catalan series through (1/(1-ct), t/(1-ct)^2)."""
-    if order < 0:
-        raise ValueError(f"order must be at least 0, got {order}")
-    from .series import catalan_series
-
+    check_size("order", order)
     b, c = coerce_scalar(b), coerce_scalar(c)
     cat = catalan_series(order)
     inner = TruncatedSeries.ratio([0, b], [1, -2 * c, c * c], order)
@@ -182,16 +174,16 @@ def tfraction_via_transform(b, c, order: int) -> TruncatedSeries:
     return prefix * cat.compose(inner)
 
 
-def jfraction_from_moments(mu, depth: int | None = None) -> JFraction:
+def jfraction_from_moments(mu) -> JFraction:
     """Recover the J-fraction from raw moments via Hankel determinant ratios.
 
     With h_n = det(mu_{i+j})_{0..n} and s_n the same determinant with its
     last column advanced one step, the diagonal entries are consecutive
     differences of s_n/h_n and the couplings are h_n h_{n-2} / h_{n-1}^2.
+    The depth is the deepest the moments reach, (len(mu) - 2) // 2.
     """
     mu = list(mu)
-    if depth is None:
-        depth = (len(mu) - 2) // 2
+    depth = (len(mu) - 2) // 2
     if depth < 1:
         raise ValueError(f"a j-fraction needs depth >= 1, i.e. 4 moments; "
                          f"got depth {depth} from {len(mu)} moments")
@@ -208,8 +200,7 @@ def jfraction_from_moments(mu, depth: int | None = None) -> JFraction:
 
 def hankel_from_jfraction(sub, n_max: int) -> list:
     """h_n = prod_k lambda_k^(n+1-k); inverse direction of the extraction."""
-    if n_max < 0:
-        raise ValueError(f"n_max must be at least 0, got {n_max}")
+    check_size("n_max", n_max)
     subs = [coerce_scalar(v) for v in sub]
     if len(subs) < n_max:
         raise ValueError(f"need {n_max} couplings")

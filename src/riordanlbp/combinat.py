@@ -9,6 +9,8 @@ from collections import Counter, defaultdict
 from fractions import Fraction
 from math import comb
 
+from .scalars import as_fraction, check_size
+
 
 def binomial(n: int, k: int) -> int:
     """Binomial coefficient extended to negative upper index.
@@ -37,8 +39,7 @@ def schroeder_path_statistics(n: int) -> dict[tuple[int, int], int]:
     series machinery: prefixes[x] maps (height, last step was up) to the
     (levels, peaks) counts of the path prefixes ending there.
     """
-    if n < 0:
-        raise ValueError(f"path count needs n >= 0, got n={n}")
+    check_size("n", n)
     target = 2 * n
     prefixes = [defaultdict(Counter) for _ in range(target + 1)]
     prefixes[0][0, False][0, 0] = 1
@@ -61,9 +62,9 @@ def schroeder_path_statistics(n: int) -> dict[tuple[int, int], int]:
 def colored_path_count(stats: dict, colors: Fraction) -> Fraction:
     """Weighted count of the paths `stats` tallies: each level step may take
     any of `colors` colors."""
-    total = Fraction(0)
+    colors, total = as_fraction(colors), Fraction(0)
     for (levels, _), count in stats.items():
-        total += count * Fraction(colors) ** levels
+        total += count * colors ** levels
     return total
 
 

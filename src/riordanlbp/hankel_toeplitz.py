@@ -35,7 +35,7 @@ from fractions import Fraction
 from math import lcm
 
 from .combinat import binomial
-from .scalars import BivarPoly, RationalFunction, coerce_scalar, over_lcm, scalar_inv
+from .scalars import BivarPoly, RationalFunction, check_size, coerce_scalar, over_lcm, scalar_inv
 
 
 def _clear(mat: list[list]) -> tuple[list[list], object, list | None]:
@@ -153,8 +153,7 @@ def leading_minors(rows) -> list:
 def hankel_transform(mu, n_max: int) -> list:
     """h_n = det(mu_{i+j}) for n = 0..n_max; needs 2 n_max + 1 moments."""
     values = list(mu)
-    if n_max < 0:
-        raise ValueError(f"n_max must be at least 0, got {n_max}")
+    check_size("n_max", n_max)
     if len(values) < 2 * n_max + 1:
         raise ValueError(f"need {2 * n_max + 1} moments for depth {n_max}")
     return leading_minors(
@@ -172,8 +171,7 @@ def hankel_and_shifted(mu, depth: int) -> tuple[list, list]:
     where the pass has to stop.
     """
     values = [coerce_scalar(v) for v in mu]
-    if depth < 0:
-        raise ValueError(f"depth must be at least 0, got {depth}")
+    check_size("depth", depth)
     if len(values) < 2 * depth + 2:
         raise ValueError(f"need {2 * depth + 2} moments for depth {depth}")
     mat, divide, scales = _clear([values[i:i + depth + 2] for i in range(depth + 1)])
@@ -185,8 +183,7 @@ def hankel_and_shifted(mu, depth: int) -> tuple[list, list]:
 
 
 def hankel_closed_form(b, c, n_max: int) -> list:
-    if n_max < 0:
-        raise ValueError(f"n_max must be at least 0, got {n_max}")
+    check_size("n_max", n_max)
     b, c = coerce_scalar(b), coerce_scalar(c)
     return [
         (b * c) ** n * (b * (b + c)) ** binomial(n, 2) for n in range(n_max + 1)
@@ -211,8 +208,7 @@ class BiInfiniteMoments:
         c = coerce_scalar(self.c)
         if not c:
             raise ValueError("extension to negative index requires invertible c")
-        if self.depth < 0:
-            raise ValueError(f"backward depth must be at least 0, got {self.depth}")
+        check_size("backward depth", self.depth)
         if len(forward) < self.depth + 2:
             raise ValueError(f"need {self.depth + 2} moments for backward depth {self.depth}")
         if not forward or not forward[0] == 1:
@@ -235,10 +231,8 @@ class BiInfiniteMoments:
 
 def toeplitz_dets(bm: BiInfiniteMoments, n_max: int) -> tuple[list, list]:
     """(t_n, t'_n) for n = 0..n_max with t from mu_{k-j}, t' from mu_{1+k-j}."""
-    if n_max < 0:
-        raise ValueError(f"n_max must be at least 0, got {n_max}")
-    if bm.depth < n_max:
-        raise ValueError(f"backward depth {bm.depth} < {n_max}")
+    check_size("n_max", n_max)
+    check_size("backward depth", bm.depth, n_max)
     size = range(n_max + 1)
     t_seq = leading_minors([[bm.moment(k - j) for k in size] for j in size])
     tp_seq = leading_minors([[bm.moment(1 + k - j) for k in size] for j in size])
@@ -246,8 +240,7 @@ def toeplitz_dets(bm: BiInfiniteMoments, n_max: int) -> tuple[list, list]:
 
 
 def toeplitz_closed_form(b, c, n_max: int) -> list:
-    if n_max < 0:
-        raise ValueError(f"n_max must be at least 0, got {n_max}")
+    check_size("n_max", n_max)
     b, c = coerce_scalar(b), coerce_scalar(c)
     ratio = -b * scalar_inv(c)
     return [ratio ** binomial(n + 1, 2) for n in range(n_max + 1)]
@@ -255,8 +248,7 @@ def toeplitz_closed_form(b, c, n_max: int) -> list:
 
 def recover_parameters(t_seq, tp_seq, n: int) -> tuple:
     """(b, c) from consecutive Toeplitz determinants; valid for n >= 1."""
-    if n < 1:
-        raise ValueError("recovery needs n >= 1")
+    check_size("n", n, 1)
     if len(t_seq) < n + 2 or len(tp_seq) < n + 2:
         raise ValueError(f"need determinants through index {n + 1}")
     for name, d in (("t_n t'_n", t_seq[n] * tp_seq[n]),
@@ -275,12 +267,10 @@ def lbp_by_determinant(bm: BiInfiniteMoments, n: int) -> list:
     the row (1, x, ..., x^n); expanding along that last row and dividing by
     t_{n-1} makes the result monic.
     """
-    if n < 0:
-        raise ValueError(f"n must be at least 0, got {n}")
+    check_size("n", n)
     if n == 0:
         return [1]
-    if bm.depth < n - 1:
-        raise ValueError(f"backward depth {bm.depth} < {n - 1}")
+    check_size("backward depth", bm.depth, n - 1)
     moment_rows = [[bm.moment(k - j) for k in range(n + 1)] for j in range(n)]
     t_prev = determinant([row[:n] for row in moment_rows])
     if not t_prev:

@@ -35,7 +35,7 @@ from fractions import Fraction
 
 from .combinat import binomial, catalan
 from .riordan import LowerTriangularMatrix, RiordanArray
-from .scalars import coerce_scalar
+from .scalars import check_size, coerce_scalar
 from .series import TruncatedSeries
 
 MOMENT_ROUTES = (
@@ -110,8 +110,7 @@ def rows_by_recurrence(family: LBPFamily, n_max: int) -> list[list]:
     Row n is x P_{n-1} - c_{n-1} P_{n-1} - b_{n-1} x P_{n-2}, built entry by
     entry from the previous two rows padded with zeros to length n+1.
     """
-    if n_max < 0:
-        raise ValueError(f"n_max must be at least 0, got {n_max}")
+    check_size("n_max", n_max)
     one = family.c_at(0) ** 0
     rows = [[one], [-family.c_at(0), one]][:n_max + 1]
     for n in range(2, n_max + 1):
@@ -124,8 +123,7 @@ def rows_by_recurrence(family: LBPFamily, n_max: int) -> list[list]:
 
 
 def coefficient_matrix(family: LBPFamily, dim: int) -> LowerTriangularMatrix:
-    if dim < 1:
-        raise ValueError(f"dim must be at least 1, got {dim}")
+    check_size("dim", dim, 1)
     return LowerTriangularMatrix(rows_by_recurrence(family, dim - 1))
 
 
@@ -188,8 +186,7 @@ def moment_gf(b, c, order: int) -> TruncatedSeries:
 
 def tfraction_fixed_point(b, c, order: int) -> TruncatedSeries:
     """Solve u = 1/(1 - ct - btu), i.e. u_n = c u_{n-1} + b [t^(n-1)] u^2."""
-    if order < 0:
-        raise ValueError(f"order must be at least 0, got {order}")
+    check_size("order", order)
     b, c = coerce_scalar(b), coerce_scalar(c)
     u = [b ** 0]
     for n in range(1, order + 1):
@@ -202,8 +199,7 @@ def tfraction_fixed_point(b, c, order: int) -> TruncatedSeries:
 
 def shifted_moment_sum(b, c, n: int):
     """mu~_n = sum_k binom(n+k, 2k) c^(n-k) b^k C_k."""
-    if n < 0:
-        raise ValueError(f"n must be at least 0, got {n}")
+    check_size("n", n)
     b, c = coerce_scalar(b), coerce_scalar(c)
     total = b * 0
     for k in range(n + 1):
@@ -217,8 +213,7 @@ def moments(family: LBPFamily, route: str, n_max: int) -> list:
     """mu_0..mu_n_max by the named route, as a list."""
     if route not in MOMENT_ROUTES:
         raise ValueError(f"unknown moment route {route!r}; choose from {MOMENT_ROUTES}")
-    if n_max < 0:
-        raise ValueError(f"n_max must be at least 0, got {n_max}")
+    check_size("n_max", n_max)
     if route == "matrix_inverse":
         return coefficient_matrix(family, n_max + 1).inverse_column(0)
     if not family.is_constant:

@@ -15,9 +15,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 
+from .cfrac import tfraction_closed_form
 from .combinat import binomial
 from .lbp import shifted_moment_sum
 from .report import Check
+from .scalars import PARAM_C
 from .series import TruncatedSeries, catalan_series
 
 DEFAULT_FIXTURES_DIR = Path(__file__).parent / "fixtures"
@@ -62,17 +64,12 @@ def _catalan_terms(count: int) -> list:
 
 
 def _schroeder_terms(count: int) -> list:
-    from .cfrac import tfraction_closed_form
-
     series = tfraction_closed_form(1, 1, count - 1)
     return [int(v) for v in series.coeffs]
 
 
 def _peak_triangle_terms(count: int) -> list:
     """Flattened rows of [c^k] mu~_n at b=1; row n lists k = 0..n."""
-    from .lbp import shifted_moment_sum
-    from .scalars import PARAM_C
-
     out = []
     n = 0
     while len(out) < count:

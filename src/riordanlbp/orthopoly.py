@@ -27,7 +27,7 @@ from .combinat import binomial
 from .lbp import LBPFamily, coefficient_array, moment_gf, rows_by_recurrence
 from .report import Check, ScenarioReport, check_equal
 from .riordan import RiordanArray, binomial_array
-from .scalars import coerce_scalar
+from .scalars import check_size, coerce_scalar
 from .series import TruncatedSeries
 
 ORTHO_KINDS = ("q", "qtilde", "qhat")
@@ -57,8 +57,7 @@ def ortho_array(kind: str, b, c, order: int) -> RiordanArray:
 def ortho_rows_by_recurrence(kind: str, b, c, n_max: int) -> list[list]:
     """Rows as ascending coefficient lists; row n has length n+1."""
     _check_kind(kind)
-    if n_max < 0:
-        raise ValueError(f"n_max must be at least 0, got {n_max}")
+    check_size("n_max", n_max)
     b, c = coerce_scalar(b), coerce_scalar(c)
     one = b ** 0
     first = {"q": c, "qtilde": b + c, "qhat": 2 * b + c}[kind]
@@ -80,6 +79,7 @@ def ortho_inverse_f_closed_form(b, c, order: int) -> TruncatedSeries:
 
         (1 - (2b+c)t - sqrt(1 - 2(2b+c)t + c^2 t^2)) / (2b(b+c)t).
     """
+    check_size("order", order)
     b, c = coerce_scalar(b), coerce_scalar(c)
     root = TruncatedSeries([1, -2 * (2 * b + c), c * c], order + 1).sqrt()
     num = TruncatedSeries([1, -(2 * b + c)], order + 1) - root

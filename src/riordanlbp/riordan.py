@@ -18,7 +18,7 @@ Sizes are arguments: `binomial_array` takes the order of its series and
 
 from __future__ import annotations
 
-from .scalars import scalar_inv
+from .scalars import check_size, scalar_inv
 from .series import TruncatedSeries
 
 
@@ -129,8 +129,7 @@ class RiordanArray:
         return min(self.g.order, self.f.order)
 
     def matrix(self, dim: int) -> LowerTriangularMatrix:
-        if dim < 1:
-            raise ValueError(f"dim must be at least 1, got {dim}")
+        check_size("dim", dim, 1)
         if dim > self.order + 1:
             raise ValueError(
                 f"dim must be at most {self.order + 1} for order {self.order}, got {dim}")
@@ -180,9 +179,8 @@ def production_of_inverse(lower: LowerTriangularMatrix) -> list[list]:
     from rows 0..i+1 of L, right to left:
     P[i][j] = (L[i][j-1] - sum_{k=j+1..i+1} P[i][k] L[k][j]) / L[j][j].
     """
+    check_size("dim", lower.dim, 2)
     dim = lower.dim - 1
-    if dim < 1:
-        raise ValueError("need at least a 2x2 block")
     inv_diag = lower._inverse_diagonal()
     rows = lower.rows
     zero = rows[0][0] * 0
@@ -206,8 +204,7 @@ def production_matrix(m: LowerTriangularMatrix) -> list[list]:
 def has_column_shift(p: list[list]) -> bool:
     """Riordan production structure: column k >= 2 is column 1 pushed down."""
     dim = len(p)
-    if dim < 3:
-        raise ValueError("block too small to test the shift structure")
+    check_size("dim", dim, 3)
     zero = p[0][0] * 0
     for k in range(2, dim):
         for i in range(dim):

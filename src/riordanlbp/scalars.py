@@ -5,7 +5,7 @@ Four kinds of scalar circulate here:
 * ``int``             -- exact integers, kept as ``int`` so that integer
                          parameters compute without a single gcd; an inverse
                          that leaves the integers is a Fraction;
-* ``Rational``        -- arbitrary-precision rationals (stdlib Fraction);
+* ``Fraction``        -- arbitrary-precision rationals (stdlib);
 * ``BivarPoly``       -- sparse polynomials in the two recurrence parameters
                          b and c, with exact coefficients stored as ``int``
                          when integral and as ``Fraction`` otherwise;
@@ -24,11 +24,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-Rational = Fraction
-
-#: total ordering used for leading terms and for rendering: exponent pairs
-#: (i, j) for b^i c^j compare lexicographically with b heavier than c.
-
 
 def parse_rational(text: str) -> Fraction:
     """Parse a rational literal such as '3', '-5/2' or '0'."""
@@ -36,6 +31,20 @@ def parse_rational(text: str) -> Fraction:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"not a rational literal: {text!r}") from exc
+
+
+def check_size(name: str, value: int, minimum: int = 0) -> None:
+    """Refuse a size below its minimum, naming the quantity and the value."""
+    if value < minimum:
+        raise ValueError(f"{name} must be at least {minimum}, got {value}")
+
+
+def as_fraction(x) -> Fraction:
+    """An int or Fraction as a Fraction; anything else, a float included, is
+    not an exact rational."""
+    if isinstance(x, (int, Fraction)):
+        return Fraction(x)
+    raise TypeError(f"not an exact rational: {type(x).__name__}")
 
 
 def _exact(q):
@@ -70,10 +79,9 @@ class BivarPoly:
     def __init__(self, terms=None):
         cleaned: dict[tuple[int, int], int | Fraction] = {}
         if terms:
-            items = terms.items() if isinstance(terms, dict) else terms
-            for key, val in items:
+            for key, val in terms.items():
                 if not isinstance(val, (int, Fraction)):
-                    val = Fraction(val)
+                    raise TypeError(f"not an exact rational: {type(val).__name__}")
                 key = (int(key[0]), int(key[1]))
                 acc = cleaned.get(key, 0) + val
                 if acc:
@@ -286,7 +294,7 @@ class BivarPoly:
         return out
 
     def evaluate(self, b_value, c_value) -> Fraction:
-        bq, cq = Fraction(b_value), Fraction(c_value)
+        bq, cq = as_fraction(b_value), as_fraction(c_value)
         total = Fraction(0)
         for (i, j), v in self.terms.items():
             total += v * bq ** i * cq ** j

@@ -17,7 +17,7 @@ from fractions import Fraction
 from itertools import accumulate, repeat
 from operator import mul
 
-from .scalars import coerce_scalar, scalar_inv
+from .scalars import check_size, coerce_scalar, scalar_inv
 
 
 class TruncatedSeries:
@@ -28,8 +28,7 @@ class TruncatedSeries:
         if not cs:
             raise ValueError("a series needs at least the constant coefficient")
         if order is not None:
-            if order < 0:
-                raise ValueError(f"order must be at least 0, got {order}")
+            check_size("order", order)
             if len(cs) > order + 1:
                 cs = cs[: order + 1]
             else:
@@ -68,8 +67,7 @@ class TruncatedSeries:
         return len(self.coeffs) - 1
 
     def truncate(self, order: int) -> "TruncatedSeries":
-        if order < 0:
-            raise ValueError(f"order must be at least 0, got {order}")
+        check_size("order", order)
         if order > self.order:
             raise ValueError(f"order must be at most {self.order}, got {order}")
         return TruncatedSeries(self.coeffs[: order + 1])
@@ -186,8 +184,7 @@ class TruncatedSeries:
 
     def shift_up(self, k: int) -> "TruncatedSeries":
         """Multiply by t^k; all new coefficients are known, so order grows."""
-        if k < 0:
-            raise ValueError(f"shift exponent k must be at least 0, got {k}")
+        check_size("shift exponent k", k)
         if k == 0:
             return self
         pad = self.coeffs[0] * 0
@@ -195,8 +192,7 @@ class TruncatedSeries:
 
     def shift_down(self, k: int) -> "TruncatedSeries":
         """Divide by t^k; requires the first k coefficients to vanish."""
-        if k < 0:
-            raise ValueError(f"shift exponent k must be at least 0, got {k}")
+        check_size("shift exponent k", k)
         if k == 0:
             return self
         if k > self.order:
@@ -230,8 +226,7 @@ class TruncatedSeries:
     def reversion(self) -> "TruncatedSeries":
         """Compositional inverse g with self(g(t)) = t, by Lagrange inversion:
         [t^m] g = [t^(m-1)] (t/self)^m / m (Stanley, EC2 5.4)."""
-        if self.order < 1:
-            raise ValueError(f"reversion needs order >= 1, got order {self.order}")
+        check_size("order", self.order, 1)
         if self.coeffs[0]:
             raise ValueError("reversion requires f(0) = 0")
         if not self.coeffs[1]:
@@ -277,8 +272,7 @@ def _series_div(num: TruncatedSeries, den: TruncatedSeries) -> TruncatedSeries:
 
 def catalan_series(order: int) -> TruncatedSeries:
     """Generating function of the Catalan numbers, (1 - sqrt(1-4t))/(2t)."""
-    if order < 0:
-        raise ValueError(f"order must be at least 0, got {order}")
+    check_size("order", order)
     inner = TruncatedSeries([1, -4], order + 1)
     num = 1 - inner.sqrt()
     return num.shift_down(1) * Fraction(1, 2)

@@ -103,7 +103,7 @@ class TestPathStatistics:
             assert level_count_row(stats, n) == peak_count_row(stats, n)
 
     def test_negative_n_is_refused(self):
-        with pytest.raises(ValueError, match="n=-1"):
+        with pytest.raises(ValueError, match="^n must be at least 0, got -1$"):
             schroeder_path_statistics(-1)
 
     @pytest.mark.parametrize("n", range(6))
@@ -116,6 +116,10 @@ class TestPathStatistics:
         assert [colored_path_count(s, 1) for s in stats] == SCHROEDER[:7]
         assert [colored_path_count(s, 2) for s in stats[:5]] == [1, 3, 12, 57, 300]
         assert [colored_path_count(s, 3) for s in stats[:5]] == [1, 4, 20, 116, 740]
+
+    def test_colored_count_refuses_a_float(self):
+        with pytest.raises(TypeError, match="^not an exact rational: float$"):
+            colored_path_count(schroeder_path_statistics(2), 0.5)
 
     def test_colored_matches_row_evaluation(self):
         for n in range(6):

@@ -242,3 +242,20 @@ class TestParseRational:
     def test_rejects(self, text):
         with pytest.raises(ValueError):
             parse_rational(text)
+
+
+class TestInexactInput:
+    """A float or a string is not an exact rational; it is refused, never converted."""
+
+    @pytest.mark.parametrize("value", [0.1, "2/3"])
+    def test_constructor_refuses(self, value):
+        with pytest.raises(TypeError, match=f"^not an exact rational: {type(value).__name__}$"):
+            BivarPoly({(1, 0): value})
+
+    def test_polynomial_evaluate_refuses(self):
+        with pytest.raises(TypeError, match="^not an exact rational: float$"):
+            BivarPoly.b().evaluate(0.1, 1)
+
+    def test_rational_function_evaluate_refuses(self):
+        with pytest.raises(TypeError, match="^not an exact rational: float$"):
+            (PARAM_B / PARAM_C).evaluate(1, 0.5)
