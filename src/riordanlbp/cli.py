@@ -45,7 +45,7 @@ from .hankel_toeplitz import (
 )
 from .orthopoly import ORTHO_KINDS, ortho_array
 from .riordan import production_of_inverse
-from .scalars import PARAM_B, PARAM_C, parse_rational
+from .scalars import PARAM_B, PARAM_C, DensePoly, _monomial_str, parse_rational
 
 GENERATE_KINDS = (
     "lbp-coeffs",
@@ -160,11 +160,58 @@ def _graded_lines(args, b: Fraction, c: Fraction) -> list[str]:
             for n, row in enumerate(rows)]
 
 
+def _dense_str(v, degree: int) -> str:
+    """str() of the homogeneous value of the given degree whose value at
+    (b, c) = (x, 1) is v, a DensePoly or a constant.
+
+    x^i becomes b^i c^(degree-i).  Where i exceeds the degree, by m at
+    most, every term gains c^m and the sum is printed over c^m, as
+    RationalFunction prints it.  Terms come in ascending powers of b, the
+    order BivarPoly prints a homogeneous polynomial in.
+    """
+    coeffs = v.coeffs if type(v) is DensePoly else [v] if v else ()
+    if not coeffs:
+        return "0"
+    top = max(len(coeffs) - 1, degree)
+    if not top:
+        return str(coeffs[0])
+    # every term as "+ a*mono" or "- a*mono"; a coefficient 1 is then the
+    # only one that reads " 1*", as every coefficient follows a space
+    text = " " + " ".join([f"- {-a}*{mono}" if a < 0 else f"+ {a}*{mono}"
+                           for a, mono in zip(coeffs, _monomials(top)) if a])
+    text = text.replace(" 1*", " ")
+    body = text[3:] if text[1] == "+" else "-" + text[3:]
+    excess = top - degree
+    if excess:
+        return f"({body})/({'c' if excess == 1 else f'c^{excess}'})"
+    return body
+
+
+@cache
+def _monomials(degree: int) -> list[str]:
+    """BivarPoly's spelling of b^i c^(degree-i) for i = 0..degree."""
+    return [_monomial_str((i, degree - i)) for i in range(degree + 1)]
+
+
+def _dense_lines(args) -> list[str]:
+    """Lines of the table at (b, c) = (sym, sym), computed at (x, 1).
+
+    Every entry is homogeneous in (b, c), of degree DEGREES[kind](n, k),
+    so its value at (x, 1) determines it (see `_dense_str`).
+    """
+    degree = DEGREES[args.kind]
+    rows = _table(args, DensePoly([0, 1]), 1)
+    return [",".join(_dense_str(v, degree(n, k)) for k, v in enumerate(row))
+            for n, row in enumerate(rows)]
+
+
 def _generate_data(args) -> list[str]:
     b = _parse_param(args.b, PARAM_B)
     c = _parse_param(args.c, PARAM_C)
     if isinstance(b, Fraction) and isinstance(c, Fraction):
         return _graded_lines(args, b, c)
+    if b is PARAM_B and c is PARAM_C:
+        return _dense_lines(args)
     return [",".join(str(v) for v in row) for row in _table(args, b, c)]
 
 

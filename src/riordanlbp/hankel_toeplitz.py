@@ -5,7 +5,8 @@ elimination, so intermediate entries stay integral or polynomial.  Each row
 is cleared first, multiplied by the lcm of its denominators: numeric rows
 (ints and Fractions) to int rows, eliminated with exact `//`, and rows of
 rational functions to polynomial rows.  The accumulated row factors are
-divided back out at the end.
+divided back out at the end.  Rows that hold a DensePoly have no
+denominators and are eliminated with `DensePoly.divexact` as they are.
 
 h_0..h_n and t_0..t_n are the leading principal minors of one matrix, and
 the pivots of one Bareiss pass without row swaps are exactly those minors
@@ -35,7 +36,15 @@ from fractions import Fraction
 from math import lcm
 
 from .combinat import binomial
-from .scalars import BivarPoly, RationalFunction, check_size, coerce_scalar, over_lcm, scalar_inv
+from .scalars import (
+    BivarPoly,
+    DensePoly,
+    RationalFunction,
+    check_size,
+    coerce_scalar,
+    over_lcm,
+    scalar_inv,
+)
 
 
 def _clear(mat: list[list]) -> tuple[list[list], object, list | None]:
@@ -46,8 +55,10 @@ def _clear(mat: list[list]) -> tuple[list[list], object, list | None]:
     0..i: a determinant over rows 0..i of the cleared matrix is scales[i]
     times the original one.  A matrix of ints and Fractions is cleared to
     ints and eliminated with `//`, which Bareiss makes exact; scales is None
-    when every factor is 1, as for an int matrix.  Any other matrix is
-    cleared to polynomial rows over b^i c^j (b+c)^k.
+    when every factor is 1, as for an int matrix.  A matrix that also holds
+    DensePoly values needs no clearing: its rows become DensePoly rows,
+    eliminated with `DensePoly.divexact`, and scales is None.  Any other
+    matrix is cleared to polynomial rows over b^i c^j (b+c)^k.
     """
     if all(isinstance(v, (int, Fraction)) for row in mat for v in row):
         int_rows, scales, cleared = [], [], 1
@@ -57,6 +68,9 @@ def _clear(mat: list[list]) -> tuple[list[list], object, list | None]:
             cleared *= factor
             scales.append(cleared)
         return int_rows, operator.floordiv, None if cleared == 1 else scales
+    if all(isinstance(v, (int, Fraction, DensePoly)) for row in mat for v in row):
+        dense_rows = [[v if type(v) is DensePoly else DensePoly([v]) for v in row] for row in mat]
+        return dense_rows, DensePoly.divexact, None
     poly_rows: list[list[BivarPoly]] = []
     scales = []
     cleared = BivarPoly.one()

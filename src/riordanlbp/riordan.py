@@ -73,20 +73,26 @@ class LowerTriangularMatrix:
         return LowerTriangularMatrix(rows)
 
     def _inverse_diagonal(self) -> list:
+        """Inverses of the diagonal entries, None for an entry equal to 1.
+
+        A monic block, as every LBP coefficient block is, then multiplies
+        by none of them.
+        """
         for i in range(self.dim):
             if not self.rows[i][i]:
                 raise ZeroDivisionError(f"zero diagonal entry at {i}")
-        return [scalar_inv(self.rows[i][i]) for i in range(self.dim)]
+        return [None if d == 1 else scalar_inv(d)
+                for d in (self.rows[i][i] for i in range(self.dim))]
 
     def _solve_column(self, j: int, inv_diag: list) -> list:
         """Entries j..dim-1 of column j of the inverse, by forward substitution."""
         rows = self.rows
-        col = [inv_diag[j]]
+        col = [rows[j][j] if inv_diag[j] is None else inv_diag[j]]
         for i in range(j + 1, self.dim):
             acc = rows[i][j] * col[0]
             for m in range(j + 1, i):
                 acc = acc + rows[i][m] * col[m - j]
-            col.append(-inv_diag[i] * acc)
+            col.append(-acc if inv_diag[i] is None else -inv_diag[i] * acc)
         return col
 
     def inverse_column(self, j: int) -> list:
@@ -191,7 +197,7 @@ def production_of_inverse(lower: LowerTriangularMatrix) -> list[list]:
             acc = rows[i][j - 1] if j else zero
             for k in range(j + 1, i + 2):
                 acc = acc - row[k] * rows[k][j]
-            row[j] = acc * inv_diag[j]
+            row[j] = acc if inv_diag[j] is None else acc * inv_diag[j]
         out.append((row + [zero] * dim)[:dim])
     return out
 

@@ -23,6 +23,8 @@ the rest of the package.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import repeat
+from operator import add, mul, sub
 
 
 def parse_rational(text: str) -> Fraction:
@@ -79,7 +81,12 @@ class BivarPoly:
     def __init__(self, terms=None):
         cleaned: dict[tuple[int, int], int | Fraction] = {}
         if terms:
-            for key, val in terms.items():
+            try:
+                items = terms.items()
+            except AttributeError:
+                raise TypeError("BivarPoly expects a dict from exponent pairs (i, j) "
+                                f"to coefficients, got {type(terms).__name__}") from None
+            for key, val in items:
                 if not isinstance(val, (int, Fraction)):
                     raise TypeError(f"not an exact rational: {type(val).__name__}")
                 key = (int(key[0]), int(key[1]))
@@ -572,10 +579,188 @@ PARAM_B = RationalFunction(BivarPoly.b())
 PARAM_C = RationalFunction(BivarPoly.c())
 
 
+class DensePoly:
+    """Dense polynomial in one indeterminate x: ``coeffs[i]`` multiplies x^i.
+
+    A value homogeneous of degree d in (b, c) is c^d times a polynomial in
+    x = b/c, so a table of such values computed at (b, c) = (x, 1) on this
+    type loses nothing, and x^i becomes b^i c^(d-i) again when it is
+    rendered.  ``coeffs`` is a list of int and Fraction values whose last
+    entry is nonzero, so zero has no coefficients.  Arithmetic on int
+    coefficients builds no Fraction.  Only adding or multiplying by a
+    Fraction scalar reduces an integral result to its int: an integral
+    Fraction coefficient compares and prints as its int anyway.  ``/`` is
+    exact division and raises ValueError when the quotient is not a
+    polynomial.
+    """
+
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs=()):
+        coeffs = list(coeffs)
+        for val in coeffs:
+            if not isinstance(val, (int, Fraction)):
+                raise TypeError(f"not an exact rational: {type(val).__name__}")
+        self.coeffs = _trimmed([_exact(v) for v in coeffs])
+
+    def __bool__(self) -> bool:
+        return bool(self.coeffs)
+
+    def __eq__(self, other):
+        if type(other) is DensePoly:
+            return self.coeffs == other.coeffs
+        if isinstance(other, (int, Fraction)):
+            return self.coeffs == ([other] if other else [])
+        return NotImplemented
+
+    __hash__ = None
+
+    # -- arithmetic --------------------------------------------------------
+
+    def __add__(self, other):
+        a = self.coeffs
+        if type(other) is not DensePoly:
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            if not other:
+                return self
+            if not a:
+                return _dense([_exact(other)])
+            return _dense(_trimmed([_exact(a[0] + other), *a[1:]]))
+        b = other.coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        if len(a) > len(b):
+            return _dense([*map(add, a, b), *a[len(b):]])
+        return _dense(_trimmed(list(map(add, a, b))))
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return _dense([-v for v in self.coeffs])
+
+    def __sub__(self, other):
+        if type(other) is not DensePoly:
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            return self + (-other)
+        a, b = self.coeffs, other.coeffs
+        if len(a) > len(b):
+            return _dense([*map(sub, a, b), *a[len(b):]])
+        if len(a) < len(b):
+            return _dense([*map(sub, a, b), *[-v for v in b[len(a):]]])
+        return _dense(_trimmed(list(map(sub, a, b))))
+
+    def __rsub__(self, other):
+        if not isinstance(other, (int, Fraction)):
+            return NotImplemented
+        return -self + other
+
+    def __mul__(self, other):
+        if type(other) is not DensePoly:
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            return self._scaled(other)
+        a, b = self.coeffs, other.coeffs
+        if len(a) > len(b):
+            a, b = b, a
+        if len(a) <= 1:
+            return _dense(b)._scaled(a[0]) if a else _dense([])
+        # a convolution row by row: out[i:i+len(b)] += a[i] * b
+        width = len(b)
+        out = [0] * (len(a) + width - 1)
+        for i, ai in enumerate(a):
+            if ai:
+                out[i:i + width] = map(add, out[i:i + width], map(mul, repeat(ai), b))
+        return _dense(out)
+
+    __rmul__ = __mul__
+
+    def _scaled(self, k):
+        """self * k for an int or Fraction k."""
+        if not k:
+            return _dense([])
+        if k == 1:
+            return self
+        if type(k) is int:
+            return _dense([v * k for v in self.coeffs])
+        return _dense([_exact(v * k) for v in self.coeffs])
+
+    def __pow__(self, exp: int):
+        if exp < 0:
+            raise ValueError("negative power of a polynomial")
+        result = _dense([1])
+        base = self
+        while exp:
+            if exp & 1:
+                result = result * base
+            exp >>= 1
+            if exp:
+                base = base * base
+        return result
+
+    def divexact(self, other) -> "DensePoly":
+        """Quotient self / other when the division is exact; raise otherwise.
+
+        Long division from the top coefficient down; the remainder must
+        vanish.
+        """
+        if type(other) is not DensePoly:
+            other = DensePoly([other])
+        den = other.coeffs
+        if not den:
+            raise ZeroDivisionError("division by the zero polynomial")
+        lead, shift = den[-1], len(den) - 1
+        rem = self.coeffs[:]
+        if len(rem) <= shift:
+            if rem:
+                raise ValueError("inexact polynomial division")
+            return _dense([])
+        if not shift:
+            return _dense([_quotient(v, lead) for v in rem])
+        quo = [0] * (len(rem) - shift)
+        low = den[:-1]
+        for k in range(len(quo) - 1, -1, -1):
+            top = rem.pop()
+            if top:
+                q = quo[k] = _quotient(top, lead)
+                rem[k:] = map(sub, rem[k:], map(mul, repeat(q), low))
+        if any(rem):
+            raise ValueError("inexact polynomial division")
+        return _dense(quo)
+
+    def __truediv__(self, other):
+        if not isinstance(other, (DensePoly, int, Fraction)):
+            return NotImplemented
+        return self.divexact(other)
+
+    def __rtruediv__(self, other):
+        if not isinstance(other, (int, Fraction)):
+            return NotImplemented
+        return DensePoly([other]).divexact(self)
+
+    def __repr__(self):
+        return f"DensePoly({self.coeffs})"
+
+
+def _dense(coeffs: list) -> DensePoly:
+    """A DensePoly around coeffs, which must already be in normal form."""
+    res = DensePoly.__new__(DensePoly)
+    res.coeffs = coeffs
+    return res
+
+
+def _trimmed(coeffs: list) -> list:
+    """coeffs without its trailing zeros."""
+    while coeffs and not coeffs[-1]:
+        coeffs.pop()
+    return coeffs
+
+
 def coerce_scalar(x):
-    """Pass exact scalars (int, Fraction, RationalFunction) through; a
-    BivarPoly becomes a RationalFunction."""
-    if isinstance(x, (int, Fraction, RationalFunction)):
+    """Pass exact scalars (int, DensePoly, Fraction, RationalFunction) through;
+    a BivarPoly becomes a RationalFunction."""
+    if isinstance(x, (int, DensePoly, Fraction, RationalFunction)):
         return x
     if isinstance(x, BivarPoly):
         return RationalFunction(x)
@@ -584,7 +769,8 @@ def coerce_scalar(x):
 
 def scalar_inv(s):
     """Multiplicative inverse inside the ambient field of s; the inverse of
-    an int is an int only for the units 1 and -1."""
+    an int is an int only for the units 1 and -1, and a DensePoly has one
+    only when it is a nonzero constant."""
     if isinstance(s, int):
         return s if s in (1, -1) else Fraction(1, s)
     if isinstance(s, Fraction):
@@ -593,4 +779,6 @@ def scalar_inv(s):
         return s.reciprocal()
     if isinstance(s, BivarPoly):
         return RationalFunction(1, s)
+    if isinstance(s, DensePoly):
+        return 1 / s
     raise TypeError(f"not an exact scalar: {type(s).__name__}")

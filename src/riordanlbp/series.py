@@ -17,7 +17,7 @@ from fractions import Fraction
 from itertools import accumulate, repeat
 from operator import mul
 
-from .scalars import check_size, coerce_scalar, scalar_inv
+from .scalars import DensePoly, check_size, coerce_scalar, scalar_inv
 
 
 class TruncatedSeries:
@@ -148,6 +148,9 @@ class TruncatedSeries:
             value = coerce_scalar(other)
         except TypeError:
             return NotImplemented
+        if type(value) is DensePoly and len(value.coeffs) > 1:
+            # no inverse among polynomials: divide each coefficient exactly
+            return TruncatedSeries([v / value for v in self.coeffs])
         return self * scalar_inv(value)
 
     def __rtruediv__(self, other):
@@ -196,7 +199,7 @@ class TruncatedSeries:
         if k == 0:
             return self
         if k > self.order:
-            raise ValueError("shift below constant term")
+            raise ValueError(f"shift exponent k must be at most {self.order}, got {k}")
         if any(self.coeffs[:k]):
             raise ValueError(f"series not divisible by t^{k}")
         return TruncatedSeries(self.coeffs[k:])

@@ -12,11 +12,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from riordanlbp import cli, oeis
+from riordanlbp import cli, oeis, scalars
 from riordanlbp.cli import EXIT_BROKEN_PIPE, EXIT_INTERNAL, GENERATE_KINDS, build_parser, main
 from riordanlbp.lbp import MOMENT_ROUTES
 from riordanlbp.orthopoly import ORTHO_KINDS
 from riordanlbp.riordan import LowerTriangularMatrix
+from riordanlbp.scalars import PARAM_B, PARAM_C, DensePoly
 from riordanlbp.scenarios import SCENARIOS
 
 
@@ -199,6 +200,66 @@ class TestGradedRoute:
             direct = lines_or_error(lambda: [",".join(str(v) for v in row)
                                              for row in cli._table(args, b, c)])
             assert lines_or_error(lambda: cli._generate_data(args)) == direct, variant
+
+
+class TestDenseRoute:
+    """(sym, sym) tables are computed at (b, c) = (x, 1) on DensePoly and made
+    homogeneous again while rendering; that must print what the
+    RationalFunction route prints at (PARAM_B, PARAM_C)."""
+
+    @pytest.mark.parametrize("variant", VARIANTS, ids=" ".join)
+    def test_dense_lines_equal_the_rational_function_lines(self, capsys, variant):
+        floor = cli.MIN_ORDER["generate"].get(variant[0], 0)
+        for order in range(11):
+            argv = ["generate", *variant, "--order", str(order), "--b", "sym", "--c", "sym"]
+            if order < floor:
+                with pytest.raises(SystemExit) as exc:
+                    main(argv)
+                assert exc.value.code == 2
+                capsys.readouterr()
+                continue
+            args = build_parser().parse_args(argv)
+            lines = [",".join(str(v) for v in row)
+                     for row in cli._table(args, PARAM_B, PARAM_C)]
+            assert run_cli(capsys, *argv) == (0, "".join(f"{line}\n" for line in lines), "")
+            payload = {"kind": variant[0], "params": {"b": "sym", "c": "sym"},
+                       "order": order, "data": lines}
+            assert run_cli(capsys, *argv, "--format", "json") == (
+                0, json.dumps(payload, indent=2) + "\n", "")
+
+    @pytest.mark.parametrize("v, degree, shown", [
+        (0, 3, "0"), (DensePoly([]), 0, "0"), (1, 0, "1"), (-7, 0, "-7"),
+        (Fraction(-1, 2), 0, "-1/2"), (1, 2, "c^2"), (-1, 1, "-c"), (12, 1, "12*c"),
+        (DensePoly([0, 1]), 1, "b"), (DensePoly([1, -1]), 1, "c - b"),
+        (DensePoly([0, 0, -1]), 0, "(-b^2)/(c^2)"), (DensePoly([2, 0, 1]), 1, "(2*c^2 + b^2)/(c)"),
+        (DensePoly([Fraction(1, 2), 11, 1]), 2, "1/2*c^2 + 11*b*c + b^2"),
+    ])
+    def test_entry_prints_as_its_rational_function(self, v, degree, shown):
+        assert cli._dense_str(v, degree) == shown
+
+    def test_rational_parameters_never_touch_dense_polys(self, capsys, monkeypatch):
+        def outputs():
+            # rational parameters, and sym mixed with a rational
+            return [run_cli(capsys, "generate", *variant, "--order", "6", *params)
+                    for params in (("--b=3/2", "--c=-1/3"), ("--b", "sym", "--c=2"))
+                    for variant in VARIANTS]
+
+        plain = outputs()
+        assert {code for code, _, _ in plain} == {0}
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("DensePoly used")
+
+        # the constructors (__init__ and scalars._dense) and the arithmetic
+        for name in ("__init__", "__add__", "__radd__", "__sub__", "__rsub__",
+                     "__mul__", "__rmul__", "__neg__", "__pow__", "__truediv__",
+                     "__rtruediv__", "__eq__", "__bool__", "divexact"):
+            monkeypatch.setattr(DensePoly, name, refuse)
+        monkeypatch.setattr(scalars, "_dense", refuse)
+        assert outputs() == plain
+        # the patch bites where the dense route runs
+        code, _, err = run_cli(capsys, "generate", "lbp-coeffs", "--order", "2")
+        assert code == EXIT_INTERNAL and "DensePoly used" in err
 
 
 class TestVerify:

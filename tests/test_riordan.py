@@ -62,6 +62,15 @@ class TestLowerTriangularMatrix:
         assert a * a.inverse() == ident
         assert a.inverse() * a == ident
 
+    def test_inverse_with_unit_and_non_unit_diagonal_entries(self):
+        # unit diagonal entries skip their products; the others must not
+        m = LowerTriangularMatrix([[1], [3, Fraction(1, 2)], [-2, 5, 1], [1, 0, 4, -3]])
+        ident = LowerTriangularMatrix([[1], [0, 1], [0, 0, 1], [0, 0, 0, 1]])
+        assert m * m.inverse() == ident
+        assert [m.inverse_column(j) for j in range(4)] == [
+            [m.inverse().rows[i][j] for i in range(j, 4)] for j in range(4)]
+        assert production_of_inverse(m) == production_matrix(m.inverse())
+
     def test_inverse_requires_unit_diagonal(self):
         m = LowerTriangularMatrix([[coerce_scalar(1)], [coerce_scalar(1), coerce_scalar(0)]])
         with pytest.raises(ZeroDivisionError):

@@ -13,7 +13,9 @@ from riordanlbp.scalars import (
     PARAM_B,
     PARAM_C,
     BivarPoly,
+    DensePoly,
     RationalFunction,
+    coerce_scalar,
     parse_rational,
     scalar_inv,
 )
@@ -88,6 +90,10 @@ class TestBivarPoly:
         with pytest.raises(ValueError):
             BivarPoly.b().c_coefficients()
 
+    def test_terms_must_be_a_dict(self):
+        with pytest.raises(TypeError, match="^BivarPoly expects a dict from exponent pairs"):
+            BivarPoly([((0, 0), 1)])
+
     @pytest.mark.parametrize("value", [5, Fraction(-3, 2), 0])
     def test_constant_hashes_like_its_value(self, value):
         assert BivarPoly.const(value) == value
@@ -137,6 +143,97 @@ class TestCoefficientNormalForm:
         for value in mu + hankel_transform(mu, 4):
             assert_normal_form(value.num)
             assert_normal_form(value.den)
+
+
+def at_c_one(poly: BivarPoly) -> DensePoly:
+    """poly at c = 1, as a polynomial in x = b."""
+    coeffs = [0] * (1 + max((i for i, _ in poly.terms), default=-1))
+    for (i, _), value in poly.terms.items():
+        coeffs[i] += value
+    return DensePoly(coeffs)
+
+
+b_only_polys = st.dictionaries(
+    st.tuples(st.integers(0, 3), st.just(0)), exact_coefficients, max_size=4
+).map(BivarPoly)
+
+
+class TestDensePoly:
+    """DensePoly is BivarPoly at c = 1: setting c = 1 is a ring homomorphism,
+    so every operation must commute with it."""
+
+    @given(exact_polys, exact_polys, exact_coefficients, st.integers(0, 4))
+    @settings(max_examples=100, deadline=None)
+    def test_ring_operations_commute_with_c_equal_one(self, p, q, s, k):
+        dp, dq = at_c_one(p), at_c_one(q)
+        assert dp + dq == at_c_one(p + q)
+        assert dp - dq == at_c_one(p - q)
+        assert dp * dq == at_c_one(p * q)
+        assert -dp == at_c_one(-p)
+        assert dp ** k == at_c_one(p ** k)
+        assert dp + s == s + dp == at_c_one(p + s)
+        assert dp - s == at_c_one(p - s)
+        assert s - dp == at_c_one(s - p)
+        assert dp * s == s * dp == at_c_one(p * s)
+        for result in (dp + dq, dp - dq, dp * dq, dp ** k, dp + s, s - dp, dp * s):
+            assert not result.coeffs or result.coeffs[-1], result
+        assert bool(dp) == bool(p.substitute(c_value=1))
+
+    @given(exact_polys, exact_polys)
+    @settings(max_examples=80, deadline=None)
+    def test_exact_division_inverts_multiplication(self, p, q):
+        dq = at_c_one(q)
+        if not dq:
+            return
+        assert at_c_one(p * q).divexact(dq) == at_c_one(p)
+        assert at_c_one(p * q) / dq == at_c_one(p)
+
+    @given(b_only_polys, b_only_polys)
+    @settings(max_examples=80, deadline=None)
+    def test_division_is_exact_exactly_when_bivar_division_is(self, p, q):
+        if q.is_zero:
+            with pytest.raises(ZeroDivisionError):
+                at_c_one(p).divexact(at_c_one(q))
+            return
+        try:
+            expected = at_c_one(p.divexact(q))
+        except ValueError:
+            with pytest.raises(ValueError, match="^inexact polynomial division$"):
+                at_c_one(p).divexact(at_c_one(q))
+        else:
+            assert at_c_one(p).divexact(at_c_one(q)) == expected
+
+    def test_inexact_divisions_raise(self):
+        x = DensePoly([0, 1])
+        for num, den in ((x, x + 1), (x + 1, x), (DensePoly([1]), x), (x ** 3 + 1, x ** 2)):
+            with pytest.raises(ValueError, match="^inexact polynomial division$"):
+                num.divexact(den)
+        assert (x * x).divexact(2 * x) == x * Fraction(1, 2)
+
+    def test_constructor_normal_form(self):
+        assert DensePoly([1, Fraction(4, 2), 0, Fraction(0)]).coeffs == [1, 2]
+        assert type(DensePoly([Fraction(4, 2)]).coeffs[0]) is int
+        assert DensePoly([0, 0]).coeffs == []
+        with pytest.raises(TypeError, match="not an exact rational: str"):
+            DensePoly(["1"])
+
+    def test_comparison_with_scalars(self):
+        assert DensePoly([3]) == 3 and DensePoly([]) == 0
+        assert DensePoly([Fraction(1, 2)]) == Fraction(1, 2)
+        assert DensePoly([0, 1]) != 1 and DensePoly([1]) != 0
+        assert not DensePoly([]) and DensePoly([0, 1])
+
+    def test_only_nonzero_constants_invert(self):
+        assert scalar_inv(DensePoly([2])) == DensePoly([Fraction(1, 2)])
+        assert scalar_inv(DensePoly([-1])) == -1
+        with pytest.raises(ValueError):
+            scalar_inv(DensePoly([0, 1]))
+        with pytest.raises(ZeroDivisionError):
+            scalar_inv(DensePoly([]))
+
+    def test_passes_through_coerce_scalar(self):
+        x = DensePoly([0, 1])
+        assert coerce_scalar(x) is x
 
 
 rational_functions = st.builds(

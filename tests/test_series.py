@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from riordanlbp.combinat import catalan
 from riordanlbp.orthopoly import ortho_array
 from riordanlbp.riordan import binomial_array
-from riordanlbp.scalars import PARAM_B, PARAM_C, coerce_scalar, scalar_inv
+from riordanlbp.scalars import PARAM_B, PARAM_C, DensePoly, coerce_scalar, scalar_inv
 from riordanlbp.series import TruncatedSeries, catalan_series
 
 ORDER = 10
@@ -114,6 +114,13 @@ class TestArithmetic:
         v = scalar(za - zb + 1)
         assert v - x == -x + v and str(v - x) == str(-x + v)
         assert x - v == x + (-v) and str(x - v) == str(x + (-v))
+
+    def test_division_by_a_dense_polynomial_is_exact(self):
+        x = DensePoly([0, 1])
+        series = TruncatedSeries([2 * x, 0, x * x + x])
+        assert (series / (2 * x)).coeffs == (1, 0, (x + 1) * Fraction(1, 2))
+        with pytest.raises(ValueError, match="^inexact polynomial division$"):
+            TruncatedSeries([x, 1]) / x
 
     def test_reciprocal_requires_unit(self):
         with pytest.raises(ZeroDivisionError):

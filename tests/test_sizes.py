@@ -90,6 +90,8 @@ LARGE_SIZES = {
                             "dim must be at most 5 for order 4, got 9"),
     "truncate": (series.TruncatedSeries([1, 2, 3]).truncate, (5,),
                  "order must be at most 2, got 5"),
+    "shift_down": (series.TruncatedSeries([1, 2]).shift_down, (3,),
+                   "shift exponent k must be at most 1, got 3"),
 }
 
 
