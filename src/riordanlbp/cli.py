@@ -86,7 +86,8 @@ def _parse_param(text: str, symbol):
 
 #: degree in (b, c) of entry k on line n of each kind's output.  Every table
 #: is homogeneous: (b, c, x) -> (lb, lc, lx) sends P_n to l^n P_n, so at
-#: (b, c) = (B/D, C/D) entry (n, k) is its value at (B, C) over D^degree.
+#: (b, c) = (B/D, C/D) entry (n, k) is its value at (B, C) over D^degree,
+#: and at (sym, sym) it is c^degree times its value at (b/c, 1).
 DEGREES = {
     "lbp-coeffs": lambda n, k: n - k,
     "moments": lambda n, k: n,

@@ -1,6 +1,6 @@
 """Exact scalar arithmetic for the whole package.
 
-Four kinds of scalar circulate here:
+Five kinds of scalar circulate here:
 
 * ``int``             -- exact integers, kept as ``int`` so that integer
                          parameters compute without a single gcd; an inverse
@@ -11,10 +11,15 @@ Four kinds of scalar circulate here:
                          when integral and as ``Fraction`` otherwise;
 * ``RationalFunction``-- a BivarPoly over b^i c^j (b+c)^k in lowest terms,
                          the denominators of the paper's closed forms; any
-                         other denominator raises ValueError.
+                         other denominator raises ValueError;
+* ``DensePoly``       -- a dense coefficient list in one indeterminate that
+                         stands for b/c: a value homogeneous in (b, c) at
+                         (b, c) = (b/c, 1), on which ``generate`` computes
+                         its (sym, sym) tables.
 
-Polynomials in the indeterminate x are not a scalar kind: a row P_n(x) is
-the plain list of its coefficients, ascending in the power of x.
+Polynomials in the indeterminate x of the LBP rows are not a scalar kind: a
+row P_n(x) is the plain list of its coefficients, ascending in the power of
+x.
 
 Everything is exact.  No floating point is used anywhere in this module or in
 the rest of the package.
@@ -580,12 +585,12 @@ PARAM_C = RationalFunction(BivarPoly.c())
 
 
 class DensePoly:
-    """Dense polynomial in one indeterminate x: ``coeffs[i]`` multiplies x^i.
+    """Dense polynomial in one indeterminate: ``coeffs[i]`` multiplies x^i.
 
-    A value homogeneous of degree d in (b, c) is c^d times a polynomial in
-    x = b/c, so a table of such values computed at (b, c) = (x, 1) on this
-    type loses nothing, and x^i becomes b^i c^(d-i) again when it is
-    rendered.  ``coeffs`` is a list of int and Fraction values whose last
+    Here x stands for b/c, not for the variable of the rows P_n(x).  A value
+    homogeneous of degree d in (b, c) is c^d times a polynomial in x = b/c,
+    so a table of such values computed at (b, c) = (x, 1) on this type
+    loses nothing, and x^i becomes b^i c^(d-i) again when it is rendered.  ``coeffs`` is a list of int and Fraction values whose last
     entry is nonzero, so zero has no coefficients.  Arithmetic on int
     coefficients builds no Fraction.  Only adding or multiplying by a
     Fraction scalar reduces an integral result to its int: an integral
@@ -666,10 +671,18 @@ class DensePoly:
             a, b = b, a
         if len(a) <= 1:
             return _dense(b)._scaled(a[0]) if a else _dense([])
-        # a convolution row by row: out[i:i+len(b)] += a[i] * b
+        # a convolution row by row, from the lowest nonzero a[low], which
+        # writes its row; each later a[i] adds a[i] * b into out[i:i+len(b)]
+        low = 0
+        while not a[low]:
+            low += 1
+        first = a[low]
+        out = [0] * low
+        out += b if first == 1 else [first * v for v in b]
+        out.extend(repeat(0, len(a) - 1 - low))
         width = len(b)
-        out = [0] * (len(a) + width - 1)
-        for i, ai in enumerate(a):
+        for i in range(low + 1, len(a)):
+            ai = a[i]
             if ai:
                 out[i:i + width] = map(add, out[i:i + width], map(mul, repeat(ai), b))
         return _dense(out)
@@ -702,29 +715,38 @@ class DensePoly:
     def divexact(self, other) -> "DensePoly":
         """Quotient self / other when the division is exact; raise otherwise.
 
-        Long division from the top coefficient down; the remainder must
-        vanish.
+        The power of x that divides other must divide self; both lose it,
+        and long division from the top coefficient down must leave no
+        remainder.
         """
         if type(other) is not DensePoly:
             other = DensePoly([other])
-        den = other.coeffs
+        den, rem = other.coeffs, self.coeffs
         if not den:
             raise ZeroDivisionError("division by the zero polynomial")
+        # x^low divides den, and must divide self: take it out of both
+        low = den.index(next(filter(None, den)))
+        if low:
+            if any(rem[:low]):
+                raise ValueError("inexact polynomial division")
+            den = den[low:]
+        rem = rem[low:]
         lead, shift = den[-1], len(den) - 1
-        rem = self.coeffs[:]
         if len(rem) <= shift:
             if rem:
                 raise ValueError("inexact polynomial division")
             return _dense([])
+        # dividing by a unit lead is multiplying by it
+        unit = lead == 1 or lead == -1
         if not shift:
-            return _dense([_quotient(v, lead) for v in rem])
+            return _dense([v * lead if unit else _quotient(v, lead) for v in rem])
         quo = [0] * (len(rem) - shift)
-        low = den[:-1]
+        tail = den[:-1]
         for k in range(len(quo) - 1, -1, -1):
             top = rem.pop()
             if top:
-                q = quo[k] = _quotient(top, lead)
-                rem[k:] = map(sub, rem[k:], map(mul, repeat(q), low))
+                q = quo[k] = top * lead if unit else _quotient(top, lead)
+                rem[k:] = map(sub, rem[k:], map(mul, repeat(q), tail))
         if any(rem):
             raise ValueError("inexact polynomial division")
         return _dense(quo)
