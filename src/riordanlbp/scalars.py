@@ -590,13 +590,14 @@ class DensePoly:
     Here x stands for b/c, not for the variable of the rows P_n(x).  A value
     homogeneous of degree d in (b, c) is c^d times a polynomial in x = b/c,
     so a table of such values computed at (b, c) = (x, 1) on this type
-    loses nothing, and x^i becomes b^i c^(d-i) again when it is rendered.  ``coeffs`` is a list of int and Fraction values whose last
-    entry is nonzero, so zero has no coefficients.  Arithmetic on int
-    coefficients builds no Fraction.  Only adding or multiplying by a
-    Fraction scalar reduces an integral result to its int: an integral
-    Fraction coefficient compares and prints as its int anyway.  ``/`` is
-    exact division and raises ValueError when the quotient is not a
-    polynomial.
+    loses nothing, and x^i becomes b^i c^(d-i) again when it is rendered.
+
+    ``coeffs`` is a list of int and Fraction values whose last entry is
+    nonzero, so zero has no coefficients.  Arithmetic on int coefficients
+    builds no Fraction.  Only adding or multiplying by a Fraction scalar
+    reduces an integral result to its int: an integral Fraction
+    coefficient compares and prints as its int anyway.  ``/`` is exact
+    division and raises ValueError when the quotient is not a polynomial.
     """
 
     __slots__ = ("coeffs",)
