@@ -18,18 +18,23 @@ SIGPIPE) when the reader closes stdout early, as ``riordanlbp ... | head``
 does; that ends quietly, without a traceback.
 ``--order`` is checked against the smallest order each generate kind and
 verify scenario accepts (``MIN_ORDER``, also listed in ``--help``).
+
+An argv in plain form (the subcommand, one positional, and options spelled
+in full as ``--name value`` or ``--name=value``, no separate value starting
+with "-") is parsed directly from ``SUBCOMMANDS``; argparse, built from the
+same description, parses every other argv and renders ``--help`` and every
+usage error.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import os
 import sys
 import traceback
 from fractions import Fraction
 from functools import cache
 from math import gcd, lcm
+from types import SimpleNamespace
 
 from . import cfrac, oeis
 from .lbp import (
@@ -225,6 +230,8 @@ def cmd_generate(args) -> int:
             "order": args.order,
             "data": data,
         }
+        import json
+
         print(json.dumps(payload, indent=2))
     else:
         for line in data:
@@ -237,6 +244,8 @@ def cmd_verify(args) -> int:
 
     reports = run_scenario(args.scenario, args.order)
     if args.format == "json":
+        import json
+
         print(json.dumps([r.as_dict() for r in reports], indent=2))
     else:
         for report in reports:
@@ -253,59 +262,125 @@ def cmd_oeis_check(args) -> int:
     return 0 if all(c.passed for c in checks) else 1
 
 
-def build_parser() -> argparse.ArgumentParser:
+#: each subcommand, in --help order: its help, the function that runs it, its
+#: one positional (dest, choices) and its options as add_argument keywords
+SUBCOMMANDS = {
+    "generate": {
+        "help": "print exact tables",
+        "func": cmd_generate,
+        "positional": ("kind", GENERATE_KINDS),
+        "options": {
+            "--b": {"default": "sym",
+                    "help": "rational string or 'sym'; write negatives as --b=-1/3"},
+            "--c": {"default": "sym",
+                    "help": "rational string or 'sym'; write negatives as --c=-1/3"},
+            "--order": {"type": int, "default": 12, "help": _order_help("generate")},
+            "--format": {"choices": ("csv", "json"), "default": "csv"},
+            "--route": {"choices": MOMENT_ROUTES, "default": "matrix_inverse",
+                        "help": "moment computation route (moments kind only)"},
+            "--shape": {"choices": ("s", "j", "t"), "default": "t",
+                        "help": "continued-fraction shape (cfrac-expand kind only)"},
+            "--family": {"choices": ORTHO_KINDS, "default": "q",
+                         "help": "companion family (ortho-array kind only)"},
+        },
+    },
+    "verify": {
+        "help": "run verification scenarios",
+        "func": cmd_verify,
+        "positional": ("scenario", ("all", "example1", "example2", "example3",
+                                    "example4", "factorizations", "hankel",
+                                    "toeplitz", "cfrac")),
+        "options": {
+            "--order": {"type": int, "default": 12,
+                        "help": _order_help("verify") + "; only example1, factorizations "
+                        "(capped at 8) and cfrac read it, while example2-example4, "
+                        "hankel and toeplitz check fixed-size tables"},
+            "--format": {"choices": ("text", "json"), "default": "text"},
+        },
+    },
+    "oeis-check": {
+        "help": "compare against vendored fixtures",
+        "func": cmd_oeis_check,
+        "positional": ("sequence_id", (*oeis.known_ids(), "all")),
+        "options": {
+            "--fixtures": {"default": None,
+                           "help": "fixture directory (default: vendored files)"},
+        },
+    },
+}
+
+
+def build_parser():
+    """The argparse parser for SUBCOMMANDS."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="riordanlbp",
         description="Exact tables and identity checks for constant-coefficient "
                     "Laurent biorthogonal polynomials.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    gen = sub.add_parser("generate", help="print exact tables")
-    gen.add_argument("kind", choices=GENERATE_KINDS)
-    gen.add_argument("--b", default="sym",
-                     help="rational string or 'sym'; write negatives as --b=-1/3")
-    gen.add_argument("--c", default="sym",
-                     help="rational string or 'sym'; write negatives as --c=-1/3")
-    gen.add_argument("--order", type=int, default=12,
-                     help=_order_help("generate"))
-    gen.add_argument("--format", choices=("csv", "json"), default="csv")
-    gen.add_argument("--route", choices=MOMENT_ROUTES, default="matrix_inverse",
-                     help="moment computation route (moments kind only)")
-    gen.add_argument("--shape", choices=("s", "j", "t"), default="t",
-                     help="continued-fraction shape (cfrac-expand kind only)")
-    gen.add_argument("--family", choices=ORTHO_KINDS, default="q",
-                     help="companion family (ortho-array kind only)")
-    gen.set_defaults(func=cmd_generate)
-
-    ver = sub.add_parser("verify", help="run verification scenarios")
-    ver.add_argument("scenario",
-                     choices=("all", "example1", "example2", "example3",
-                              "example4", "factorizations", "hankel",
-                              "toeplitz", "cfrac"))
-    ver.add_argument("--order", type=int, default=12,
-                     help=_order_help("verify") + "; only example1, factorizations "
-                     "(capped at 8) and cfrac read it, while example2-example4, "
-                     "hankel and toeplitz check fixed-size tables")
-    ver.add_argument("--format", choices=("text", "json"), default="text")
-    ver.set_defaults(func=cmd_verify)
-
-    oc = sub.add_parser("oeis-check", help="compare against vendored fixtures")
-    oc.add_argument("sequence_id", choices=(*oeis.known_ids(), "all"))
-    oc.add_argument("--fixtures", default=None,
-                    help="fixture directory (default: vendored files)")
-    oc.set_defaults(func=cmd_oeis_check)
+    for command, spec in SUBCOMMANDS.items():
+        cmd = sub.add_parser(command, help=spec["help"])
+        dest, choices = spec["positional"]
+        cmd.add_argument(dest, choices=choices)
+        for option, keywords in spec["options"].items():
+            cmd.add_argument(option, **keywords)
+        cmd.set_defaults(func=spec["func"])
     return parser
 
 
+def _parse_plain(argv: list[str]) -> SimpleNamespace | None:
+    """What ``build_parser().parse_args(argv)`` returns, for an argv in plain
+    form (see the module docstring) whose values their type and choices
+    accept; None for any other argv, which argparse then parses.  As in
+    argparse, the last of repeated options wins.
+    """
+    spec = SUBCOMMANDS.get(argv[0]) if argv else None
+    if spec is None:
+        return None
+    options = spec["options"]
+    values = {option[2:]: keywords["default"] for option, keywords in options.items()}
+    dest, choices = spec["positional"]
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if not token.startswith("-"):
+            # the positional's dest is in values once it has been given
+            if dest in values or token not in choices:
+                return None
+            values[dest] = token
+            continue
+        option, equals, value = token.partition("=")
+        keywords = options.get(option)
+        if keywords is None:
+            return None
+        if not equals:
+            value = next(tokens, "-")  # a missing value is declined as "-"
+            if value.startswith("-"):
+                return None
+        if "type" in keywords:
+            try:
+                value = keywords["type"](value)
+            except ValueError:
+                return None
+        if "choices" in keywords and value not in keywords["choices"]:
+            return None
+        values[option[2:]] = value
+    if dest not in values:
+        return None
+    return SimpleNamespace(command=argv[0], func=spec["func"], **values)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _parse_plain(argv) or build_parser().parse_args(argv)
     if args.command in MIN_ORDER:
         target = args.kind if args.command == "generate" else args.scenario
         floor = MIN_ORDER[args.command].get(target, 0)
         if args.order < floor:
-            parser.error(f"--order must be at least {floor} for {args.command} {target}")
+            build_parser().error(
+                f"--order must be at least {floor} for {args.command} {target}")
     try:
         code = args.func(args)
         # flush inside the try, so a closed pipe raises here and not at exit

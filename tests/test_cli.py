@@ -363,7 +363,51 @@ class TestErrorHandling:
         with pytest.raises(SystemExit) as exc:
             main(list(argv))
         assert exc.value.code == 2
-        assert f"--order must be at least {floor}" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "usage: riordanlbp [-h] {generate,verify,oeis-check} ...\n"
+            f"riordanlbp: error: --order must be at least {floor} for {argv[0]} {argv[1]}\n")
+
+
+#: each subcommand's positionals and options, listed apart from cli.SUBCOMMANDS
+VOCABULARY = {
+    "generate": (GENERATE_KINDS, ("--b", "--c", "--order", "--format", "--route", "--shape",
+                                  "--family")),
+    "verify": (("all", *SCENARIOS), ("--order", "--format")),
+    "oeis-check": ((*oeis.known_ids(), "all"), ("--fixtures",)),
+}
+VALUES = ("sym", "1", "-1/3", "-1", "x", "", "json", "csv", "text",
+          "s", "j", "t", *ORTHO_KINDS, *MOMENT_ROUTES)
+WORDS = (*VOCABULARY, "bogus", *(word for pair in VOCABULARY.values() for words in pair
+                                for word in words),
+         "-h", "--help", "--", "--ord", "--bogus", *VALUES)
+
+
+@st.composite
+def argvs(draw):
+    """A subcommand, its positional and its options in either form, at times
+    with one more word anywhere; about one in eight is a plain argv."""
+    command = draw(st.sampled_from((*VOCABULARY, "bogus")))
+    positionals, options = VOCABULARY.get(command, (WORDS, WORDS))
+    option, value = st.sampled_from(options), st.sampled_from(VALUES)
+    pieces = draw(st.lists(st.one_of(
+        st.tuples(option, value),
+        st.builds("{}={}".format, option, value).map(lambda token: (token,)),
+    ), max_size=3))
+    pieces.insert(draw(st.integers(0, len(pieces))), (draw(st.sampled_from(positionals)),))
+    for word in draw(st.lists(st.sampled_from(WORDS), max_size=1)):
+        pieces.insert(draw(st.integers(0, len(pieces))), (word,))
+    return [command, *(token for piece in pieces for token in piece)]
+
+
+class TestPlainParse:
+    """The direct parse of plain argvs agrees with argparse, or declines."""
+
+    @given(argvs())
+    @settings(max_examples=600, deadline=None)
+    def test_plain_parse_is_argparse_or_declines(self, argv):
+        plain = cli._parse_plain(argv)
+        if plain is not None:
+            assert vars(build_parser().parse_args(argv)) == vars(plain)
 
 
 #: src first on the child's PYTHONPATH, however pytest itself found the package
@@ -398,3 +442,13 @@ class TestConsoleScript:
         proc.stderr.close()
         assert proc.wait() == EXIT_BROKEN_PIPE == 141
         assert err == b""
+
+    def test_plain_command_loads_no_parser_modules(self):
+        # without site, whose .pth files may import any of them first
+        code = ("import sys; sys.path.insert(0, sys.argv[1]); from riordanlbp import cli; "
+                "cli.main(['generate', 'moments', '--order', '3', '--b=1', '--c=1']); "
+                "print(sorted({'argparse', 'gettext', 'locale', 'json'} & set(sys.modules)))")
+        proc = subprocess.run([sys.executable, "-S", "-c", code, str(SRC)],
+                              capture_output=True, text=True)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout.splitlines() == ["1", "1", "2", "6", "[]"]
