@@ -23,19 +23,16 @@ and the closed form at b = 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .hankel_toeplitz import hankel_and_shifted
 from .scalars import check_size, coerce_scalar, scalar_inv
 from .series import TruncatedSeries, catalan_series
 
 
-@dataclass(frozen=True)
 class SFraction:
-    alphas: tuple
+    __slots__ = ("alphas",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "alphas", tuple(coerce_scalar(v) for v in self.alphas))
+    def __init__(self, alphas):
+        self.alphas = tuple(coerce_scalar(v) for v in alphas)
 
     def levels_for(self, order: int) -> int:
         if len(self.alphas) < order:
@@ -43,14 +40,12 @@ class SFraction:
         return order
 
 
-@dataclass(frozen=True)
 class JFraction:
-    diag: tuple
-    sub: tuple
+    __slots__ = ("diag", "sub")
 
-    def __post_init__(self):
-        object.__setattr__(self, "diag", tuple(coerce_scalar(v) for v in self.diag))
-        object.__setattr__(self, "sub", tuple(coerce_scalar(v) for v in self.sub))
+    def __init__(self, diag, sub):
+        self.diag = tuple(coerce_scalar(v) for v in diag)
+        self.sub = tuple(coerce_scalar(v) for v in sub)
 
     def levels_for(self, order: int) -> int:
         if 2 * len(self.diag) < order or 2 * len(self.sub) + 1 < order:
@@ -61,14 +56,12 @@ class JFraction:
         return min(len(self.diag), (order + 2) // 2)
 
 
-@dataclass(frozen=True)
 class TFraction:
-    diag: tuple
-    num: tuple
+    __slots__ = ("diag", "num")
 
-    def __post_init__(self):
-        object.__setattr__(self, "diag", tuple(coerce_scalar(v) for v in self.diag))
-        object.__setattr__(self, "num", tuple(coerce_scalar(v) for v in self.num))
+    def __init__(self, diag, num):
+        self.diag = tuple(coerce_scalar(v) for v in diag)
+        self.num = tuple(coerce_scalar(v) for v in num)
 
     def levels_for(self, order: int) -> int:
         if len(self.diag) < order or len(self.num) < order - 1:

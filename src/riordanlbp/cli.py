@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import os
 import sys
-import traceback
 from fractions import Fraction
 from functools import cache
 from math import gcd, lcm
@@ -396,6 +395,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception:
+        import traceback
+
         traceback.print_exc()
         return EXIT_INTERNAL
 

@@ -31,7 +31,6 @@ last row 1, x, ..., x^n reproduces P_n(x) after division by t_{n-1}.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 
@@ -204,7 +203,6 @@ def hankel_closed_form(b, c, n_max: int) -> list:
     ]
 
 
-@dataclass(frozen=True)
 class BiInfiniteMoments:
     """Moments mu_0.. as `forward`, extended to mu_{-1}..mu_{-depth} as `backward`.
 
@@ -212,26 +210,23 @@ class BiInfiniteMoments:
     need c != 0 and the forward moments through mu_{depth+1}.
     """
 
-    forward: tuple
-    c: object
-    depth: int
-    backward: tuple = field(init=False)
+    __slots__ = ("forward", "c", "depth", "backward")
 
-    def __post_init__(self):
-        forward = tuple(coerce_scalar(v) for v in self.forward)
-        c = coerce_scalar(self.c)
+    def __init__(self, forward, c, depth: int):
+        forward = tuple(coerce_scalar(v) for v in forward)
+        c = coerce_scalar(c)
         if not c:
             raise ValueError("extension to negative index requires invertible c")
-        check_size("backward depth", self.depth)
-        if len(forward) < self.depth + 2:
-            raise ValueError(f"need {self.depth + 2} moments for backward depth {self.depth}")
+        check_size("backward depth", depth)
+        if len(forward) < depth + 2:
+            raise ValueError(f"need {depth + 2} moments for backward depth {depth}")
         if not forward or not forward[0] == 1:
             raise ValueError("moments are normalized to mu_0 = 1")
         inv_c = scalar_inv(c)
-        object.__setattr__(self, "forward", forward)
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "backward", tuple(
-            forward[2 + k] * inv_c ** (3 + 2 * k) for k in range(self.depth)))
+        self.forward = forward
+        self.c = c
+        self.depth = depth
+        self.backward = tuple(forward[2 + k] * inv_c ** (3 + 2 * k) for k in range(depth))
 
     def moment(self, n: int):
         if n >= 0:

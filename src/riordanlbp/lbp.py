@@ -30,7 +30,6 @@ it computes to.  `LBPFamily.order` is not read by any of them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .combinat import binomial, catalan
@@ -50,7 +49,6 @@ MOMENT_ROUTES = (
 DEFAULT_ORDER = 16
 
 
-@dataclass(frozen=True)
 class LBPFamily:
     """Recurrence data; b_seq and c_seq are cycled indefinitely by index.
 
@@ -58,13 +56,12 @@ class LBPFamily:
     size as an argument instead.
     """
 
-    b_seq: tuple
-    c_seq: tuple
-    order: int = DEFAULT_ORDER
+    __slots__ = ("b_seq", "c_seq", "order")
 
-    def __post_init__(self):
-        object.__setattr__(self, "b_seq", tuple(coerce_scalar(v) for v in self.b_seq))
-        object.__setattr__(self, "c_seq", tuple(coerce_scalar(v) for v in self.c_seq))
+    def __init__(self, b_seq, c_seq, order: int = DEFAULT_ORDER):
+        self.b_seq = tuple(coerce_scalar(v) for v in b_seq)
+        self.c_seq = tuple(coerce_scalar(v) for v in c_seq)
+        self.order = order
         if not self.b_seq or not self.c_seq:
             raise ValueError("coefficient sequences must be nonempty")
         for v in (*self.b_seq, *self.c_seq):

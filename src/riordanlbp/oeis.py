@@ -12,7 +12,6 @@ fixture files use.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
 
 from .cfrac import tfraction_closed_form
@@ -25,11 +24,13 @@ from .series import TruncatedSeries, catalan_series
 DEFAULT_FIXTURES_DIR = Path(__file__).parent / "fixtures"
 
 
-@dataclass(frozen=True)
 class OeisFixture:
-    sequence_id: str
-    offset: int
-    terms: tuple
+    __slots__ = ("sequence_id", "offset", "terms")
+
+    def __init__(self, sequence_id: str, offset: int, terms: tuple):
+        self.sequence_id = sequence_id
+        self.offset = offset
+        self.terms = terms
 
     def __len__(self) -> int:
         return len(self.terms)
@@ -45,11 +46,12 @@ def load_fixture(sequence_id: str, fixtures_dir: Path | str | None = None) -> Oe
         line = line.strip()
         if not line:
             continue
-        parts = line.split(" ")
-        if len(parts) != 2:
-            raise ValueError(f"{path}:{line_no}: expected '<index> <integer>'")
-        indices.append(int(parts[0]))
-        terms.append(int(parts[1]))
+        try:
+            index, term = map(int, line.split(" "))
+        except ValueError:
+            raise ValueError(f"{path}:{line_no}: expected '<index> <integer>'") from None
+        indices.append(index)
+        terms.append(term)
     if not terms:
         raise ValueError(f"{path}: empty fixture")
     for prev, nxt in zip(indices, indices[1:]):

@@ -2,14 +2,14 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 
-
-@dataclass(frozen=True)
 class Check:
-    name: str
-    passed: bool
-    detail: str = ""
+    __slots__ = ("name", "passed", "detail")
+
+    def __init__(self, name: str, passed: bool, detail: str = ""):
+        self.name = name
+        self.passed = passed
+        self.detail = detail
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
@@ -17,13 +17,12 @@ class Check:
         return f"{status}  {self.name}{suffix}"
 
 
-@dataclass(frozen=True)
 class ScenarioReport:
-    scenario: str
-    checks: tuple = field(default_factory=tuple)
+    __slots__ = ("scenario", "checks")
 
-    def __post_init__(self):
-        object.__setattr__(self, "checks", tuple(self.checks))
+    def __init__(self, scenario: str, checks=()):
+        self.scenario = scenario
+        self.checks = tuple(checks)
 
     @property
     def passed(self) -> bool:

@@ -303,12 +303,19 @@ class TestOeisCheck:
 
 
 class TestErrorHandling:
-    def test_zero_b_is_parameter_error(self, capsys):
-        code, _, err = run_cli(
-            capsys, "generate", "moments", "--b", "0", "--c", "1"
+    @pytest.mark.parametrize("b, c", [("0", "1"), ("1", "0"), ("0", "0"), ("0", "sym"),
+                                      ("sym", "0")])
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_zero_b_is_parameter_error(self, capsys, variant, b, c):
+        # the recurrence kinds need nonzero b and c; the continued fractions
+        # and the companion arrays are defined at 0
+        code, out, err = run_cli(
+            capsys, "generate", *variant, "--b", b, "--c", c, "--order", "4"
         )
-        assert code == 2
-        assert err.strip()
+        if variant[0] in ("cfrac-expand", "ortho-array"):
+            assert (code, err) == (0, "")
+        else:
+            assert (code, out, err) == (2, "", "error: recurrence coefficients must be nonzero\n")
 
     def test_non_rational_parameter(self, capsys):
         code, _, err = run_cli(
@@ -447,7 +454,8 @@ class TestConsoleScript:
         # without site, whose .pth files may import any of them first
         code = ("import sys; sys.path.insert(0, sys.argv[1]); from riordanlbp import cli; "
                 "cli.main(['generate', 'moments', '--order', '3', '--b=1', '--c=1']); "
-                "print(sorted({'argparse', 'gettext', 'locale', 'json'} & set(sys.modules)))")
+                "print(sorted({'argparse', 'gettext', 'locale', 'json', 'dataclasses', 'inspect', "
+                "'traceback'} & set(sys.modules)))")
         proc = subprocess.run([sys.executable, "-S", "-c", code, str(SRC)],
                               capture_output=True, text=True)
         assert (proc.returncode, proc.stderr) == (0, "")

@@ -1,7 +1,6 @@
 """Raw ints are exact scalars: every public route takes them, keeps integral
 values as ints where it can, and never produces a float."""
 
-import dataclasses
 import inspect
 from fractions import Fraction
 
@@ -63,8 +62,12 @@ def leaves(x):
         yield from leaves(x.rows)
     elif isinstance(x, RiordanArray):
         yield from leaves((x.g, x.f))
-    elif isinstance(x, (SFraction, JFraction, TFraction)):
-        yield from leaves(dataclasses.astuple(x))
+    elif isinstance(x, SFraction):
+        yield from leaves((x.alphas,))
+    elif isinstance(x, JFraction):
+        yield from leaves((x.diag, x.sub))
+    elif isinstance(x, TFraction):
+        yield from leaves((x.diag, x.num))
     elif isinstance(x, ScenarioReport):
         yield from leaves([check.passed for check in x.checks])
     elif isinstance(x, RationalFunction):

@@ -16,10 +16,13 @@ class TestLoadFixture:
         with pytest.raises(FileNotFoundError):
             load_fixture("A000001", tmp_path)
 
-    def test_malformed_line(self, tmp_path):
-        (tmp_path / "A000001.txt").write_text("0 1\n1 2 3\n")
-        with pytest.raises(ValueError):
+    @pytest.mark.parametrize("line", ["1 2 3", "1 x", "2 2.5", "a 1"])
+    def test_malformed_line(self, tmp_path, line):
+        path = tmp_path / "A000001.txt"
+        path.write_text(f"0 1\n{line}\n")
+        with pytest.raises(ValueError) as info:
             load_fixture("A000001", tmp_path)
+        assert str(info.value) == f"{path}:2: expected '<index> <integer>'"
 
     def test_non_consecutive_indices(self, tmp_path):
         (tmp_path / "A000001.txt").write_text("0 1\n2 2\n")
