@@ -137,7 +137,7 @@ def determinant(rows) -> object:
     mat = _square(rows)
     n = len(mat)
     if n == 0:
-        return Fraction(1)
+        return 1
     if n == 1:
         return mat[0][0]
     mat, divide, scales = _clear(mat)

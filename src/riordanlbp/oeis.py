@@ -46,12 +46,13 @@ def load_fixture(sequence_id: str, fixtures_dir: Path | str | None = None) -> Oe
         line = line.strip()
         if not line:
             continue
-        try:
-            index, term = map(int, line.split(" "))
-        except ValueError:
-            raise ValueError(f"{path}:{line_no}: expected '<index> <integer>'") from None
-        indices.append(index)
-        terms.append(term)
+        # int() alone would also take "5_0", "+5" and non-ASCII digits
+        fields = line.split(" ")
+        if len(fields) != 2 or not all(t.isascii() and t.removeprefix("-").isdigit()
+                                       for t in fields):
+            raise ValueError(f"{path}:{line_no}: expected '<index> <integer>'")
+        indices.append(int(fields[0]))
+        terms.append(int(fields[1]))
     if not terms:
         raise ValueError(f"{path}: empty fixture")
     for prev, nxt in zip(indices, indices[1:]):

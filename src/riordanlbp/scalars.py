@@ -21,6 +21,12 @@ Polynomials in the indeterminate x of the LBP rows are not a scalar kind: a
 row P_n(x) is the plain list of its coefficients, ascending in the power of
 x.
 
+Every exact polynomial prints through one printer, ``_sum_str``:
+``BivarPoly`` (and so ``RationalFunction``), and through
+``_homogeneous_str`` the values ``generate`` computes on ``DensePoly``.
+``BivarPoly``, ``DensePoly`` and ``TruncatedSeries`` share one power
+routine, ``_power``.
+
 Everything is exact.  No floating point is used anywhere in this module or in
 the rest of the package.
 """
@@ -28,6 +34,7 @@ the rest of the package.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from itertools import repeat
 from operator import add, mul, sub
 
@@ -226,14 +233,7 @@ class BivarPoly:
     def __pow__(self, exp: int):
         if exp < 0:
             raise ValueError("negative power of a polynomial; use RationalFunction")
-        result = BivarPoly.one()
-        base = self
-        while exp:
-            if exp & 1:
-                result = result * base
-            base = base * base
-            exp >>= 1
-        return result
+        return _power(self, exp, BivarPoly.one())
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -325,41 +325,50 @@ class BivarPoly:
     # -- rendering ----------------------------------------------------------
 
     def __str__(self):
-        if not self.terms:
-            return "0"
         # ascending total degree, then ascending b exponent
         keys = sorted(self.terms, key=lambda k: (k[0] + k[1], k[0], k[1]))
-        parts = []
-        for key in keys:
-            coeff = self.terms[key]
-            mono = _monomial_str(key)
-            mag = abs(coeff)
-            if mono:
-                body = mono if mag == 1 else f"{mag}*{mono}"
-            else:
-                body = str(mag)
-            if not parts:
-                parts.append(body if coeff > 0 else f"-{body}")
-            else:
-                parts.append(f"+ {body}" if coeff > 0 else f"- {body}")
-        return " ".join(parts)
+        return _sum_str([(self.terms[key], _times_monomial(*key)) for key in keys])
 
     def __repr__(self):
         return f"BivarPoly({self})"
 
 
-def _monomial_str(key: tuple[int, int]) -> str:
-    i, j = key
-    parts = []
-    if i == 1:
-        parts.append("b")
-    elif i > 1:
-        parts.append(f"b^{i}")
-    if j == 1:
-        parts.append("c")
-    elif j > 1:
-        parts.append(f"c^{j}")
-    return "*".join(parts)
+def _power(base, exp: int, one):
+    """base ** exp for an int exp >= 0 by repeated squaring, starting from
+    one; the last square, which nothing uses, is not computed."""
+    result = one
+    while exp:
+        if exp & 1:
+            result = result * base
+        exp >>= 1
+        if exp:
+            base = base * base
+    return result
+
+
+def _times_monomial(i: int, j: int) -> str:
+    """b^i c^j as it follows a coefficient: "*b^i*c^j", with a factor of
+    exponent 0 left out and an exponent 1 not written; "" for b^0 c^0."""
+    b = "" if i == 0 else "*b" if i == 1 else f"*b^{i}"
+    c = "" if j == 0 else "*c" if j == 1 else f"*c^{j}"
+    return b + c
+
+
+def _sum_str(terms) -> str:
+    """The sum of (coefficient, _times_monomial) terms, in their order, as
+    every exact polynomial prints: each term after the first as "+ a*mono"
+    or "- |a|*mono", the first as "a*mono", a coefficient 1 or -1 not
+    written before a monomial, terms with coefficient 0 left out, and "0"
+    when none is left.
+    """
+    # a coefficient 1 is then the only one that reads " 1*", as every
+    # coefficient follows a space and no monomial holds one
+    text = " " + " ".join([f"- {-a}{mono}" if a < 0 else f"+ {a}{mono}"
+                           for a, mono in terms if a])
+    if len(text) == 1:
+        return "0"
+    text = text.replace(" 1*", " ")
+    return text[3:] if text[1] == "+" else "-" + text[3:]
 
 
 class RationalFunction:
@@ -703,15 +712,7 @@ class DensePoly:
     def __pow__(self, exp: int):
         if exp < 0:
             raise ValueError("negative power of a polynomial")
-        result = _dense([1])
-        base = self
-        while exp:
-            if exp & 1:
-                result = result * base
-            exp >>= 1
-            if exp:
-                base = base * base
-        return result
+        return _power(self, exp, _dense([1]))
 
     def divexact(self, other) -> "DensePoly":
         """Quotient self / other when the division is exact; raise otherwise.
@@ -764,6 +765,29 @@ class DensePoly:
 
     def __repr__(self):
         return f"DensePoly({self.coeffs})"
+
+
+def _homogeneous_str(v, degree: int) -> str:
+    """str() of the value homogeneous of the given degree in (b, c) whose
+    value at (b, c) = (x, 1) is v, a DensePoly or a constant.
+
+    x^i becomes b^i c^(degree-i).  Where i exceeds the degree, by m at
+    most, every term gains c^m and the sum is printed over c^m, as
+    RationalFunction prints it.  Terms come in ascending powers of b, the
+    order BivarPoly prints a homogeneous polynomial in.
+    """
+    coeffs = v.coeffs if type(v) is DensePoly else (v,)
+    top = max(len(coeffs) - 1, degree)
+    body = _sum_str(zip(coeffs, _monomials(top)))
+    if top == degree:
+        return body
+    return f"({body})/({_times_monomial(0, top - degree)[1:]})"
+
+
+@cache
+def _monomials(degree: int) -> list[str]:
+    """_times_monomial(i, degree - i) for i = 0..degree."""
+    return [_times_monomial(i, degree - i) for i in range(degree + 1)]
 
 
 def _dense(coeffs: list) -> DensePoly:

@@ -17,7 +17,7 @@ from fractions import Fraction
 from itertools import accumulate, repeat
 from operator import mul
 
-from .scalars import DensePoly, check_size, coerce_scalar, scalar_inv
+from .scalars import DensePoly, _power, check_size, coerce_scalar, scalar_inv
 
 
 class TruncatedSeries:
@@ -166,14 +166,7 @@ class TruncatedSeries:
     def __pow__(self, exp: int):
         if exp < 0:
             return self.reciprocal() ** (-exp)
-        result = TruncatedSeries([1], self.order)
-        base = self
-        while exp:
-            if exp & 1:
-                result = result * base
-            base = base * base
-            exp >>= 1
-        return result
+        return _power(self, exp, TruncatedSeries([1], self.order))
 
     def __eq__(self, other):
         if not isinstance(other, TruncatedSeries):

@@ -188,7 +188,7 @@ class TestGradedRoute:
     @pytest.mark.parametrize("power", [1, 2, 6, 360, 6 ** 17])
     def test_entry_prints_as_its_fraction(self, v, power):
         # negative, zero and divisible entries, and D^d = 1
-        assert cli._over_power(v, power) == str(Fraction(v, power))
+        assert cli._over_powers(power)(v, 1) == str(Fraction(v, power))
 
     @given(parameter_pairs, st.integers(1, 7))
     @settings(max_examples=80, deadline=None)
@@ -235,7 +235,7 @@ class TestDenseRoute:
         (DensePoly([Fraction(1, 2), 11, 1]), 2, "1/2*c^2 + 11*b*c + b^2"),
     ])
     def test_entry_prints_as_its_rational_function(self, v, degree, shown):
-        assert cli._dense_str(v, degree) == shown
+        assert scalars._homogeneous_str(v, degree) == shown
 
     def test_rational_parameters_never_touch_dense_polys(self, capsys, monkeypatch):
         def outputs():

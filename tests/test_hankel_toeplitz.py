@@ -60,6 +60,10 @@ def naive_det(rows):
 
 
 class TestDeterminant:
+    def test_empty_matrix_has_int_determinant_one(self):
+        assert determinant([]) == 1
+        assert type(determinant([])) is int
+
     def test_fraction_fast_path(self):
         rows = [[Fraction(1), Fraction(2)], [Fraction(3), Fraction(4)]]
         assert determinant(rows) == Fraction(-2)

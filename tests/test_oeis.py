@@ -16,7 +16,9 @@ class TestLoadFixture:
         with pytest.raises(FileNotFoundError):
             load_fixture("A000001", tmp_path)
 
-    @pytest.mark.parametrize("line", ["1 2 3", "1 x", "2 2.5", "a 1"])
+    # int() accepts "5_0", "+5" and the fullwidth digit 5
+    @pytest.mark.parametrize("line", ["1 2 3", "1 x", "2 2.5", "a 1", "1 5_0", "1 +5",
+                                      "1 \uff15"])
     def test_malformed_line(self, tmp_path, line):
         path = tmp_path / "A000001.txt"
         path.write_text(f"0 1\n{line}\n")

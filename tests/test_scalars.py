@@ -15,6 +15,7 @@ from riordanlbp.scalars import (
     BivarPoly,
     DensePoly,
     RationalFunction,
+    _homogeneous_str,
     coerce_scalar,
     parse_rational,
     scalar_inv,
@@ -234,6 +235,76 @@ class TestDensePoly:
     def test_passes_through_coerce_scalar(self):
         x = DensePoly([0, 1])
         assert coerce_scalar(x) is x
+
+
+def reference_str(terms: dict) -> str:
+    """What BivarPoly.__str__ printed for terms in normal form when it held
+    its own loop, kept here as the reference for the shared printer."""
+    if not terms:
+        return "0"
+    # ascending total degree, then ascending b exponent
+    keys = sorted(terms, key=lambda k: (k[0] + k[1], k[0], k[1]))
+    parts = []
+    for key in keys:
+        coeff = terms[key]
+        mono = reference_monomial_str(key)
+        mag = abs(coeff)
+        if mono:
+            body = mono if mag == 1 else f"{mag}*{mono}"
+        else:
+            body = str(mag)
+        if not parts:
+            parts.append(body if coeff > 0 else f"-{body}")
+        else:
+            parts.append(f"+ {body}" if coeff > 0 else f"- {body}")
+    return " ".join(parts)
+
+
+def reference_monomial_str(key: tuple[int, int]) -> str:
+    i, j = key
+    parts = []
+    if i == 1:
+        parts.append("b")
+    elif i > 1:
+        parts.append(f"b^{i}")
+    if j == 1:
+        parts.append("c")
+    elif j > 1:
+        parts.append(f"c^{j}")
+    return "*".join(parts)
+
+
+# the coefficients whose spelling has a special case drawn often: 1 and -1
+# are dropped before a monomial, 11 and 1/2 start with the digit 1
+printed_coefficients = st.one_of(
+    st.sampled_from([1, -1, 11, -11, Fraction(1, 2), Fraction(-1, 2)]),
+    st.integers(-10**20, 10**20),
+    st.fractions(min_value=-30, max_value=30, max_denominator=50),
+)
+printed_keys = st.one_of(st.just((0, 0)), st.tuples(st.integers(0, 12), st.integers(0, 12)))
+
+
+class TestPrinter:
+    """BivarPoly and the dense (sym, sym) entries print through one printer,
+    which must keep the spelling BivarPoly's own loop had."""
+
+    @given(st.dictionaries(printed_keys, printed_coefficients, max_size=8))
+    @settings(max_examples=300, deadline=None)
+    def test_bivar_poly_prints_as_its_own_loop_did(self, terms):
+        poly = BivarPoly(terms)
+        assert str(poly) == reference_str(poly.terms)
+
+    @given(st.one_of(printed_coefficients, st.just(0),
+                     st.lists(st.one_of(st.just(0), printed_coefficients), max_size=9)
+                     .map(DensePoly)),
+           st.integers(0, 10))
+    @settings(max_examples=300, deadline=None)
+    def test_dense_entry_prints_as_its_rational_function(self, v, degree):
+        coeffs = v.coeffs if isinstance(v, DensePoly) else [v]
+        top = max(len(coeffs) - 1, degree)
+        num = BivarPoly({(i, top - i): a for i, a in enumerate(coeffs)})
+        expected = str(RationalFunction(num, BivarPoly.monomial(0, top - degree)))
+        assert _homogeneous_str(v, degree) == expected
 
 
 rational_functions = st.builds(
