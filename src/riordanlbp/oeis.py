@@ -51,8 +51,9 @@ def load_fixture(sequence_id: str, fixtures_dir: Path | str | None = None) -> Oe
         if len(fields) != 2 or not all(t.isascii() and t.removeprefix("-").isdigit()
                                        for t in fields):
             raise ValueError(f"{path}:{line_no}: expected '<index> <integer>'")
-        indices.append(int(fields[0]))
-        terms.append(int(fields[1]))
+        index, term = map(int, fields)
+        indices.append(index)
+        terms.append(term)
     if not terms:
         raise ValueError(f"{path}: empty fixture")
     for prev, nxt in zip(indices, indices[1:]):
