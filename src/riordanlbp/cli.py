@@ -16,6 +16,10 @@ Exit codes: 0 success, 1 verification failure, 2 usage or parameter error,
 stderr, 141 (128 + SIGPIPE, what a shell reports for a tool killed by
 SIGPIPE) when the reader closes stdout early, as ``riordanlbp ... | head``
 does; that ends quietly, without a traceback.
+Values print in full however many digits they have: unless the user set
+CPython's int <-> str digit limit (``PYTHONINTMAXSTRDIGITS`` or
+``-X int_max_str_digits``), ``main`` lifts it while the command runs and
+puts the previous limit back when it returns.
 ``--order`` is checked against the smallest order each generate kind and
 verify scenario accepts (``MIN_ORDER``, also listed in ``--help``).
 
@@ -331,6 +335,20 @@ def _parse_plain(argv: list[str]) -> SimpleNamespace | None:
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
+    # exact values can pass CPython's int <-> str digit limit (4300 by
+    # default since 3.10.7, when the flag came in); lift it for this
+    # command unless the user set one
+    if getattr(sys.flags, "int_max_str_digits", None) != -1:
+        return _run(argv)
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return _run(argv)
+    finally:
+        sys.set_int_max_str_digits(previous)
+
+
+def _run(argv) -> int:
     args = _parse_plain(argv) or build_parser().parse_args(argv)
     if args.command in MIN_ORDER:
         target = args.kind if args.command == "generate" else args.scenario

@@ -27,6 +27,20 @@ Every exact polynomial prints through one printer, ``_sum_str``:
 ``BivarPoly``, ``DensePoly`` and ``TruncatedSeries`` share one power
 routine, ``_power``.
 
+The symbolic values of ``verify`` are small: in ``verify all --order 12``
+the largest of the 11,116 polynomial products the term-by-term series
+loops made had 22 terms, 60% had a one-term side and the mean was about
+5.3 term pairs.  Their cost is per operation, not per term pair, so each
+coefficient of a series convolution over ``RationalFunction`` is one call
+of the fused kernel ``dot``, which sums every term product into one
+numerator and reduces it once, where the term-by-term fold builds and
+reduces a polynomial and a rational function per product and per sum.
+``series`` picks the kernel once per operation from the coefficient
+types, so int, Fraction and DensePoly series keep their plain arithmetic.
+A one-term ``BivarPoly`` operand, and an int or Fraction factor of a
+``RationalFunction``, are scaled copies, with no accumulator and no
+constant polynomial built.
+
 Everything is exact.  No floating point is used anywhere in this module or in
 the rest of the package.
 """
@@ -36,6 +50,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache
 from itertools import repeat
+from math import comb
 from operator import add, mul, sub
 
 
@@ -214,17 +229,20 @@ class BivarPoly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        if not self.terms or not other.terms:
-            return BivarPoly.zero()
         small, large = self.terms, other.terms
         if len(small) > len(large):
             small, large = large, small
+        res = BivarPoly.__new__(BivarPoly)
+        if len(small) == 1:
+            # a shifted, scaled copy: no two products share a key, none is 0
+            ((i1, j1), v1), = small.items()
+            res.terms = {(i1 + i2, j1 + j2): _exact(v1 * v2) for (i2, j2), v2 in large.items()}
+            return res
         out: dict[tuple[int, int], int | Fraction] = {}
         for (i1, j1), v1 in small.items():
             for (i2, j2), v2 in large.items():
                 key = (i1 + i2, j1 + j2)
                 out[key] = out.get(key, 0) + v1 * v2
-        res = BivarPoly.__new__(BivarPoly)
         res.terms = {k: _exact(v) for k, v in out.items() if v}
         return res
 
@@ -466,6 +484,13 @@ class RationalFunction:
         return other - self
 
     def __mul__(self, other):
+        if type(other) is int or type(other) is Fraction:
+            # a nonzero constant factor leaves the form reduced
+            if not other:
+                return _value(BivarPoly(), _NO_DEN)
+            res = BivarPoly.__new__(BivarPoly)
+            res.terms = {k: _exact(v * other) for k, v in self.num.terms.items()}
+            return _value(res, self.exps)
         other = self._coerce(other)
         if other is None:
             return NotImplemented
@@ -562,15 +587,78 @@ def _value(num: BivarPoly, exps) -> RationalFunction:
 
 def _lowest(num: BivarPoly, exps):
     """(num, exps) for num / (b^i c^j (b+c)^k), exps = (i, j, k), in lowest terms."""
-    i, j, k = exps
     if not num.terms:
         return num, _NO_DEN
+    if exps == _NO_DEN:
+        return num, exps
+    i, j, k = exps
     si = min(i, min(a for a, _ in num.terms))
     sj = min(j, min(e for _, e in num.terms))
     num = _shift(num, si, sj)
     while k and (quotient := _over_b_plus_c(num)) is not None:
         num, k = quotient, k - 1
     return num, (i - si, j - sj, k)
+
+
+def dot(xs, ys):
+    """sum(x * y for x, y in zip(xs, ys)) for int, Fraction and
+    RationalFunction values, equal in normal form to the left fold
+    acc = acc + x * y from acc = 0: a RationalFunction when any pair holds
+    one, else the plain sum.
+
+    Every term product goes straight into one numerator dict per product
+    denominator b^i c^j (b+c)^k.  Those numerators are then brought over
+    the common denominator b^I c^J (b+c)^K, and the sum is put in
+    coefficient normal form and lowest terms once, where the fold builds,
+    normalizes and reduces one polynomial and one rational function per
+    product and per sum.
+    """
+    plain, groups = 0, {}
+    for x, y in zip(xs, ys):
+        if type(x) is RationalFunction:
+            if type(y) is RationalFunction:
+                exps = (x.exps[0] + y.exps[0], x.exps[1] + y.exps[1], x.exps[2] + y.exps[2])
+                out = groups.setdefault(exps, {})
+                large = y.num.terms
+                for (i1, j1), v1 in x.num.terms.items():
+                    for (i2, j2), v2 in large.items():
+                        key = (i1 + i2, j1 + j2)
+                        out[key] = out.get(key, 0) + v1 * v2
+                continue
+            x, y = y, x
+        elif type(y) is not RationalFunction:
+            plain = plain + x * y
+            continue
+        # x is an int or Fraction, y a RationalFunction
+        out = groups.setdefault(y.exps if x else _NO_DEN, {})
+        if x:
+            for key, v in y.num.terms.items():
+                out[key] = out.get(key, 0) + x * v
+    if not groups:
+        return plain
+    if plain:
+        out = groups.setdefault(_NO_DEN, {})
+        out[(0, 0)] = out.get((0, 0), 0) + plain
+    if len(groups) == 1:
+        (exps, total), = groups.items()
+    else:
+        exps = tuple(map(max, zip(*groups)))
+        (big_i, big_j, big_k), total = exps, {}
+        for (i, j, k), out in groups.items():
+            factor = _b_plus_c_power(big_k - k)
+            for (i1, j1), v1 in out.items():
+                for (i2, j2), v2 in factor:
+                    key = (i1 + i2 + big_i - i, j1 + j2 + big_j - j)
+                    total[key] = total.get(key, 0) + v1 * v2
+    num = BivarPoly.__new__(BivarPoly)
+    num.terms = {k: _exact(v) for k, v in total.items() if v}
+    return _value(*_lowest(num, exps))
+
+
+@cache
+def _b_plus_c_power(k: int) -> tuple:
+    """The terms ((i, j), coefficient) of (b+c)^k."""
+    return tuple(((i, k - i), comb(k, i)) for i in range(k + 1))
 
 
 def over_lcm(values) -> tuple[list[BivarPoly], BivarPoly]:

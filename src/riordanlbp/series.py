@@ -6,6 +6,13 @@ order it reports.  Composition requires the inner series to vanish at 0;
 division requires an invertible constant term; reversion uses Lagrange
 inversion; square root assumes constant term 1 and a ring containing 1/2.
 
+Products, division and square root sum products of coefficients, one sum
+per output coefficient.  Each operation chooses how once, from the
+coefficient types it sees: ``scalars.dot``, which reduces each sum to
+lowest terms once, when a coefficient is a RationalFunction, and the plain
+``sum(map(mul, ...))`` otherwise, so that int, Fraction and DensePoly
+series pay no per-coefficient dispatch.
+
 Sizes are arguments: every constructor takes the order it builds to, and
 nothing falls back to a default size.  Only ``TruncatedSeries(coeffs)``
 without an order takes it from the length of ``coeffs``.
@@ -17,7 +24,9 @@ from fractions import Fraction
 from itertools import accumulate, repeat
 from operator import mul
 
-from .scalars import DensePoly, _power, check_size, coerce_scalar, scalar_inv
+from .scalars import (
+    DensePoly, RationalFunction, _power, check_size, coerce_scalar, dot, scalar_inv,
+)
 
 
 class TruncatedSeries:
@@ -131,12 +140,11 @@ class TruncatedSeries:
         va, vb = self.valuation(), other.valuation()
         if va is None or vb is None:
             return TruncatedSeries([zero] * (n + 1))
+        dot = _dot_for(a, b)
+        rb = b[n::-1]  # rb[n - k] = b[k]
         out = [zero] * min(va + vb, n + 1)
         for m in range(va + vb, n + 1):
-            acc = a[va] * b[m - va]
-            for k in range(va + 1, m - vb + 1):
-                acc = acc + a[k] * b[m - k]
-            out.append(acc)
+            out.append(dot(a[va:m - vb + 1], rb[n - m + va:n - vb + 1]))
         return TruncatedSeries(out)
 
     __rmul__ = __mul__
@@ -237,12 +245,10 @@ class TruncatedSeries:
         if not self.coeffs[0] == 1:
             raise ValueError("sqrt requires constant term 1")
         half = Fraction(1, 2)
+        dot = _dot_for(self.coeffs)
         out = [self.coeffs[0]]
         for m in range(1, self.order + 1):
-            acc = self.coeffs[m]
-            for k in range(1, m):
-                acc = acc - out[k] * out[m - k]
-            out.append(acc * half)
+            out.append((self.coeffs[m] - dot(out[1:m], out[m - 1:0:-1])) * half)
         return TruncatedSeries(out)
 
     def __str__(self):
@@ -257,13 +263,24 @@ def _series_div(num: TruncatedSeries, den: TruncatedSeries) -> TruncatedSeries:
         raise ZeroDivisionError("series division needs an invertible constant term")
     n = min(num.order, den.order)
     inv0 = scalar_inv(den.coeffs[0])
+    dot = _dot_for(num.coeffs, den.coeffs)
     out = [num.coeffs[0] * inv0]
     for m in range(1, n + 1):
-        acc = num.coeffs[m]
-        for k in range(1, m + 1):
-            acc = acc - den.coeffs[k] * out[m - k]
-        out.append(acc * inv0)
+        out.append((num.coeffs[m] - dot(den.coeffs[1:m + 1], out[::-1])) * inv0)
     return TruncatedSeries(out)
+
+
+def _dot_for(*coeff_lists):
+    """The sum of products for one series operation on these coefficients:
+    the fused ``scalars.dot`` when one is a RationalFunction, else the plain
+    sum, which keeps int, Fraction and DensePoly arithmetic as it is."""
+    if any(type(v) is RationalFunction for cs in coeff_lists for v in cs):
+        return dot
+    return _plain_dot
+
+
+def _plain_dot(xs, ys):
+    return sum(map(mul, xs, ys))
 
 
 def catalan_series(order: int) -> TruncatedSeries:

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from riordanlbp import cli, oeis, scalars
 from riordanlbp.cli import EXIT_BROKEN_PIPE, EXIT_INTERNAL, GENERATE_KINDS, build_parser, main
-from riordanlbp.lbp import MOMENT_ROUTES
+from riordanlbp.lbp import MOMENT_ROUTES, LBPFamily, moments
 from riordanlbp.orthopoly import ORTHO_KINDS
 from riordanlbp.riordan import LowerTriangularMatrix
 from riordanlbp.scalars import PARAM_B, PARAM_C, DensePoly
@@ -460,3 +460,45 @@ class TestConsoleScript:
                               capture_output=True, text=True)
         assert (proc.returncode, proc.stderr) == (0, "")
         assert proc.stdout.splitlines() == ["1", "1", "2", "6", "[]"]
+
+
+#: 1/10^100: mu_44 at (b, c) = (1, c) has a denominator of 4401 digits
+TINY_C = "1/1" + "0" * 100
+LONG_VALUE_ARGV = ["generate", "moments", "--order", "44", "--b=1", f"--c={TINY_C}"]
+HAS_DIGIT_LIMIT = hasattr(sys, "set_int_max_str_digits")
+
+
+@pytest.mark.skipif(not HAS_DIGIT_LIMIT or sys.flags.int_max_str_digits != -1,
+                    reason="this interpreter has no default int <-> str digit limit")
+class TestDigitLimit:
+    """CPython refuses int <-> str conversions past 4300 digits by default;
+    cli.main lifts that limit while a command runs, and only then."""
+
+    @pytest.fixture
+    def limit(self):
+        previous = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4321)
+        yield 4321
+        sys.set_int_max_str_digits(previous)
+
+    def test_long_value_prints_in_full(self, capsys, limit):
+        code, out, err = run_cli(capsys, *LONG_VALUE_ARGV)
+        assert (code, err) == (0, "")
+        assert sys.get_int_max_str_digits() == limit
+        last = out.splitlines()[-1]
+        assert len(last) > 4300
+        expected = moments(LBPFamily.constant(1, Fraction(TINY_C)), "catalan_sum", 44)[-1]
+        sys.set_int_max_str_digits(0)
+        assert Fraction(last) == expected
+
+    def test_limit_is_restored_after_a_usage_error(self, capsys, limit):
+        with pytest.raises(SystemExit):
+            main(["generate", "moments", "--order", "x"])
+        assert sys.get_int_max_str_digits() == limit
+
+    def test_limit_the_user_sets_is_kept(self):
+        proc = subprocess.run([sys.executable, "-m", "riordanlbp", *LONG_VALUE_ARGV],
+                              capture_output=True, text=True,
+                              env={**CHILD_ENV, "PYTHONINTMAXSTRDIGITS": "4300"})
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert "4300 digits" in proc.stderr

@@ -393,6 +393,42 @@ class TestRationalFunction:
         assert expr.evaluate(bv, cv) == (bv + cv) ** 2 - bv * cv
 
 
+class TestProductFastPaths:
+    """A one-term BivarPoly operand and an int or Fraction factor of a
+    RationalFunction take shortcuts; the results keep the normal form."""
+
+    def test_one_term_product_unwraps_integral_coefficients(self):
+        half_b = BivarPoly({(1, 0): Fraction(1, 2)})
+        for product in (half_b * 2, 2 * half_b, half_b * BivarPoly.const(2)):
+            assert product.terms == {(1, 0): 1}
+            assert type(product.terms[(1, 0)]) is int
+
+    def test_one_term_times_many_terms_equals_the_general_product(self):
+        mono = BivarPoly.monomial(1, 2, Fraction(3, 2))
+        poly = BivarPoly({(0, 0): 2, (1, 1): Fraction(-2, 3), (2, 0): 4})
+        # the same product through the general path: two terms on each side
+        general = (mono + BivarPoly.monomial(9, 9)) * poly - BivarPoly.monomial(9, 9) * poly
+        assert mono * poly == poly * mono == general
+        assert (mono * poly).terms == {(1, 2): 3, (2, 3): -1, (3, 2): 6}
+        assert_normal_form(mono * poly)
+
+    @pytest.mark.parametrize("zero", [0, Fraction(0)])
+    def test_rational_function_times_zero(self, zero):
+        r = RationalFunction(BivarPoly.b() + 1, BivarPoly.c() * (BivarPoly.b() + BivarPoly.c()))
+        for product in (r * zero, zero * r):
+            assert type(product) is RationalFunction
+            assert (product.num.terms, product.exps) == ({}, (0, 0, 0))
+
+    def test_fraction_factor_keeps_lowest_terms(self):
+        b, c = BivarPoly.b(), BivarPoly.c()
+        r = RationalFunction(2 * b + 4 * c, c * (b + c) ** 2)
+        product = r * Fraction(1, 2)
+        assert product == RationalFunction((2 * b + 4 * c) * Fraction(1, 2), c * (b + c) ** 2)
+        assert (product.num.terms, product.exps) == ({(1, 0): 1, (0, 1): 2}, (0, 1, 2))
+        assert_normal_form(product.num)
+        assert (product * 2).num.terms == r.num.terms
+
+
 class TestParseRational:
     @pytest.mark.parametrize(
         "text, value",

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from riordanlbp.hankel_toeplitz import determinant
-from riordanlbp.scalars import BivarPoly, RationalFunction
+from riordanlbp.scalars import BivarPoly, RationalFunction, dot
 
 sympy = pytest.importorskip("sympy")
 
@@ -126,3 +126,30 @@ def test_stored_form_is_in_lowest_terms(r, s):
     for value in (r, r + s, r * s):
         gcd = sympy.gcd(to_sympy(value.num).as_expr(), to_sympy(value.den).as_expr())
         assert not gcd.free_symbols, f"{value} is not in lowest terms"
+
+
+dot_values = st.one_of(coefficients, rational_functions, st.just(0),
+                       st.just(RationalFunction(0)))
+
+
+def any_to_expr(v):
+    if isinstance(v, RationalFunction):
+        return to_expr(v)
+    return sympy.Rational(v.numerator, v.denominator)
+
+
+@given(st.lists(dot_values, max_size=5), st.lists(dot_values, max_size=5))
+@settings(max_examples=80, deadline=None)
+def test_dot_matches_the_left_fold_and_sympy(xs, ys):
+    got = dot(xs, ys)
+    fold = 0
+    for x, y in zip(xs, ys):
+        fold = fold + x * y
+    assert type(got) is type(fold)
+    want = sum((any_to_expr(x) * any_to_expr(y) for x, y in zip(xs, ys)), sympy.Integer(0))
+    if type(got) is RationalFunction:
+        assert (got.exps, got.num.terms) == (fold.exps, fold.num.terms)
+        assert all(type(v) is int or v.denominator > 1 for v in got.num.terms.values())
+        assert same(to_expr(got), want)
+    else:
+        assert got == fold == want

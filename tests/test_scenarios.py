@@ -112,3 +112,28 @@ class TestRunScenario:
     def test_unknown_name_rejected(self):
         with pytest.raises(KeyError):
             run_scenario("nonesuch")
+
+
+#: BivarPoly products and RationalFunction constructions in one
+#: `verify all --order 12`, as the benchmark's scalars.poly_mul.calls and
+#: scalars.ratfunc_new.calls count them.  One product and one reduction per
+#: term of each series convolution took 11,116 and 3,155.
+SCALAR_OP_CEILINGS = {"BivarPoly.__mul__": 4687, "RationalFunction.__init__": 878}
+
+
+def test_verify_all_scalar_operation_counts(monkeypatch, capsys):
+    from riordanlbp.cli import main
+    from riordanlbp.scalars import BivarPoly, RationalFunction
+
+    counts = dict.fromkeys(SCALAR_OP_CEILINGS, 0)
+    for cls, names in ((BivarPoly, ("__mul__", "__rmul__")), (RationalFunction, ("__init__",))):
+        key = f"{cls.__name__}.{names[0]}"
+        for name in names:
+            def counted(*args, _original=getattr(cls, name), _key=key):
+                counts[_key] += 1
+                return _original(*args)
+            monkeypatch.setattr(cls, name, counted)
+    assert main(["verify", "all", "--order", "12"]) == 0
+    capsys.readouterr()
+    over = {k: v for k, v in counts.items() if v > SCALAR_OP_CEILINGS[k]}
+    assert not over, f"scalar operation counts {counts} above {SCALAR_OP_CEILINGS}"
