@@ -645,20 +645,16 @@ def dot(xs, ys):
         exps = tuple(map(max, zip(*groups)))
         (big_i, big_j, big_k), total = exps, {}
         for (i, j, k), out in groups.items():
-            factor = _b_plus_c_power(big_k - k)
+            # the terms of b^(I-i) c^(J-j) (b+c)^(K-k)
+            d = big_k - k
+            lift = [((r + big_i - i, d - r + big_j - j), comb(d, r)) for r in range(d + 1)]
             for (i1, j1), v1 in out.items():
-                for (i2, j2), v2 in factor:
-                    key = (i1 + i2 + big_i - i, j1 + j2 + big_j - j)
+                for (i2, j2), v2 in lift:
+                    key = (i1 + i2, j1 + j2)
                     total[key] = total.get(key, 0) + v1 * v2
     num = BivarPoly.__new__(BivarPoly)
     num.terms = {k: _exact(v) for k, v in total.items() if v}
     return _value(*_lowest(num, exps))
-
-
-@cache
-def _b_plus_c_power(k: int) -> tuple:
-    """The terms ((i, j), coefficient) of (b+c)^k."""
-    return tuple(((i, k - i), comb(k, i)) for i in range(k + 1))
 
 
 def over_lcm(values) -> tuple[list[BivarPoly], BivarPoly]:
