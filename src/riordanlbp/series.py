@@ -140,11 +140,11 @@ class TruncatedSeries:
         va, vb = self.valuation(), other.valuation()
         if va is None or vb is None:
             return TruncatedSeries([zero] * (n + 1))
-        dot = _dot_for(a, b)
+        kernel = _dot_for(a, b)
         rb = b[n::-1]  # rb[n - k] = b[k]
         out = [zero] * min(va + vb, n + 1)
         for m in range(va + vb, n + 1):
-            out.append(dot(a[va:m - vb + 1], rb[n - m + va:n - vb + 1]))
+            out.append(kernel(a[va:m - vb + 1], rb[n - m + va:n - vb + 1]))
         return TruncatedSeries(out)
 
     __rmul__ = __mul__
@@ -245,10 +245,10 @@ class TruncatedSeries:
         if not self.coeffs[0] == 1:
             raise ValueError("sqrt requires constant term 1")
         half = Fraction(1, 2)
-        dot = _dot_for(self.coeffs)
+        kernel = _dot_for(self.coeffs)
         out = [self.coeffs[0]]
         for m in range(1, self.order + 1):
-            out.append((self.coeffs[m] - dot(out[1:m], out[m - 1:0:-1])) * half)
+            out.append((self.coeffs[m] - kernel(out[1:m], out[m - 1:0:-1])) * half)
         return TruncatedSeries(out)
 
     def __str__(self):
@@ -263,10 +263,10 @@ def _series_div(num: TruncatedSeries, den: TruncatedSeries) -> TruncatedSeries:
         raise ZeroDivisionError("series division needs an invertible constant term")
     n = min(num.order, den.order)
     inv0 = scalar_inv(den.coeffs[0])
-    dot = _dot_for(num.coeffs, den.coeffs)
+    kernel = _dot_for(num.coeffs, den.coeffs)
     out = [num.coeffs[0] * inv0]
     for m in range(1, n + 1):
-        out.append((num.coeffs[m] - dot(den.coeffs[1:m + 1], out[::-1])) * inv0)
+        out.append((num.coeffs[m] - kernel(den.coeffs[1:m + 1], out[::-1])) * inv0)
     return TruncatedSeries(out)
 
 
