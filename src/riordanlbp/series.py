@@ -8,10 +8,11 @@ inversion; square root assumes constant term 1 and a ring containing 1/2.
 
 Products, division and square root sum products of coefficients, one sum
 per output coefficient.  Each operation chooses how once, from the
-coefficient types it sees: ``scalars.dot``, which reduces each sum to
-lowest terms once, when a coefficient is a RationalFunction, and the plain
-``sum(map(mul, ...))`` otherwise, so that int, Fraction and DensePoly
-series pay no per-coefficient dispatch.
+coefficient types it sees: through ``scalars.dot``, which reduces each sum
+to lowest terms once, when a coefficient is a RationalFunction, and term
+by term otherwise.  On int coefficients that loop is as fast as
+``sum(map(mul, ...))`` and skips its slices and call, so int, Fraction and
+DensePoly series keep their arithmetic.
 
 Sizes are arguments: every constructor takes the order it builds to, and
 nothing falls back to a default size.  Only ``TruncatedSeries(coeffs)``
@@ -140,11 +141,16 @@ class TruncatedSeries:
         va, vb = self.valuation(), other.valuation()
         if va is None or vb is None:
             return TruncatedSeries([zero] * (n + 1))
-        kernel = _dot_for(a, b)
-        rb = b[n::-1]  # rb[n - k] = b[k]
+        fused = _holds_ratfunc(a, b)
         out = [zero] * min(va + vb, n + 1)
         for m in range(va + vb, n + 1):
-            out.append(kernel(a[va:m - vb + 1], rb[n - m + va:n - vb + 1]))
+            if fused:
+                acc = dot(a[va:m - vb + 1], b[vb:m - va + 1][::-1])
+            else:
+                acc = a[va] * b[m - va]
+                for k in range(va + 1, m - vb + 1):
+                    acc = acc + a[k] * b[m - k]
+            out.append(acc)
         return TruncatedSeries(out)
 
     __rmul__ = __mul__
@@ -245,10 +251,16 @@ class TruncatedSeries:
         if not self.coeffs[0] == 1:
             raise ValueError("sqrt requires constant term 1")
         half = Fraction(1, 2)
-        kernel = _dot_for(self.coeffs)
+        fused = _holds_ratfunc(self.coeffs)
         out = [self.coeffs[0]]
         for m in range(1, self.order + 1):
-            out.append((self.coeffs[m] - kernel(out[1:m], out[m - 1:0:-1])) * half)
+            if fused:
+                acc = self.coeffs[m] - dot(out[1:m], out[m - 1:0:-1])
+            else:
+                acc = self.coeffs[m]
+                for k in range(1, m):
+                    acc = acc - out[k] * out[m - k]
+            out.append(acc * half)
         return TruncatedSeries(out)
 
     def __str__(self):
@@ -263,24 +275,24 @@ def _series_div(num: TruncatedSeries, den: TruncatedSeries) -> TruncatedSeries:
         raise ZeroDivisionError("series division needs an invertible constant term")
     n = min(num.order, den.order)
     inv0 = scalar_inv(den.coeffs[0])
-    kernel = _dot_for(num.coeffs, den.coeffs)
+    fused = _holds_ratfunc(num.coeffs, den.coeffs)
     out = [num.coeffs[0] * inv0]
     for m in range(1, n + 1):
-        out.append((num.coeffs[m] - kernel(den.coeffs[1:m + 1], out[::-1])) * inv0)
+        if fused:
+            acc = num.coeffs[m] - dot(den.coeffs[1:m + 1], out[::-1])
+        else:
+            acc = num.coeffs[m]
+            for k in range(1, m + 1):
+                acc = acc - den.coeffs[k] * out[m - k]
+        out.append(acc * inv0)
     return TruncatedSeries(out)
 
 
-def _dot_for(*coeff_lists):
-    """The sum of products for one series operation on these coefficients:
-    the fused ``scalars.dot`` when one is a RationalFunction, else the plain
-    sum, which keeps int, Fraction and DensePoly arithmetic as it is."""
-    if any(type(v) is RationalFunction for cs in coeff_lists for v in cs):
-        return dot
-    return _plain_dot
-
-
-def _plain_dot(xs, ys):
-    return sum(map(mul, xs, ys))
+def _holds_ratfunc(*coeff_lists) -> bool:
+    """Whether a coefficient is a RationalFunction: then each sum of
+    products goes through the fused ``scalars.dot``, and otherwise through
+    the term-by-term loop, which int, Fraction and DensePoly run faster."""
+    return any(RationalFunction in map(type, cs) for cs in coeff_lists)
 
 
 def catalan_series(order: int) -> TruncatedSeries:
