@@ -151,7 +151,7 @@ class TruncatedSeries:
                 for k in range(va + 1, m - vb + 1):
                     acc = acc + a[k] * b[m - k]
             out.append(acc)
-        return TruncatedSeries(out)
+        return _series(out)
 
     __rmul__ = __mul__
 
@@ -261,7 +261,7 @@ class TruncatedSeries:
                 for k in range(1, m):
                     acc = acc - out[k] * out[m - k]
             out.append(acc * half)
-        return TruncatedSeries(out)
+        return _series(out)
 
     def __str__(self):
         return " + ".join(f"({v})*t^{n}" for n, v in enumerate(self.coeffs))
@@ -285,7 +285,15 @@ def _series_div(num: TruncatedSeries, den: TruncatedSeries) -> TruncatedSeries:
             for k in range(1, m + 1):
                 acc = acc - den.coeffs[k] * out[m - k]
         out.append(acc * inv0)
-    return TruncatedSeries(out)
+    return _series(out)
+
+
+def _series(coeffs: list) -> TruncatedSeries:
+    """A TruncatedSeries around coeffs, which are already exact scalars: the
+    results of arithmetic on them, so not coerced a second time."""
+    res = TruncatedSeries.__new__(TruncatedSeries)
+    res.coeffs = tuple(coeffs)
+    return res
 
 
 def _holds_ratfunc(*coeff_lists) -> bool:

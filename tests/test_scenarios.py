@@ -5,8 +5,10 @@ from fractions import Fraction
 import pytest
 
 from riordanlbp import combinat, lbp, scenarios
+from riordanlbp.cli import main
 from riordanlbp.report import Check, ScenarioReport, check_equal
 from riordanlbp.riordan import RiordanArray
+from riordanlbp.scalars import BivarPoly, RationalFunction
 from riordanlbp.scenarios import SCENARIOS, run_scenario
 
 
@@ -121,10 +123,7 @@ class TestRunScenario:
 SCALAR_OP_CEILINGS = {"BivarPoly.__mul__": 4687, "RationalFunction.__init__": 878}
 
 
-def test_verify_all_scalar_operation_counts(monkeypatch, capsys):
-    from riordanlbp.cli import main
-    from riordanlbp.scalars import BivarPoly, RationalFunction
-
+def test_verify_all_scalar_operation_counts(monkeypatch):
     counts = dict.fromkeys(SCALAR_OP_CEILINGS, 0)
     for cls, names in ((BivarPoly, ("__mul__", "__rmul__")), (RationalFunction, ("__init__",))):
         key = f"{cls.__name__}.{names[0]}"
@@ -134,6 +133,5 @@ def test_verify_all_scalar_operation_counts(monkeypatch, capsys):
                 return _original(*args)
             monkeypatch.setattr(cls, name, counted)
     assert main(["verify", "all", "--order", "12"]) == 0
-    capsys.readouterr()
     over = {k: v for k, v in counts.items() if v > SCALAR_OP_CEILINGS[k]}
     assert not over, f"scalar operation counts {counts} above {SCALAR_OP_CEILINGS}"
