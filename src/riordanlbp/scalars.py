@@ -27,19 +27,18 @@ Every exact polynomial prints through one printer, ``_sum_str``:
 ``BivarPoly``, ``DensePoly`` and ``TruncatedSeries`` share one power
 routine, ``_power``.
 
-The symbolic values of ``verify`` are small: in ``verify all --order 12``
-the largest of the 11,116 polynomial products the term-by-term series
-loops made had 22 terms, 60% had a one-term side and the mean was about
-5.3 term pairs.  Their cost is per operation, not per term pair, so each
-coefficient of a series convolution over ``RationalFunction`` is one call
-of the fused kernel ``dot``, which sums every term product into one
-numerator and reduces it once, where the term-by-term fold builds and
-reduces a polynomial and a rational function per product and per sum.
-``series`` picks the kernel once per operation from the coefficient
-types, so int, Fraction and DensePoly series keep their plain arithmetic.
-A one-term ``BivarPoly`` operand, and an int or Fraction factor of a
-``RationalFunction``, are scaled copies, with no accumulator and no
-constant polynomial built.
+The symbolic values of ``verify`` are polynomials of a few terms, so their
+cost is per operation, not per term pair.  So each coefficient of a series
+convolution over ``RationalFunction`` is one call of the fused kernel
+``dot``, which sums every term product into one numerator and reduces it
+once; ``series`` picks it once per operation from the coefficient types,
+so int, Fraction and DensePoly series keep their plain arithmetic.  A
+one-term ``BivarPoly`` operand, and an int or Fraction factor of a
+``RationalFunction``, are scaled copies.  Any other int or Fraction
+operand becomes a polynomial in one place, ``BivarPoly._coerce``, which
+builds the constant in coefficient normal form without the validating
+constructor; ``RationalFunction._coerce`` puts it over the denominator 1.
+``+`` and ``-`` are one ``_combine`` per type.
 
 Everything is exact.  No floating point is used anywhere in this module or in
 the rest of the package.
@@ -176,19 +175,25 @@ class BivarPoly:
 
     @staticmethod
     def _coerce(other):
+        """other as a BivarPoly, None when it is not an exact scalar; an int
+        or Fraction becomes the constant directly, in coefficient normal form."""
         if isinstance(other, BivarPoly):
             return other
         if isinstance(other, (int, Fraction)):
-            return BivarPoly.const(other)
+            value = _exact(other) if isinstance(other, Fraction) else int(other)
+            res = BivarPoly.__new__(BivarPoly)
+            res.terms = {(0, 0): value} if value else {}
+            return res
         return None
 
-    def __add__(self, other):
+    def _combine(self, other, op):
+        """self + other or self - other, as op is add or sub."""
         other = self._coerce(other)
         if other is None:
             return NotImplemented
         out = dict(self.terms)
         for key, val in other.terms.items():
-            acc = out.get(key, 0) + val
+            acc = op(out.get(key, 0), val)
             if acc:
                 out[key] = _exact(acc)
             else:
@@ -196,6 +201,9 @@ class BivarPoly:
         res = BivarPoly.__new__(BivarPoly)
         res.terms = out
         return res
+
+    def __add__(self, other):
+        return self._combine(other, add)
 
     __radd__ = __add__
 
@@ -205,19 +213,7 @@ class BivarPoly:
         return res
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        out = dict(self.terms)
-        for key, val in other.terms.items():
-            acc = out.get(key, 0) - val
-            if acc:
-                out[key] = _exact(acc)
-            else:
-                del out[key]
-        res = BivarPoly.__new__(BivarPoly)
-        res.terms = out
-        return res
+        return self._combine(other, sub)
 
     def __rsub__(self, other):
         other = self._coerce(other)
@@ -422,11 +418,11 @@ class RationalFunction:
 
     @staticmethod
     def _coerce(other):
+        """other as a RationalFunction, None when it is not an exact scalar."""
         if isinstance(other, RationalFunction):
             return other
-        if isinstance(other, (int, Fraction, BivarPoly)):
-            return RationalFunction(other)
-        return None
+        num = BivarPoly._coerce(other)
+        return None if num is None else _value(num, _NO_DEN)
 
     # -- predicates ------------------------------------------------------------
 
@@ -448,14 +444,18 @@ class RationalFunction:
 
     # -- arithmetic --------------------------------------------------------
 
-    def __add__(self, other):
+    def _combine(self, other, op):
+        """self + other or self - other, as op is add or sub."""
         other = self._coerce(other)
         if other is None:
             return NotImplemented
         if self.exps == other.exps == _NO_DEN:
-            return _value(self.num + other.num, _NO_DEN)
+            return _value(op(self.num, other.num), _NO_DEN)
         exps = tuple(map(max, self.exps, other.exps))
-        return _value(*_lowest(self._over(exps) + other._over(exps), exps))
+        return _value(*_lowest(op(self._over(exps), other._over(exps)), exps))
+
+    def __add__(self, other):
+        return self._combine(other, add)
 
     __radd__ = __add__
 
@@ -469,13 +469,7 @@ class RationalFunction:
         return _value(-self.num, self.exps)
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        if self.exps == other.exps == _NO_DEN:
-            return _value(self.num - other.num, _NO_DEN)
-        exps = tuple(map(max, self.exps, other.exps))
-        return _value(*_lowest(self._over(exps) - other._over(exps), exps))
+        return self._combine(other, sub)
 
     def __rsub__(self, other):
         other = self._coerce(other)
@@ -665,11 +659,10 @@ def over_lcm(values) -> tuple[list[BivarPoly], BivarPoly]:
 
 
 def _as_bivar(x) -> BivarPoly:
-    if isinstance(x, BivarPoly):
-        return x
-    if isinstance(x, (int, Fraction)):
-        return BivarPoly.const(x)
-    raise TypeError(f"cannot interpret {type(x).__name__} as a polynomial")
+    poly = BivarPoly._coerce(x)
+    if poly is None:
+        raise TypeError(f"cannot interpret {type(x).__name__} as a polynomial")
+    return poly
 
 
 #: symbolic parameter values, ready to be mixed with Fractions and ints

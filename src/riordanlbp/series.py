@@ -9,10 +9,10 @@ inversion; square root assumes constant term 1 and a ring containing 1/2.
 Products, division and square root sum products of coefficients, one sum
 per output coefficient.  Each operation chooses how once, from the
 coefficient types it sees: through ``scalars.dot``, which reduces each sum
-to lowest terms once, when a coefficient is a RationalFunction, and term
-by term otherwise.  On int coefficients that loop is as fast as
-``sum(map(mul, ...))`` and skips its slices and call, so int, Fraction and
-DensePoly series keep their arithmetic.
+to lowest terms once, when a coefficient is a RationalFunction, whose cost
+is per reduction; term by term otherwise, as the plain operators are the
+cheapest route on int, Fraction and DensePoly values.  A scalar operand
+enters through ``_scalar``, and ``+`` and ``-`` share ``_combine``.
 
 Sizes are arguments: every constructor takes the order it builds to, and
 nothing falls back to a default size.  Only ``TruncatedSeries(coeffs)``
@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import accumulate, repeat
-from operator import mul
+from operator import add, mul, sub
 
 from .scalars import (
     DensePoly, RationalFunction, _power, check_size, coerce_scalar, dot, scalar_inv,
@@ -90,17 +90,18 @@ class TruncatedSeries:
 
     # -- ring operations -----------------------------------------------------
 
-    def __add__(self, other):
+    def _combine(self, other, op):
+        """self + other or self - other, as op is add or sub."""
         if isinstance(other, TruncatedSeries):
             n = min(self.order, other.order)
-            return TruncatedSeries(
-                [self.coeffs[k] + other.coeffs[k] for k in range(n + 1)]
-            )
-        try:
-            value = coerce_scalar(other)
-        except TypeError:
+            return TruncatedSeries([op(self.coeffs[k], other.coeffs[k]) for k in range(n + 1)])
+        value = _scalar(other)
+        if value is None:
             return NotImplemented
-        return TruncatedSeries((self.coeffs[0] + value,) + self.coeffs[1:])
+        return TruncatedSeries((op(self.coeffs[0], value),) + self.coeffs[1:])
+
+    def __add__(self, other):
+        return self._combine(other, add)
 
     __radd__ = __add__
 
@@ -108,29 +109,18 @@ class TruncatedSeries:
         return TruncatedSeries([-v for v in self.coeffs])
 
     def __sub__(self, other):
-        if isinstance(other, TruncatedSeries):
-            n = min(self.order, other.order)
-            return TruncatedSeries(
-                [self.coeffs[k] - other.coeffs[k] for k in range(n + 1)]
-            )
-        try:
-            value = coerce_scalar(other)
-        except TypeError:
-            return NotImplemented
-        return TruncatedSeries((self.coeffs[0] - value,) + self.coeffs[1:])
+        return self._combine(other, sub)
 
     def __rsub__(self, other):
-        try:
-            value = coerce_scalar(other)
-        except TypeError:
+        value = _scalar(other)
+        if value is None:
             return NotImplemented
         return TruncatedSeries([value - self.coeffs[0]] + [-v for v in self.coeffs[1:]])
 
     def __mul__(self, other):
         if not isinstance(other, TruncatedSeries):
-            try:
-                value = coerce_scalar(other)
-            except TypeError:
+            value = _scalar(other)
+            if value is None:
                 return NotImplemented
             return TruncatedSeries([v * value for v in self.coeffs])
         n = min(self.order, other.order)
@@ -158,9 +148,8 @@ class TruncatedSeries:
     def __truediv__(self, other):
         if isinstance(other, TruncatedSeries):
             return _series_div(self, other)
-        try:
-            value = coerce_scalar(other)
-        except TypeError:
+        value = _scalar(other)
+        if value is None:
             return NotImplemented
         if type(value) is DensePoly and len(value.coeffs) > 1:
             # no inverse among polynomials: divide each coefficient exactly
@@ -168,9 +157,8 @@ class TruncatedSeries:
         return self * scalar_inv(value)
 
     def __rtruediv__(self, other):
-        try:
-            value = coerce_scalar(other)
-        except TypeError:
+        value = _scalar(other)
+        if value is None:
             return NotImplemented
         return _series_div(TruncatedSeries([value], self.order), self)
 
@@ -294,6 +282,14 @@ def _series(coeffs: list) -> TruncatedSeries:
     res = TruncatedSeries.__new__(TruncatedSeries)
     res.coeffs = tuple(coeffs)
     return res
+
+
+def _scalar(other):
+    """other as a series coefficient, None when it is not an exact scalar."""
+    try:
+        return coerce_scalar(other)
+    except TypeError:
+        return None
 
 
 def _holds_ratfunc(*coeff_lists) -> bool:

@@ -541,6 +541,12 @@ class TestDeterminantalPolynomials:
         for n in range(5):
             assert lbp_by_determinant(bm, n) == expected[n], n
 
+    def test_vanishing_leading_minor_raises(self):
+        # t_1 = mu_0^2 - mu_1 mu_{-1} = 0 with mu_{-1} = mu_2 / c^3 = 1
+        bm = BiInfiniteMoments([1, 1, 1], 1, 1)
+        with pytest.raises(ZeroDivisionError, match="^vanishing Toeplitz determinant$"):
+            lbp_by_determinant(bm, 2)
+
     def test_depth_guard(self):
         bm = BiInfiniteMoments([1, 1, 2, 6], 1, 1)
         with pytest.raises(ValueError):

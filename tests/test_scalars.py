@@ -20,6 +20,7 @@ from riordanlbp.scalars import (
     parse_rational,
     scalar_inv,
 )
+from riordanlbp.series import TruncatedSeries
 
 small_fractions = st.fractions(min_value=-6, max_value=6, max_denominator=4)
 
@@ -95,11 +96,20 @@ class TestBivarPoly:
         with pytest.raises(TypeError, match="^BivarPoly expects a dict from exponent pairs"):
             BivarPoly([((0, 0), 1)])
 
-    @pytest.mark.parametrize("value", [5, Fraction(-3, 2), 0])
+    @pytest.mark.parametrize("value", [5, Fraction(-3, 2), Fraction(4, 2), 0])
     def test_constant_hashes_like_its_value(self, value):
         assert BivarPoly.const(value) == value
         assert hash(BivarPoly.const(value)) == hash(value)
         assert len({BivarPoly.const(value), value}) == 1
+        # an operand coerced for arithmetic is the same constant, in normal form
+        coerced = RationalFunction(value).num
+        assert coerced.terms == BivarPoly.const(value).terms
+        assert_normal_form(coerced)
+
+    def test_quotient_of_polynomials_is_a_rational_function(self):
+        quotient = BivarPoly.b() / (BivarPoly.b() + BivarPoly.c())
+        assert type(quotient) is RationalFunction
+        assert quotient == PARAM_B / (PARAM_B + PARAM_C)
 
 
 exact_coefficients = st.one_of(
@@ -446,6 +456,28 @@ class TestParseRational:
     def test_rejects(self, text):
         with pytest.raises(ValueError):
             parse_rational(text)
+
+
+#: each operator, named by the method of its left (or, "r", right) operand a
+OPERATIONS = {
+    "__add__": lambda a, x: a + x, "__radd__": lambda a, x: x + a,
+    "__sub__": lambda a, x: a - x, "__rsub__": lambda a, x: x - a,
+    "__mul__": lambda a, x: a * x, "__rmul__": lambda a, x: x * a,
+    "__truediv__": lambda a, x: a / x, "__rtruediv__": lambda a, x: x / a,
+}
+
+
+@pytest.mark.parametrize("name", OPERATIONS)
+@pytest.mark.parametrize("other", ["x", 1.5, object()], ids=["str", "float", "object"])
+@pytest.mark.parametrize("value", [
+    BivarPoly.b(), PARAM_B / PARAM_C, TruncatedSeries([1, PARAM_B], 3),
+], ids=["BivarPoly", "RationalFunction", "TruncatedSeries"])
+def test_arithmetic_refuses_a_non_scalar_operand(value, other, name):
+    method = getattr(value, name, None)
+    if method is not None:
+        assert method(other) is NotImplemented
+    with pytest.raises(TypeError):
+        OPERATIONS[name](value, other)
 
 
 class TestInexactInput:

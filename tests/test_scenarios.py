@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from riordanlbp import combinat, lbp, scenarios
+from riordanlbp import combinat, hankel_toeplitz, lbp, scenarios
 from riordanlbp.cli import main
 from riordanlbp.report import Check, ScenarioReport, check_equal
 from riordanlbp.riordan import RiordanArray
@@ -116,22 +116,31 @@ class TestRunScenario:
             run_scenario("nonesuch")
 
 
-#: BivarPoly products and RationalFunction constructions in one
-#: `verify all --order 12`, as the benchmark's scalars.poly_mul.calls and
-#: scalars.ratfunc_new.calls count them.  One product and one reduction per
-#: term of each series convolution took 11,116 and 3,155.
-SCALAR_OP_CEILINGS = {"BivarPoly.__mul__": 4687, "RationalFunction.__init__": 878}
+#: BivarPoly products, RationalFunction constructions and determinants in
+#: one `verify all --order 12`, as the benchmark's scalars.poly_mul.calls,
+#: scalars.ratfunc_new.calls and hankel_toeplitz.determinant.calls count
+#: them.  One product and one reduction per term of each series convolution
+#: took 11,116 and 3,155; coercing each int or Fraction operand through the
+#: validating constructors, 878 constructions; computing t_{n-1} apart from
+#: the bordered minors in lbp_by_determinant, 25 determinants and 4,687
+#: products.
+SCALAR_OP_CEILINGS = {"BivarPoly.__mul__": 4573, "RationalFunction.__init__": 124,
+                      "hankel_toeplitz.determinant": 20}
 
 
 def test_verify_all_scalar_operation_counts(monkeypatch):
     counts = dict.fromkeys(SCALAR_OP_CEILINGS, 0)
-    for cls, names in ((BivarPoly, ("__mul__", "__rmul__")), (RationalFunction, ("__init__",))):
-        key = f"{cls.__name__}.{names[0]}"
-        for name in names:
-            def counted(*args, _original=getattr(cls, name), _key=key):
-                counts[_key] += 1
-                return _original(*args)
-            monkeypatch.setattr(cls, name, counted)
+
+    def count(owner, name, key):
+        def counted(*args, _original=getattr(owner, name)):
+            counts[key] += 1
+            return _original(*args)
+        monkeypatch.setattr(owner, name, counted)
+
+    count(BivarPoly, "__mul__", "BivarPoly.__mul__")
+    count(BivarPoly, "__rmul__", "BivarPoly.__mul__")
+    count(RationalFunction, "__init__", "RationalFunction.__init__")
+    count(hankel_toeplitz, "determinant", "hankel_toeplitz.determinant")
     assert main(["verify", "all", "--order", "12"]) == 0
     over = {k: v for k, v in counts.items() if v > SCALAR_OP_CEILINGS[k]}
     assert not over, f"scalar operation counts {counts} above {SCALAR_OP_CEILINGS}"
