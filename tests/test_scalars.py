@@ -458,7 +458,7 @@ class TestParseRational:
             parse_rational(text)
 
 
-#: each operator, named by the method of its left (or, "r", right) operand a
+#: each binary operator between a value a and an operand x, keyed by the method of a it reaches
 OPERATIONS = {
     "__add__": lambda a, x: a + x, "__radd__": lambda a, x: x + a,
     "__sub__": lambda a, x: a - x, "__rsub__": lambda a, x: x - a,
