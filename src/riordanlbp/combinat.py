@@ -71,18 +71,15 @@ def colored_path_count(stats: dict, colors: Fraction) -> Fraction:
 def peak_count_row(stats: dict, n: int) -> list[int]:
     """Row n of the triangle counting Schroeder paths to (2n,0) by peaks,
     read off `stats` = schroeder_path_statistics(n)."""
-    return _tally(stats, n, 1)
+    row = [0] * (n + 1)
+    for (_, peaks), count in stats.items():
+        row[peaks] += count
+    return row
 
 
 def level_count_row(stats: dict, n: int) -> list[int]:
     """Row n of the triangle counting Schroeder paths to (2n,0) by level steps,
     read off `stats` = schroeder_path_statistics(n)."""
-    return _tally(stats, n, 0)
-
-
-def _tally(stats: dict, n: int, index: int) -> list[int]:
-    """Path counts by entry `index` of the (levels, peaks) keys of `stats`."""
-    row = [0] * (n + 1)
-    for key, count in stats.items():
-        row[key[index]] += count
-    return row
+    # the peak tally over the keys with levels and peaks swapped
+    swapped = {(peaks, levels): count for (levels, peaks), count in stats.items()}
+    return peak_count_row(swapped, n)

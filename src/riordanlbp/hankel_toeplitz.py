@@ -281,9 +281,14 @@ def lbp_by_determinant(bm: BiInfiniteMoments, n: int) -> list:
         return [1]
     check_size("backward depth", bm.depth, n - 1)
     moment_rows = [[bm.moment(k - j) for k in range(n + 1)] for j in range(n)]
-    minors = [determinant([row[:k] + row[k + 1:] for row in moment_rows]) for k in range(n + 1)]
-    # the minor without column n is t_{n-1}
+    # minor k drops column k; the one without column n is t_{n-1}
+    minors = [determinant([row[:k] + row[k + 1:] for row in moment_rows])
+              for k in range(n + 1)]
     if not minors[n]:
         raise ZeroDivisionError("vanishing Toeplitz determinant")
     inv_prev = scalar_inv(minors[n])
-    return [(1 if (n + k) % 2 == 0 else -1) * minor * inv_prev for k, minor in enumerate(minors)]
+    coeffs = []
+    for k, minor in enumerate(minors):
+        sign = 1 if (n + k) % 2 == 0 else -1
+        coeffs.append(sign * minor * inv_prev)
+    return coeffs

@@ -35,9 +35,10 @@ once; ``series`` picks it once per operation from the coefficient types,
 so int, Fraction and DensePoly series keep their plain arithmetic.  A
 one-term ``BivarPoly`` operand, and an int or Fraction factor of a
 ``RationalFunction``, are scaled copies.  Any other int or Fraction
-operand becomes a polynomial in one place, ``BivarPoly._coerce``, which
-builds the constant in coefficient normal form without the validating
-constructor; ``RationalFunction._coerce`` puts it over the denominator 1.
+operand becomes a polynomial in one place, ``BivarPoly._coerce``, through
+``BivarPoly.const``, which checks the value and builds the constant in
+coefficient normal form without the general dict constructor;
+``RationalFunction._coerce`` puts it over the denominator 1.
 ``+`` and ``-`` are one ``_combine`` per type.
 
 Everything is exact.  No floating point is used anywhere in this module or in
@@ -127,7 +128,14 @@ class BivarPoly:
 
     @classmethod
     def const(cls, value) -> "BivarPoly":
-        return cls({(0, 0): value})
+        """The constant polynomial of an int or Fraction, in coefficient
+        normal form (``+value`` turns a bool into an int)."""
+        if not isinstance(value, (int, Fraction)):
+            raise TypeError(f"not an exact rational: {type(value).__name__}")
+        value = _exact(+value)
+        res = cls.__new__(cls)
+        res.terms = {(0, 0): value} if value else {}
+        return res
 
     @classmethod
     def zero(cls) -> "BivarPoly":
@@ -175,15 +183,11 @@ class BivarPoly:
 
     @staticmethod
     def _coerce(other):
-        """other as a BivarPoly, None when it is not an exact scalar; an int
-        or Fraction becomes the constant directly, in coefficient normal form."""
+        """other as a BivarPoly, None when it is not an exact scalar."""
         if isinstance(other, BivarPoly):
             return other
         if isinstance(other, (int, Fraction)):
-            value = _exact(other) if isinstance(other, Fraction) else int(other)
-            res = BivarPoly.__new__(BivarPoly)
-            res.terms = {(0, 0): value} if value else {}
-            return res
+            return BivarPoly.const(other)
         return None
 
     def _combine(self, other, op):

@@ -11,8 +11,9 @@ per output coefficient.  Each operation chooses how once, from the
 coefficient types it sees: through ``scalars.dot``, which reduces each sum
 to lowest terms once, when a coefficient is a RationalFunction, whose cost
 is per reduction; term by term otherwise, as the plain operators are the
-cheapest route on int, Fraction and DensePoly values.  A scalar operand
-enters through ``_scalar``, and ``+`` and ``-`` share ``_combine``.
+cheapest route on int, Fraction and DensePoly values.  The decorator
+``_scalar`` coerces a scalar operand of each binary operation, and ``+``
+and ``-`` share ``_combine``.
 
 Sizes are arguments: every constructor takes the order it builds to, and
 nothing falls back to a default size.  Only ``TruncatedSeries(coeffs)``
@@ -22,12 +23,30 @@ without an order takes it from the length of ``coeffs``.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import wraps
 from itertools import accumulate, repeat
 from operator import add, mul, sub
 
 from .scalars import (
     DensePoly, RationalFunction, _power, check_size, coerce_scalar, dot, scalar_inv,
 )
+
+
+def _scalar(method):
+    """`method` taking a series operand as it is and any other operand as
+    the coefficient ``coerce_scalar`` makes of it; NotImplemented when the
+    operand is not an exact scalar."""
+
+    @wraps(method)
+    def coerced(self, other, *args):
+        if not isinstance(other, TruncatedSeries):
+            try:
+                other = coerce_scalar(other)
+            except TypeError:
+                return NotImplemented
+        return method(self, other, *args)
+
+    return coerced
 
 
 class TruncatedSeries:
@@ -90,15 +109,13 @@ class TruncatedSeries:
 
     # -- ring operations -----------------------------------------------------
 
+    @_scalar
     def _combine(self, other, op):
         """self + other or self - other, as op is add or sub."""
         if isinstance(other, TruncatedSeries):
             n = min(self.order, other.order)
             return TruncatedSeries([op(self.coeffs[k], other.coeffs[k]) for k in range(n + 1)])
-        value = _scalar(other)
-        if value is None:
-            return NotImplemented
-        return TruncatedSeries((op(self.coeffs[0], value),) + self.coeffs[1:])
+        return TruncatedSeries((op(self.coeffs[0], other),) + self.coeffs[1:])
 
     def __add__(self, other):
         return self._combine(other, add)
@@ -111,18 +128,14 @@ class TruncatedSeries:
     def __sub__(self, other):
         return self._combine(other, sub)
 
+    @_scalar
     def __rsub__(self, other):
-        value = _scalar(other)
-        if value is None:
-            return NotImplemented
-        return TruncatedSeries([value - self.coeffs[0]] + [-v for v in self.coeffs[1:]])
+        return TruncatedSeries([other - self.coeffs[0]] + [-v for v in self.coeffs[1:]])
 
+    @_scalar
     def __mul__(self, other):
         if not isinstance(other, TruncatedSeries):
-            value = _scalar(other)
-            if value is None:
-                return NotImplemented
-            return TruncatedSeries([v * value for v in self.coeffs])
+            return TruncatedSeries([v * other for v in self.coeffs])
         n = min(self.order, other.order)
         a, b = self.coeffs, other.coeffs
         # a[k] = 0 below the valuation va and b[k] = 0 below vb, so the
@@ -145,22 +158,18 @@ class TruncatedSeries:
 
     __rmul__ = __mul__
 
+    @_scalar
     def __truediv__(self, other):
         if isinstance(other, TruncatedSeries):
             return _series_div(self, other)
-        value = _scalar(other)
-        if value is None:
-            return NotImplemented
-        if type(value) is DensePoly and len(value.coeffs) > 1:
+        if type(other) is DensePoly and len(other.coeffs) > 1:
             # no inverse among polynomials: divide each coefficient exactly
-            return TruncatedSeries([v / value for v in self.coeffs])
-        return self * scalar_inv(value)
+            return TruncatedSeries([v / other for v in self.coeffs])
+        return self * scalar_inv(other)
 
+    @_scalar
     def __rtruediv__(self, other):
-        value = _scalar(other)
-        if value is None:
-            return NotImplemented
-        return _series_div(TruncatedSeries([value], self.order), self)
+        return _series_div(TruncatedSeries([other], self.order), self)
 
     def reciprocal(self) -> "TruncatedSeries":
         return _series_div(TruncatedSeries([1], self.order), self)
@@ -282,14 +291,6 @@ def _series(coeffs: list) -> TruncatedSeries:
     res = TruncatedSeries.__new__(TruncatedSeries)
     res.coeffs = tuple(coeffs)
     return res
-
-
-def _scalar(other):
-    """other as a series coefficient, None when it is not an exact scalar."""
-    try:
-        return coerce_scalar(other)
-    except TypeError:
-        return None
 
 
 def _holds_ratfunc(*coeff_lists) -> bool:
