@@ -80,6 +80,6 @@ def peak_count_row(stats: dict, n: int) -> list[int]:
 def level_count_row(stats: dict, n: int) -> list[int]:
     """Row n of the triangle counting Schroeder paths to (2n,0) by level steps,
     read off `stats` = schroeder_path_statistics(n)."""
-    # the peak tally over the keys with levels and peaks swapped
+    # peak_count_row tallies the second entry of each key
     swapped = {(peaks, levels): count for (levels, peaks), count in stats.items()}
     return peak_count_row(swapped, n)

@@ -106,6 +106,13 @@ class TestPathStatistics:
         with pytest.raises(ValueError, match="^n must be at least 0, got -1$"):
             schroeder_path_statistics(-1)
 
+    def test_each_row_reads_its_own_statistic(self):
+        # on path statistics the two rows coincide, so tell them apart on
+        # made-up (levels, peaks) counts
+        stats = {(2, 0): 1, (0, 1): 3, (1, 1): 5}
+        assert level_count_row(stats, 2) == [3, 5, 1]
+        assert peak_count_row(stats, 2) == [1, 8, 0]
+
     @pytest.mark.parametrize("n", range(6))
     def test_refinement_rows(self, n):
         assert level_count_row(schroeder_path_statistics(n), n) == STATISTIC_ROWS[n]

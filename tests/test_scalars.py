@@ -485,8 +485,11 @@ class TestInexactInput:
 
     @pytest.mark.parametrize("value", [0.1, "2/3"])
     def test_constructor_refuses(self, value):
-        with pytest.raises(TypeError, match=f"^not an exact rational: {type(value).__name__}$"):
+        message = f"^not an exact rational: {type(value).__name__}$"
+        with pytest.raises(TypeError, match=message):
             BivarPoly({(1, 0): value})
+        with pytest.raises(TypeError, match=message):
+            BivarPoly.const(value)
 
     def test_polynomial_evaluate_refuses(self):
         with pytest.raises(TypeError, match="^not an exact rational: float$"):
