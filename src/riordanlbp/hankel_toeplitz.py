@@ -32,13 +32,14 @@ from __future__ import annotations
 
 import operator
 from fractions import Fraction
+from itertools import accumulate
 from math import lcm
 
 from .combinat import binomial
 from .scalars import (
-    BivarPoly,
     DensePoly,
-    RationalFunction,
+    _lowest,
+    _value,
     check_size,
     coerce_scalar,
     over_lcm,
@@ -57,7 +58,8 @@ def _clear(mat: list[list]) -> tuple[list[list], object, list | None]:
     when every factor is 1, as for an int matrix.  A matrix that also holds
     DensePoly values needs no clearing: its rows become DensePoly rows,
     eliminated with `DensePoly.divexact`, and scales is None.  Any other
-    matrix is cleared to polynomial rows over b^i c^j (b+c)^k.
+    matrix is cleared to polynomial rows, each scales[i] b^i c^j (b+c)^k
+    kept as its exponents (i, j, k).
     """
     if all(isinstance(v, (int, Fraction)) for row in mat for v in row):
         int_rows, scales, cleared = [], [], 1
@@ -70,14 +72,9 @@ def _clear(mat: list[list]) -> tuple[list[list], object, list | None]:
     if all(isinstance(v, (int, Fraction, DensePoly)) for row in mat for v in row):
         dense_rows = [[v if type(v) is DensePoly else DensePoly([v]) for v in row] for row in mat]
         return dense_rows, DensePoly.divexact, None
-    poly_rows: list[list[BivarPoly]] = []
-    scales = []
-    cleared = BivarPoly.one()
-    for nums, row_factor in map(over_lcm, mat):
-        cleared = cleared * row_factor
-        scales.append(cleared)
-        poly_rows.append(nums)
-    return poly_rows, lambda a, b: a.divexact(b), scales
+    poly_rows, row_exps = zip(*map(over_lcm, mat))
+    scales = list(accumulate(row_exps, lambda s, e: tuple(map(operator.add, s, e))))
+    return list(poly_rows), lambda a, b: a.divexact(b), scales
 
 
 def _bareiss(mat: list[list], divide, swap: bool) -> tuple[int, list]:
@@ -120,8 +117,9 @@ def _unscale(minors: list, scales: list | None) -> list:
     """Minors over rows 0..k of a `_clear`ed matrix, divided back to the original."""
     if scales is None:
         return minors
-    over = Fraction if type(scales[0]) is int else RationalFunction
-    return [over(v, scale) for v, scale in zip(minors, scales)]
+    if type(scales[0]) is int:
+        return [Fraction(v, scale) for v, scale in zip(minors, scales)]
+    return [_value(*_lowest(v, exps)) for v, exps in zip(minors, scales)]
 
 
 def _square(rows) -> list[list]:

@@ -36,10 +36,14 @@ so int, Fraction and DensePoly series keep their plain arithmetic.  A
 one-term ``BivarPoly`` operand, and an int or Fraction factor of a
 ``RationalFunction``, are scaled copies.  Any other int or Fraction
 operand becomes a polynomial in one place, ``BivarPoly._coerce``, through
-``BivarPoly.const``, which checks the value and builds the constant in
-coefficient normal form without the general dict constructor;
-``RationalFunction._coerce`` puts it over the denominator 1.
-``+`` and ``-`` are one ``_combine`` per type.
+the checked ``BivarPoly.const``; ``RationalFunction._coerce`` puts it over
+the denominator 1.  ``+`` and ``-`` are one ``_combine`` per type.
+
+Values are checked where they enter, built once: ``BivarPoly(dict)``,
+``RationalFunction(num, den)`` and ``DensePoly(list)`` check their input
+and put it in normal form, and every arithmetic result, in normal form
+already, goes through a private builder that checks nothing: ``_poly``,
+``_value`` or ``_dense``.
 
 Everything is exact.  No floating point is used anywhere in this module or in
 the rest of the package.
@@ -133,9 +137,7 @@ class BivarPoly:
         if not isinstance(value, (int, Fraction)):
             raise TypeError(f"not an exact rational: {type(value).__name__}")
         value = _exact(+value)
-        res = cls.__new__(cls)
-        res.terms = {(0, 0): value} if value else {}
-        return res
+        return _poly({(0, 0): value} if value else {})
 
     @classmethod
     def zero(cls) -> "BivarPoly":
@@ -143,7 +145,7 @@ class BivarPoly:
 
     @classmethod
     def one(cls) -> "BivarPoly":
-        return cls({(0, 0): 1})
+        return _poly({(0, 0): 1})
 
     @classmethod
     def b(cls) -> "BivarPoly":
@@ -202,9 +204,7 @@ class BivarPoly:
                 out[key] = _exact(acc)
             else:
                 del out[key]
-        res = BivarPoly.__new__(BivarPoly)
-        res.terms = out
-        return res
+        return _poly(out)
 
     def __add__(self, other):
         return self._combine(other, add)
@@ -212,9 +212,7 @@ class BivarPoly:
     __radd__ = __add__
 
     def __neg__(self):
-        res = BivarPoly.__new__(BivarPoly)
-        res.terms = {k: -v for k, v in self.terms.items()}
-        return res
+        return _poly({k: -v for k, v in self.terms.items()})
 
     def __sub__(self, other):
         return self._combine(other, sub)
@@ -232,19 +230,17 @@ class BivarPoly:
         small, large = self.terms, other.terms
         if len(small) > len(large):
             small, large = large, small
-        res = BivarPoly.__new__(BivarPoly)
         if len(small) == 1:
             # a shifted, scaled copy: no two products share a key, none is 0
             ((i1, j1), v1), = small.items()
-            res.terms = {(i1 + i2, j1 + j2): _exact(v1 * v2) for (i2, j2), v2 in large.items()}
-            return res
+            return _poly({(i1 + i2, j1 + j2): _exact(v1 * v2)
+                          for (i2, j2), v2 in large.items()})
         out: dict[tuple[int, int], int | Fraction] = {}
         for (i1, j1), v1 in small.items():
             for (i2, j2), v2 in large.items():
                 key = (i1 + i2, j1 + j2)
                 out[key] = out.get(key, 0) + v1 * v2
-        res.terms = {k: _exact(v) for k, v in out.items() if v}
-        return res
+        return _poly({k: _exact(v) for k, v in out.items() if v})
 
     __rmul__ = __mul__
 
@@ -258,9 +254,7 @@ class BivarPoly:
             if not other:
                 raise ZeroDivisionError("division by zero")
             inv = Fraction(1) / Fraction(other)
-            res = BivarPoly.__new__(BivarPoly)
-            res.terms = {k: _exact(v * inv) for k, v in self.terms.items()}
-            return res
+            return _poly({k: _exact(v * inv) for k, v in self.terms.items()})
         if isinstance(other, BivarPoly):
             return RationalFunction(self, other)
         return NotImplemented
@@ -308,9 +302,7 @@ class BivarPoly:
                     rem[k] = acc
                 else:
                     rem.pop(k, None)
-        res = BivarPoly.__new__(BivarPoly)
-        res.terms = out
-        return res
+        return _poly(out)
 
     def substitute(self, b_value=None, c_value=None) -> "BivarPoly":
         """Substitute polynomials or rationals for b and/or c."""
@@ -485,10 +477,9 @@ class RationalFunction:
         if type(other) is int or type(other) is Fraction:
             # a nonzero constant factor leaves the form reduced
             if not other:
-                return _value(BivarPoly(), _NO_DEN)
-            res = BivarPoly.__new__(BivarPoly)
-            res.terms = {k: _exact(v * other) for k, v in self.num.terms.items()}
-            return _value(res, self.exps)
+                return _value(_poly({}), _NO_DEN)
+            num = _poly({k: _exact(v * other) for k, v in self.num.terms.items()})
+            return _value(num, self.exps)
         other = self._coerce(other)
         if other is None:
             return NotImplemented
@@ -547,6 +538,14 @@ class RationalFunction:
         return f"RationalFunction({self})"
 
 
+def _poly(terms: dict) -> BivarPoly:
+    """A BivarPoly around terms, which must already be in coefficient normal
+    form: no zero value, and an int for every integral one."""
+    res = BivarPoly.__new__(BivarPoly)
+    res.terms = terms
+    return res
+
+
 _NO_DEN = (0, 0, 0)
 _B_PLUS_C = BivarPoly.b() + BivarPoly.c()
 
@@ -555,9 +554,7 @@ def _shift(poly: BivarPoly, i: int, j: int) -> BivarPoly:
     """poly / (b^i c^j), for a monomial that divides poly (i, j may be negative)."""
     if not (i or j):
         return poly
-    res = BivarPoly.__new__(BivarPoly)
-    res.terms = {(a - i, e - j): v for (a, e), v in poly.terms.items()}
-    return res
+    return _poly({(a - i, e - j): v for (a, e), v in poly.terms.items()})
 
 
 def _over_b_plus_c(poly: BivarPoly) -> BivarPoly | None:
@@ -574,7 +571,8 @@ def _over_b_plus_c(poly: BivarPoly) -> BivarPoly | None:
             rows[a - 1][e + 1] = rows[a - 1].get(e + 1, 0) - v
     if any(rows[0].values()):
         return None
-    return BivarPoly({(a - 1, e): v for a in range(1, len(rows)) for e, v in rows[a].items()})
+    return _poly({(a - 1, e): _exact(v) for a in range(1, len(rows))
+                  for e, v in rows[a].items() if v})
 
 
 def _value(num: BivarPoly, exps) -> RationalFunction:
@@ -650,16 +648,15 @@ def dot(xs, ys):
                 for (i2, j2), v2 in lift:
                     key = (i1 + i2, j1 + j2)
                     total[key] = total.get(key, 0) + v1 * v2
-    num = BivarPoly.__new__(BivarPoly)
-    num.terms = {k: _exact(v) for k, v in total.items() if v}
+    num = _poly({k: _exact(v) for k, v in total.items() if v})
     return _value(*_lowest(num, exps))
 
 
-def over_lcm(values) -> tuple[list[BivarPoly], BivarPoly]:
-    """Numerators of values over their lcm b^max(i) c^max(j) (b+c)^max(k), and the lcm."""
+def over_lcm(values) -> tuple[list[BivarPoly], tuple[int, int, int]]:
+    """Numerators of values over their lcm b^I c^J (b+c)^K, and its exponents (I, J, K)."""
     values = [RationalFunction._coerce(v) for v in values]
     exps = tuple(map(max, zip(*(v.exps for v in values))))
-    return [v._over(exps) for v in values], _value(BivarPoly.one(), exps).den
+    return [v._over(exps) for v in values], exps
 
 
 def _as_bivar(x) -> BivarPoly:
@@ -697,7 +694,7 @@ class DensePoly:
         for val in coeffs:
             if not isinstance(val, (int, Fraction)):
                 raise TypeError(f"not an exact rational: {type(val).__name__}")
-        self.coeffs = _trimmed([_exact(v) for v in coeffs])
+        self.coeffs = _trimmed([int(v) if type(v) is bool else _exact(v) for v in coeffs])
 
     def __bool__(self) -> bool:
         return bool(self.coeffs)
@@ -886,10 +883,10 @@ def _trimmed(coeffs: list) -> list:
 
 
 def coerce_scalar(x):
-    """Pass exact scalars (int, DensePoly, Fraction, RationalFunction) through;
-    a BivarPoly becomes a RationalFunction."""
+    """Pass exact scalars (int, DensePoly, Fraction, RationalFunction) through,
+    but a bool becomes its int; a BivarPoly becomes a RationalFunction."""
     if isinstance(x, (int, DensePoly, Fraction, RationalFunction)):
-        return x
+        return int(x) if type(x) is bool else x
     if isinstance(x, BivarPoly):
         return RationalFunction(x)
     raise TypeError(f"not an exact scalar: {type(x).__name__}")
@@ -899,10 +896,10 @@ def scalar_inv(s):
     """Multiplicative inverse inside the ambient field of s; the inverse of
     an int is an int only for the units 1 and -1, and a DensePoly has one
     only when it is a nonzero constant."""
-    if isinstance(s, int):
+    if isinstance(s, (int, Fraction)):
+        if not s:
+            raise ZeroDivisionError("reciprocal of zero")
         return s if s in (1, -1) else Fraction(1, s)
-    if isinstance(s, Fraction):
-        return Fraction(1) / s
     if isinstance(s, RationalFunction):
         return s.reciprocal()
     if isinstance(s, BivarPoly):

@@ -11,9 +11,11 @@ per output coefficient.  Each operation chooses how once, from the
 coefficient types it sees: through ``scalars.dot``, which reduces each sum
 to lowest terms once, when a coefficient is a RationalFunction, whose cost
 is per reduction; term by term otherwise, as the plain operators are the
-cheapest route on int, Fraction and DensePoly values.  The decorator
-``_scalar`` coerces a scalar operand of each binary operation, and ``+``
-and ``-`` share ``_combine``.
+cheapest route on int, Fraction and DensePoly values.  ``+`` and ``-``
+share ``_combine``.  Coefficients are checked where they enter, built once:
+``TruncatedSeries(coeffs, order)`` and the decorator ``_scalar``, for the
+scalar operand of a binary operation, coerce them with ``coerce_scalar``,
+and every operation builds its result with the private ``_series``.
 
 Sizes are arguments: every constructor takes the order it builds to, and
 nothing falls back to a default size.  Only ``TruncatedSeries(coeffs)``
@@ -99,7 +101,7 @@ class TruncatedSeries:
         check_size("order", order)
         if order > self.order:
             raise ValueError(f"order must be at most {self.order}, got {order}")
-        return TruncatedSeries(self.coeffs[: order + 1])
+        return _series(self.coeffs[: order + 1])
 
     def valuation(self) -> int | None:
         for n, v in enumerate(self.coeffs):
@@ -114,8 +116,8 @@ class TruncatedSeries:
         """self + other or self - other, as op is add or sub."""
         if isinstance(other, TruncatedSeries):
             n = min(self.order, other.order)
-            return TruncatedSeries([op(self.coeffs[k], other.coeffs[k]) for k in range(n + 1)])
-        return TruncatedSeries((op(self.coeffs[0], other),) + self.coeffs[1:])
+            return _series([op(self.coeffs[k], other.coeffs[k]) for k in range(n + 1)])
+        return _series((op(self.coeffs[0], other),) + self.coeffs[1:])
 
     def __add__(self, other):
         return self._combine(other, add)
@@ -123,19 +125,19 @@ class TruncatedSeries:
     __radd__ = __add__
 
     def __neg__(self):
-        return TruncatedSeries([-v for v in self.coeffs])
+        return _series([-v for v in self.coeffs])
 
     def __sub__(self, other):
         return self._combine(other, sub)
 
     @_scalar
     def __rsub__(self, other):
-        return TruncatedSeries([other - self.coeffs[0]] + [-v for v in self.coeffs[1:]])
+        return _series([other - self.coeffs[0]] + [-v for v in self.coeffs[1:]])
 
     @_scalar
     def __mul__(self, other):
         if not isinstance(other, TruncatedSeries):
-            return TruncatedSeries([v * other for v in self.coeffs])
+            return _series([v * other for v in self.coeffs])
         n = min(self.order, other.order)
         a, b = self.coeffs, other.coeffs
         # a[k] = 0 below the valuation va and b[k] = 0 below vb, so the
@@ -143,7 +145,7 @@ class TruncatedSeries:
         zero = a[0] * b[0]
         va, vb = self.valuation(), other.valuation()
         if va is None or vb is None:
-            return TruncatedSeries([zero] * (n + 1))
+            return _series([zero] * (n + 1))
         fused = _holds_ratfunc(a, b)
         out = [zero] * min(va + vb, n + 1)
         for m in range(va + vb, n + 1):
@@ -164,7 +166,7 @@ class TruncatedSeries:
             return _series_div(self, other)
         if type(other) is DensePoly and len(other.coeffs) > 1:
             # no inverse among polynomials: divide each coefficient exactly
-            return TruncatedSeries([v / other for v in self.coeffs])
+            return _series([v / other for v in self.coeffs])
         return self * scalar_inv(other)
 
     @_scalar
@@ -195,7 +197,7 @@ class TruncatedSeries:
         if k == 0:
             return self
         pad = self.coeffs[0] * 0
-        return TruncatedSeries([pad] * k + list(self.coeffs))
+        return _series([pad] * k + list(self.coeffs))
 
     def shift_down(self, k: int) -> "TruncatedSeries":
         """Divide by t^k; requires the first k coefficients to vanish."""
@@ -206,7 +208,7 @@ class TruncatedSeries:
             raise ValueError(f"shift exponent k must be at most {self.order}, got {k}")
         if any(self.coeffs[:k]):
             raise ValueError(f"series not divisible by t^{k}")
-        return TruncatedSeries(self.coeffs[k:])
+        return _series(self.coeffs[k:])
 
     # -- composition, reversion, square root ---------------------------------
 
@@ -223,7 +225,7 @@ class TruncatedSeries:
         if inner.coeffs[0]:
             raise ValueError("composition requires inner series with f(0) = 0")
         n = min(self.order, inner.order)
-        result = TruncatedSeries([self.coeffs[n]])
+        result = _series([self.coeffs[n]])
         if n:
             h = inner.truncate(n).shift_down(1)
             for k in range(n - 1, -1, -1):
@@ -240,7 +242,7 @@ class TruncatedSeries:
             raise ValueError("reversion requires an invertible linear coefficient")
         h = self.shift_down(1).reciprocal()
         powers = accumulate(repeat(h, self.order), mul)
-        return TruncatedSeries([self.coeffs[0]] + [
+        return _series([self.coeffs[0]] + [
             power.coeffs[m - 1] * Fraction(1, m) for m, power in enumerate(powers, 1)])
 
     def sqrt(self) -> "TruncatedSeries":

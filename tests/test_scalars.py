@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from riordanlbp.hankel_toeplitz import hankel_transform
-from riordanlbp.lbp import LBPFamily, moments
+from riordanlbp.cfrac import tfraction_closed_form
+from riordanlbp.hankel_toeplitz import hankel_transform, toeplitz_closed_form
+from riordanlbp.lbp import LBPFamily, moment_gf, moments
 from riordanlbp.scalars import (
     PARAM_B,
     PARAM_C,
@@ -456,6 +457,29 @@ class TestParseRational:
     def test_rejects(self, text):
         with pytest.raises(ValueError):
             parse_rational(text)
+
+
+class TestScalarBoundary:
+    """A value is checked where it enters: a bool becomes its int, and the
+    inverse of a zero is refused by name."""
+
+    @pytest.mark.parametrize("call", [
+        lambda: scalar_inv(0),
+        lambda: scalar_inv(Fraction(0)),
+        lambda: TruncatedSeries([1, 2]) / 0,
+        lambda: moment_gf(0, 1, 3),
+        lambda: tfraction_closed_form(0, 1, 3),
+        lambda: toeplitz_closed_form(1, 0, 3),
+    ], ids=["int", "Fraction", "series", "moment_gf", "tfraction", "toeplitz"])
+    def test_reciprocal_of_zero_is_named(self, call):
+        with pytest.raises(ZeroDivisionError, match="^reciprocal of zero$"):
+            call()
+
+    def test_a_bool_enters_as_its_int(self):
+        assert type(coerce_scalar(True)) is int and coerce_scalar(True) == 1
+        assert type(DensePoly([True]).coeffs[0]) is int
+        assert str(TruncatedSeries([True, 2])) == "(1)*t^0 + (2)*t^1"
+        assert _homogeneous_str(DensePoly([True, 2]), 1) == "c + 2*b"
 
 
 #: each binary operator between a value a and an operand x, keyed by the method of a it reaches

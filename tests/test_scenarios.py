@@ -1,10 +1,11 @@
 """Named verification scenarios and their reporting surface."""
 
+import sys
 from fractions import Fraction
 
 import pytest
 
-from riordanlbp import combinat, hankel_toeplitz, lbp, scenarios
+from riordanlbp import combinat, hankel_toeplitz, lbp, scalars, scenarios
 from riordanlbp.cli import main
 from riordanlbp.report import Check, ScenarioReport, check_equal
 from riordanlbp.riordan import RiordanArray
@@ -119,12 +120,17 @@ class TestRunScenario:
 #: BivarPoly products, RationalFunction constructions and determinants in
 #: one `verify all --order 12`, as the benchmark's scalars.poly_mul.calls,
 #: scalars.ratfunc_new.calls and hankel_toeplitz.determinant.calls count
-#: them.  One product and one reduction per term of each series convolution
+#: them, and the validating BivarPoly constructions and coerce_scalar calls.
+#: One product and one reduction per term of each series convolution
 #: took 11,116 and 3,155; coercing each int or Fraction operand through the
 #: validating constructors, 878 constructions; computing t_{n-1} apart from
 #: the bordered minors in lbp_by_determinant, 25 determinants and 4,687
-#: products.
-SCALAR_OP_CEILINGS = {"BivarPoly.__mul__": 4573, "RationalFunction.__init__": 124,
+#: products.  Building internal results through the validating
+#: constructors took 1,329 BivarPoly constructions and 3,851 coerce_scalar
+#: calls, and multiplying out the Bareiss row scales 124 constructions and
+#: 4,573 products.
+SCALAR_OP_CEILINGS = {"BivarPoly.__mul__": 4474, "RationalFunction.__init__": 62,
+                      "BivarPoly.__init__": 34, "scalars.coerce_scalar": 1689,
                       "hankel_toeplitz.determinant": 20}
 
 
@@ -140,7 +146,13 @@ def test_verify_all_scalar_operation_counts(monkeypatch):
     count(BivarPoly, "__mul__", "BivarPoly.__mul__")
     count(BivarPoly, "__rmul__", "BivarPoly.__mul__")
     count(RationalFunction, "__init__", "RationalFunction.__init__")
+    count(BivarPoly, "__init__", "BivarPoly.__init__")
     count(hankel_toeplitz, "determinant", "hankel_toeplitz.determinant")
+    # every module that imported coerce_scalar calls its own binding
+    coerce_scalar = scalars.coerce_scalar
+    for module in [m for name, m in sys.modules.items() if name.startswith("riordanlbp")]:
+        if getattr(module, "coerce_scalar", None) is coerce_scalar:
+            count(module, "coerce_scalar", "scalars.coerce_scalar")
     assert main(["verify", "all", "--order", "12"]) == 0
     over = {k: v for k, v in counts.items() if v > SCALAR_OP_CEILINGS[k]}
     assert not over, f"scalar operation counts {counts} above {SCALAR_OP_CEILINGS}"
