@@ -51,7 +51,7 @@ from .hankel_toeplitz import (
     hankel_transform,
     toeplitz_dets,
 )
-from .orthopoly import ORTHO_KINDS, ortho_array
+from .orthopoly import ORTHO_KINDS, ortho_rows_by_recurrence
 from .riordan import production_of_inverse
 from .scalars import PARAM_B, PARAM_C, DensePoly, _homogeneous_str, parse_rational
 
@@ -110,7 +110,13 @@ DEGREES = {
 
 
 def _table(args, b, c) -> list:
-    """Rows of the table args asks for at (b, c); a sequence has one value a row."""
+    """Rows of the table args asks for at (b, c); a sequence has one value a row.
+
+    ``ortho-array`` prints the three-term recurrence, O(n^2) operations,
+    not the columns of ``ortho_array``, one series product each; that
+    series route stays the reference the tests and ``verify
+    factorizations`` check the recurrence against.
+    """
     order = args.order
     if args.kind == "lbp-coeffs":
         fam = LBPFamily.constant(b, c)
@@ -140,8 +146,7 @@ def _table(args, b, c) -> list:
         series = cfrac.cf_expand(builder(b, c, order), order)
         return [[v] for v in series.coeffs]
     if args.kind == "ortho-array":
-        arr = ortho_array(args.family, b, c, order)
-        return arr.matrix(order + 1).rows
+        return ortho_rows_by_recurrence(args.family, b, c, order)
     raise ValueError(f"unknown kind {args.kind!r}")
 
 

@@ -16,6 +16,12 @@ over afterwards (it misses Q_2 by exactly b^2).  The moment sequence of the
 LBP family is the first column of the "q" array's inverse, and the shifted
 moments (mu_{n+1}/c) form the first column of the "qtilde" array's inverse.
 
+``ortho_rows_by_recurrence`` gives rows 0..n in O(n^2) operations, and
+``generate ortho-array`` prints it.  ``ortho_array(...).matrix`` gives the
+same rows column by column, one series product per column, O(n^3) in all;
+it stays the independent route that the tests and the factorization suite
+check the recurrence against.
+
 The factorization suite checks how the LBP coefficient array L splits off
 each companion array through a binomial-type prefactor, together with the
 equivalent polynomial identities mixing P_n from Q_k with binomial weights.
@@ -55,7 +61,8 @@ def ortho_array(kind: str, b, c, order: int) -> RiordanArray:
 
 
 def ortho_rows_by_recurrence(kind: str, b, c, n_max: int) -> list[list]:
-    """Rows as ascending coefficient lists; row n has length n+1."""
+    """Rows 0..n_max of ``ortho_array(kind, b, c, n_max)`` as ascending
+    coefficient lists; row n has length n+1."""
     _check_kind(kind)
     check_size("n_max", n_max)
     b, c = coerce_scalar(b), coerce_scalar(c)

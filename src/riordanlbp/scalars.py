@@ -718,7 +718,7 @@ class DensePoly:
             if not other:
                 return self
             if not a:
-                return _dense([_exact(other)])
+                return _dense([_exact(+other)])  # +other: a bool becomes its int
             return _dense(_trimmed([_exact(a[0] + other), *a[1:]]))
         b = other.coeffs
         if len(a) < len(b):
@@ -894,12 +894,13 @@ def coerce_scalar(x):
 
 def scalar_inv(s):
     """Multiplicative inverse inside the ambient field of s; the inverse of
-    an int is an int only for the units 1 and -1, and a DensePoly has one
-    only when it is a nonzero constant."""
+    an int is an int only for the units 1 and -1 (also for a bool, which
+    ``+s`` turns into its int), and a DensePoly has one only when it is a
+    nonzero constant."""
     if isinstance(s, (int, Fraction)):
         if not s:
             raise ZeroDivisionError("reciprocal of zero")
-        return s if s in (1, -1) else Fraction(1, s)
+        return +s if s in (1, -1) else Fraction(1, s)
     if isinstance(s, RationalFunction):
         return s.reciprocal()
     if isinstance(s, BivarPoly):

@@ -1,6 +1,8 @@
 """Command-line interface: output shapes, determinism, exit codes."""
 
 import argparse
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -15,9 +17,10 @@ from hypothesis import strategies as st
 from riordanlbp import cli, oeis, scalars
 from riordanlbp.cli import EXIT_BROKEN_PIPE, EXIT_INTERNAL, GENERATE_KINDS, build_parser, main
 from riordanlbp.lbp import MOMENT_ROUTES, LBPFamily, moments
-from riordanlbp.orthopoly import ORTHO_KINDS
-from riordanlbp.riordan import LowerTriangularMatrix
+from riordanlbp.orthopoly import ORTHO_KINDS, ortho_array
+from riordanlbp.riordan import LowerTriangularMatrix, RiordanArray
 from riordanlbp.scalars import PARAM_B, PARAM_C, DensePoly
+from riordanlbp.series import TruncatedSeries
 from riordanlbp.scenarios import SCENARIOS
 
 
@@ -260,6 +263,78 @@ class TestDenseRoute:
         # the patch bites where the dense route runs
         code, _, err = run_cli(capsys, "generate", "lbp-coeffs", "--order", "2")
         assert code == EXIT_INTERNAL and "DensePoly used" in err
+
+
+class TestOrthoArray:
+    """`generate ortho-array` prints the three-term recurrence rows; they
+    must equal the rows of the Riordan array built from its series, the
+    route `verify factorizations` checks the recurrence against."""
+
+    @staticmethod
+    def run(*argv):
+        # capsys is function-scoped, so the Hypothesis tests capture here
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(list(argv))
+        return code, out.getvalue(), err.getvalue()
+
+    def assert_prints_the_array(self, kind, b, c, order):
+        rows = ortho_array(kind, b, c, order).matrix(order + 1).rows
+        lines = [",".join(str(v) for v in row) for row in rows]
+        params = {"b": "sym" if b is PARAM_B else str(b),
+                  "c": "sym" if c is PARAM_C else str(c)}
+        argv = ["generate", "ortho-array", f"--b={params['b']}", f"--c={params['c']}",
+                "--order", str(order), "--family", kind]
+        assert self.run(*argv) == (0, "".join(f"{line}\n" for line in lines), "")
+        payload = {"kind": "ortho-array", "params": params, "order": order, "data": lines}
+        assert self.run(*argv, "--format", "json") == (
+            0, json.dumps(payload, indent=2) + "\n", "")
+
+    @pytest.mark.parametrize("kind", ORTHO_KINDS)
+    def test_symbolic_rows_are_the_array_rows(self, kind):
+        for order in range(1, 13):
+            self.assert_prints_the_array(kind, PARAM_B, PARAM_C, order)
+
+    @given(st.one_of(parameter_pairs,
+                     parameter.map(lambda v: (v, Fraction(0))),
+                     parameter.map(lambda v: (Fraction(0), v))),
+           st.sampled_from(ORTHO_KINDS), st.integers(1, 12))
+    @settings(max_examples=120, deadline=None)
+    def test_rational_rows_are_the_array_rows(self, pair, kind, order):
+        self.assert_prints_the_array(kind, *pair, order)
+
+    @given(st.one_of(parameter, st.just(Fraction(0))), st.booleans(),
+           st.sampled_from(ORTHO_KINDS), st.integers(1, 12))
+    @settings(max_examples=60, deadline=None)
+    def test_mixed_rows_are_the_array_rows(self, r, sym_first, kind, order):
+        b, c = (PARAM_B, r) if sym_first else (r, PARAM_C)
+        self.assert_prints_the_array(kind, b, c, order)
+
+    def test_no_series_product(self, monkeypatch):
+        # the recurrence costs O(n^2) operations; the array's columns cost one
+        # series product each, O(n^3) in all
+        def outputs():
+            return [self.run("generate", "ortho-array", "--order", "9",
+                             "--family", kind, *params, *fmt)
+                    for params in (("--b", "sym", "--c", "sym"), ("--b=3/2", "--c=-1/3"),
+                                   ("--b", "sym", "--c=2"), ("--b=-1/3", "--c", "sym"))
+                    for kind in ORTHO_KINDS
+                    for fmt in ((), ("--format", "json"))]
+
+        plain = outputs()
+        assert {code for code, _, _ in plain} == {0}
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("series route used")
+
+        monkeypatch.setattr(RiordanArray, "matrix", refuse)
+        monkeypatch.setattr(TruncatedSeries, "__mul__", refuse)
+        assert outputs() == plain
+        # the patch bites on the series route
+        arr = ortho_array("q", PARAM_B, PARAM_C, 3)
+        for route in (lambda: arr.matrix(4), lambda: arr.g * arr.f):
+            with pytest.raises(AssertionError, match="series route used"):
+                route()
 
 
 class TestVerify:

@@ -466,11 +466,12 @@ class TestScalarBoundary:
     @pytest.mark.parametrize("call", [
         lambda: scalar_inv(0),
         lambda: scalar_inv(Fraction(0)),
+        lambda: scalar_inv(False),
         lambda: TruncatedSeries([1, 2]) / 0,
         lambda: moment_gf(0, 1, 3),
         lambda: tfraction_closed_form(0, 1, 3),
         lambda: toeplitz_closed_form(1, 0, 3),
-    ], ids=["int", "Fraction", "series", "moment_gf", "tfraction", "toeplitz"])
+    ], ids=["int", "Fraction", "bool", "series", "moment_gf", "tfraction", "toeplitz"])
     def test_reciprocal_of_zero_is_named(self, call):
         with pytest.raises(ZeroDivisionError, match="^reciprocal of zero$"):
             call()
@@ -480,6 +481,13 @@ class TestScalarBoundary:
         assert type(DensePoly([True]).coeffs[0]) is int
         assert str(TruncatedSeries([True, 2])) == "(1)*t^0 + (2)*t^1"
         assert _homogeneous_str(DensePoly([True, 2]), 1) == "c + 2*b"
+
+    def test_a_bool_operand_and_inverse_are_ints(self):
+        # DensePoly([]) + True and True - DensePoly([]) reach the same branch
+        for poly in (DensePoly([]) + True, True - DensePoly([])):
+            assert poly == 1 and type(poly.coeffs[0]) is int
+        assert _homogeneous_str(DensePoly([]) + True, 0) == "1"
+        assert scalar_inv(True) == 1 and type(scalar_inv(True)) is int
 
 
 #: each binary operator between a value a and an operand x, keyed by the method of a it reaches
