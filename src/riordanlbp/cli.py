@@ -112,10 +112,8 @@ DEGREES = {
 def _table(args, b, c) -> list:
     """Rows of the table args asks for at (b, c); a sequence has one value a row.
 
-    ``ortho-array`` prints the three-term recurrence, O(n^2) operations,
-    not the columns of ``ortho_array``, one series product each; that
-    series route stays the reference the tests and ``verify
-    factorizations`` check the recurrence against.
+    ``ortho-array`` is the O(n^2) three-term recurrence; the O(n^3) series
+    route, ``ortho_array(...).matrix``, is its reference (see ``orthopoly``).
     """
     order = args.order
     if args.kind == "lbp-coeffs":
