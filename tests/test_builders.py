@@ -46,6 +46,11 @@ def loci(exps) -> BivarPoly:
     return BivarPoly.monomial(i, j) * B_PLUS_C ** k
 
 
+OVER_B = RationalFunction(1, BivarPoly.b())
+OVER_C = RationalFunction(1, BivarPoly.c())
+OVER_B_PLUS_C = RationalFunction(1, B_PLUS_C)
+B_OVER_C = RationalFunction(BivarPoly.b(), BivarPoly.c())
+
 rational_functions = st.builds(lambda num, exps: RationalFunction(num, loci(exps)),
                                polys, exponents)
 # nonzero values whose numerator is a product of b, c and b+c: they have a reciprocal
@@ -140,6 +145,17 @@ def test_series_results_hold_coerced_coefficients(case):
 @example(BivarPoly({(1, 0): Fraction(1, 2), (0, 1): 1}), (0, 0, 1), [], [])
 # (b^2 + c^2)(b+c): the division meets a zero quotient term in bc
 @example(BivarPoly({(2, 0): 1, (0, 2): 1}), (0, 0, 1), [], [])
+# dot over more than one product denominator, which no CLI run reaches:
+# two groups; two groups beside an int, and beside an int and a Fraction;
+# two groups that cancel to 0; a group that sums to 0 beside another; a
+# zero int times 1/(b+c) beside a product over b c
+@example(BivarPoly(), (0, 0, 0), [OVER_B, OVER_B_PLUS_C], [OVER_C, OVER_C])
+@example(BivarPoly(), (0, 0, 0), [OVER_B, OVER_C, 2], [OVER_C, 1, 3])
+@example(BivarPoly(), (0, 0, 0), [OVER_B, 2, OVER_C, Fraction(1, 3)],
+         [1, 3, OVER_B_PLUS_C, Fraction(1, 2)])
+@example(BivarPoly(), (0, 0, 0), [OVER_B, -1], [B_OVER_C, OVER_C])
+@example(BivarPoly(), (0, 0, 0), [OVER_B, -1, OVER_C], [1, OVER_B, 1])
+@example(BivarPoly(), (0, 0, 0), [0, OVER_B], [OVER_B_PLUS_C, OVER_C])
 def test_polynomials_built_internally_are_in_normal_form(p, exps, xs, ys):
     i, j, _ = exps
     with checked_builder():

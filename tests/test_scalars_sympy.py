@@ -4,7 +4,7 @@ determinants against sympy."""
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from riordanlbp.hankel_toeplitz import determinant
@@ -138,8 +138,24 @@ def any_to_expr(v):
     return sympy.Rational(v.numerator, v.denominator)
 
 
+OVER_B = RationalFunction(1, BivarPoly.b())
+OVER_C = RationalFunction(1, BivarPoly.c())
+OVER_B_PLUS_C = RationalFunction(1, BivarPoly.b() + BivarPoly.c())
+B_OVER_C = RationalFunction(BivarPoly.b(), BivarPoly.c())
+
+
 @given(st.lists(dot_values, max_size=5), st.lists(dot_values, max_size=5))
 @settings(max_examples=80, deadline=None)
+# products over more than one denominator, which no CLI run makes: two
+# denominator groups; two groups beside an int, and beside an int and a
+# Fraction; two groups that cancel to 0; a group that sums to 0 beside
+# another; a zero int times 1/(b+c) beside a product over b c
+@example([OVER_B, OVER_B_PLUS_C], [OVER_C, OVER_C])
+@example([OVER_B, OVER_C, 2], [OVER_C, 1, 3])
+@example([OVER_B, 2, OVER_C, Fraction(1, 3)], [1, 3, OVER_B_PLUS_C, Fraction(1, 2)])
+@example([OVER_B, -1], [B_OVER_C, OVER_C])
+@example([OVER_B, -1, OVER_C], [1, OVER_B, 1])
+@example([0, OVER_B], [OVER_B_PLUS_C, OVER_C])
 def test_dot_matches_the_left_fold_and_sympy(xs, ys):
     got = dot(xs, ys)
     fold = 0
