@@ -124,8 +124,10 @@ def _unscale(minors: list, scales: list | None) -> list:
 
 def _square(rows) -> list[list]:
     mat = [[coerce_scalar(v) for v in row] for row in rows]
-    if any(len(row) != len(mat) for row in mat):
-        raise ValueError("matrix is not square")
+    for i, row in enumerate(mat):
+        if len(row) != len(mat):
+            raise ValueError(f"matrix is not square: row {i} has length {len(row)}, "
+                             f"the row count is {len(mat)}")
     return mat
 
 
@@ -258,12 +260,12 @@ def recover_parameters(t_seq, tp_seq, n: int) -> tuple:
     check_size("n", n, 1)
     if len(t_seq) < n + 2 or len(tp_seq) < n + 2:
         raise ValueError(f"need determinants through index {n + 1}")
-    for name, d in (("t_n t'_n", t_seq[n] * tp_seq[n]),
-                    ("t_{n+1} t'_n", t_seq[n + 1] * tp_seq[n])):
+    den_b, den_c = t_seq[n] * tp_seq[n], t_seq[n + 1] * tp_seq[n]
+    for name, d in (("t_n t'_n", den_b), ("t_{n+1} t'_n", den_c)):
         if not d:
             raise ZeroDivisionError(f"vanishing denominator {name}")
-    b = -t_seq[n - 1] * tp_seq[n + 1] * scalar_inv(t_seq[n] * tp_seq[n])
-    c = t_seq[n] * tp_seq[n + 1] * scalar_inv(t_seq[n + 1] * tp_seq[n])
+    b = -t_seq[n - 1] * tp_seq[n + 1] * scalar_inv(den_b)
+    c = t_seq[n] * tp_seq[n + 1] * scalar_inv(den_c)
     return b, c
 
 

@@ -206,6 +206,14 @@ def shifted_moment_sum(b, c, n: int):
     return total
 
 
+def schroeder_binomial_sums(count: int) -> list:
+    """sum_k binom(n+k, 2k) S_k for n = 0..count-1, where S_k = mu~_k at
+    b = c = 1 is the k-th large Schroeder number (OEIS A155867)."""
+    schroeder = [shifted_moment_sum(1, 1, k) for k in range(count)]
+    return [sum(binomial(n + k, 2 * k) * schroeder[k] for k in range(n + 1))
+            for n in range(count)]
+
+
 def moments(family: LBPFamily, route: str, n_max: int) -> list:
     """mu_0..mu_n_max by the named route, as a list."""
     if route not in MOMENT_ROUTES:

@@ -15,8 +15,7 @@ from __future__ import annotations
 from pathlib import Path
 
 from .cfrac import tfraction_closed_form
-from .combinat import binomial
-from .lbp import shifted_moment_sum
+from .lbp import schroeder_binomial_sums, shifted_moment_sum
 from .report import Check
 from .scalars import PARAM_C
 from .series import TruncatedSeries, catalan_series
@@ -89,20 +88,12 @@ def _reversion_terms(count: int) -> list:
     return [int(v) for v in series.coeffs]
 
 
-def _schroeder_binomial_sum_terms(count: int) -> list:
-    schroeder = [int(shifted_moment_sum(1, 1, k)) for k in range(count)]
-    return [
-        sum(binomial(n + k, 2 * k) * schroeder[k] for k in range(n + 1))
-        for n in range(count)
-    ]
-
-
 GENERATORS = {
     "A000108": ("catalan number series", _catalan_terms),
     "A006318": ("shifted moments at b=c=1", _schroeder_terms),
     "A060693": ("peak-count triangle, flattened rows", _peak_triangle_terms),
     "A103210": ("reversion of t(1-2t)/(1+t)", _reversion_terms),
-    "A155867": ("sum of binom(n+k,2k) weighted Schroeder numbers", _schroeder_binomial_sum_terms),
+    "A155867": ("sum of binom(n+k,2k) weighted Schroeder numbers", schroeder_binomial_sums),
 }
 
 

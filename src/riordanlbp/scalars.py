@@ -30,9 +30,11 @@ routine, ``_power``.
 The symbolic values of ``verify`` are polynomials of a few terms, so their
 cost is per operation, not per term pair.  So each coefficient of a series
 convolution over ``RationalFunction`` is one call of the fused kernel
-``dot``, which sums every term product into one numerator and reduces it
-once; ``series`` picks it once per operation from the coefficient types,
-so int, Fraction and DensePoly series keep their plain arithmetic.  A
+``dot``, which sums the term products over each product denominator into
+one numerator and reduces it once; ``series`` picks it once per operation
+from the coefficient types, so int, Fraction and DensePoly series keep
+their plain arithmetic.  Values over different denominators meet in one
+lift to their common denominator, ``RationalFunction._over``.  A
 one-term ``BivarPoly`` operand, and an int or Fraction factor of a
 ``RationalFunction``, are scaled copies.  Any other int or Fraction
 operand becomes a polynomial in one place, ``BivarPoly._coerce``, through
@@ -54,7 +56,6 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache
 from itertools import repeat
-from math import comb
 from operator import add, mul, sub
 
 
@@ -603,11 +604,12 @@ def dot(xs, ys):
     one, else the plain sum.
 
     Every term product goes straight into one numerator dict per product
-    denominator b^i c^j (b+c)^k.  Those numerators are then brought over
-    the common denominator b^I c^J (b+c)^K, and the sum is put in
-    coefficient normal form and lowest terms once, where the fold builds,
-    normalizes and reduces one polynomial and one rational function per
-    product and per sum.
+    denominator b^i c^j (b+c)^k, the int and Fraction part into the one of
+    denominator 1.  Each numerator is put in coefficient normal form and
+    lowest terms once, where the fold builds, normalizes and reduces one
+    polynomial and one rational function per product and per sum.  The
+    nonzero groups are then added with RationalFunction ``+``; a single
+    group, the common case, needs no addition.
     """
     plain, groups = 0, {}
     for x, y in zip(xs, ys):
@@ -635,21 +637,13 @@ def dot(xs, ys):
     if plain:
         out = groups.setdefault(_NO_DEN, {})
         out[(0, 0)] = out.get((0, 0), 0) + plain
-    if len(groups) == 1:
-        (exps, total), = groups.items()
-    else:
-        exps = tuple(map(max, zip(*groups)))
-        (big_i, big_j, big_k), total = exps, {}
-        for (i, j, k), out in groups.items():
-            # the terms of b^(I-i) c^(J-j) (b+c)^(K-k)
-            d = big_k - k
-            lift = [((r + big_i - i, d - r + big_j - j), comb(d, r)) for r in range(d + 1)]
-            for (i1, j1), v1 in out.items():
-                for (i2, j2), v2 in lift:
-                    key = (i1 + i2, j1 + j2)
-                    total[key] = total.get(key, 0) + v1 * v2
-    num = _poly({k: _exact(v) for k, v in total.items() if v})
-    return _value(*_lowest(num, exps))
+    total = _value(_poly({}), _NO_DEN)
+    for exps, out in groups.items():
+        num = _poly({k: _exact(v) for k, v in out.items() if v})
+        if num.terms:
+            part = _value(*_lowest(num, exps))
+            total = total + part if total else part
+    return total
 
 
 def over_lcm(values) -> tuple[list[BivarPoly], tuple[int, int, int]]:

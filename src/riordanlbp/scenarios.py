@@ -28,6 +28,7 @@ from .lbp import (
     moment_matrix,
     moments,
     rows_by_recurrence,
+    schroeder_binomial_sums,
     shifted_moment_sum,
     tfraction_fixed_point,
 )
@@ -193,9 +194,7 @@ def scenario_example2(order: int = 12) -> ScenarioReport:
 
     first_column = [int(table.entry(n, 0)) for n in range(1, 8)]
     checks.append(check_equal("first column follows the schroeder binomial sum",
-                              first_column,
-                              [sum(binomial(n + k, 2 * k) * shifted_moment_sum(1, 1, k)
-                                   for k in range(n + 1)) for n in range(7)]))
+                              first_column, schroeder_binomial_sums(7)))
     return ScenarioReport("example2", checks)
 
 

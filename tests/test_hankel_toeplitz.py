@@ -64,6 +64,12 @@ class TestDeterminant:
         assert determinant([]) == 1
         assert type(determinant([])) is int
 
+    def test_non_square_matrix_names_the_row_and_both_lengths(self):
+        with pytest.raises(ValueError, match="row 0 has length 2, the row count is 1"):
+            determinant([[1, 2]])
+        with pytest.raises(ValueError, match="row 1 has length 1, the row count is 2"):
+            leading_minors([[1, 2], [3]])
+
     def test_fraction_fast_path(self):
         rows = [[Fraction(1), Fraction(2)], [Fraction(3), Fraction(4)]]
         assert determinant(rows) == Fraction(-2)

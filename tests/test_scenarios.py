@@ -128,9 +128,12 @@ class TestRunScenario:
 #: products.  Building internal results through the validating
 #: constructors took 1,329 BivarPoly constructions and 3,851 coerce_scalar
 #: calls, and multiplying out the Bareiss row scales 124 constructions and
-#: 4,573 products.
-SCALAR_OP_CEILINGS = {"BivarPoly.__mul__": 4474, "RationalFunction.__init__": 62,
-                      "BivarPoly.__init__": 34, "scalars.coerce_scalar": 1689,
+#: 4,573 products.  Forming t_n t'_n and t_{n+1} t'_n twice in
+#: recover_parameters took 4,474 products, and a shifted_moment_sum call per
+#: term of the schroeder binomial sum (28 for 7 distinct k) 1,689
+#: coerce_scalar calls.
+SCALAR_OP_CEILINGS = {"BivarPoly.__mul__": 4466, "RationalFunction.__init__": 62,
+                      "BivarPoly.__init__": 34, "scalars.coerce_scalar": 1647,
                       "hankel_toeplitz.determinant": 20}
 
 
