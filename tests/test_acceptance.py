@@ -75,7 +75,7 @@ def assert_series_equal(got, expected, context):
     assert got == expected, context
 
 
-@criterion(1, "symbolic moments: closed forms and agreement of all five routes")
+@criterion(1, "symbolic moments: closed forms and agreement of all six routes")
 def test_criterion_01_moments():
     b, c = PARAM_B, PARAM_C
     fam = LBPFamily.constant(b, c, order=12)

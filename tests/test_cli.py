@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from riordanlbp import cli, oeis, scalars
+from riordanlbp import cli, lbp, oeis, scalars
 from riordanlbp.cli import EXIT_BROKEN_PIPE, EXIT_INTERNAL, GENERATE_KINDS, build_parser, main
 from riordanlbp.lbp import MOMENT_ROUTES, LBPFamily, moments
 from riordanlbp.orthopoly import ORTHO_KINDS, ortho_array
@@ -120,15 +120,18 @@ class TestGenerate:
         assert (code, err) == (0, "")
         assert out.splitlines()[1] == "b*c,c + b,1,0"
 
-    def test_toeplitz_reads_moments_through_order_plus_one(self, capsys, monkeypatch):
+    @pytest.mark.parametrize("kind, n_max", [("toeplitz", 6), ("hankel", 10),
+                                             ("moments", 5)])
+    def test_moments_come_from_the_recurrence(self, capsys, monkeypatch, kind, n_max):
+        """toeplitz reads mu_0..mu_{order+1}, hankel mu_0..mu_{2 order}."""
         asked = []
         real = cli.moments
         monkeypatch.setattr(cli, "moments", lambda fam, route, n_max:
-                            asked.append(n_max) or real(fam, route, n_max))
-        code, _, _ = run_cli(capsys, "generate", "toeplitz", "--b", "1", "--c", "1",
+                            asked.append((route, n_max)) or real(fam, route, n_max))
+        code, _, _ = run_cli(capsys, "generate", kind, "--b", "1", "--c", "1",
                              "--order", "5")
         assert code == 0
-        assert asked == [6]
+        assert asked == [("p_recurrence", n_max)]
 
     def test_json_payload_shape(self, capsys):
         code, out, _ = run_cli(
@@ -239,6 +242,30 @@ class TestDenseRoute:
     ])
     def test_entry_prints_as_its_rational_function(self, v, degree, shown):
         assert scalars._homogeneous_str(v, degree) == shown
+
+    def test_default_moments_route_makes_one_product_a_moment(self, capsys, monkeypatch):
+        """`generate moments` runs the P-recurrence by default: at (sym, sym)
+        one DensePoly x DensePoly product per moment from mu_3 on, 24 at
+        order 26 as measured (matrix_inverse, the default before, made 622),
+        and no coefficient block.  An O(n^2) default fails here."""
+        products = []
+        real = DensePoly.__mul__
+
+        def counted(self, other):
+            if type(other) is DensePoly:
+                products.append(other)
+            return real(self, other)
+
+        def refuse(*args):
+            raise AssertionError("coefficient_matrix called")
+
+        monkeypatch.setattr(DensePoly, "__mul__", counted)
+        monkeypatch.setattr(lbp, "coefficient_matrix", refuse)
+        monkeypatch.setattr(cli, "coefficient_matrix", refuse)
+        code, out, err = run_cli(capsys, "generate", "moments", "--order", "26",
+                                 "--b", "sym", "--c", "sym")
+        assert (code, err, len(out.splitlines())) == (0, "", 27)
+        assert len(products) <= 26
 
     def test_rational_parameters_never_touch_dense_polys(self, capsys, monkeypatch):
         def outputs():

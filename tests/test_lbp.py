@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from riordanlbp import lbp
@@ -22,7 +22,7 @@ from riordanlbp.lbp import (
     rows_by_recurrence,
 )
 from riordanlbp.riordan import has_column_shift, production_matrix
-from riordanlbp.scalars import PARAM_B, PARAM_C, RationalFunction, coerce_scalar
+from riordanlbp.scalars import PARAM_B, PARAM_C, DensePoly, RationalFunction, coerce_scalar
 from riordanlbp.series import TruncatedSeries
 
 # First moments of the symbolic constant-coefficient family, normalized to
@@ -39,6 +39,14 @@ SYMBOLIC_MOMENT_FACTORS = [
 nonzero_fractions = st.fractions(
     min_value=-4, max_value=4, max_denominator=3
 ).filter(lambda q: q != 0)
+
+nonzero_ints = st.integers(min_value=-9, max_value=9).filter(bool)
+
+#: (b, c) drawn from ints and Fractions, with c = -b (b+c = 0) and c = -2b
+#: (2b+c = 0) a third of the time each
+locus_pairs = st.one_of(nonzero_ints, nonzero_fractions).flatmap(
+    lambda b: st.tuples(st.just(b), st.one_of(st.just(-b), st.just(-2 * b),
+                                              nonzero_ints, nonzero_fractions)))
 
 param_pairs = st.tuples(nonzero_fractions, nonzero_fractions).filter(
     lambda bc: bc[0] + bc[1] != 0
@@ -204,11 +212,12 @@ class TestMoments:
         with pytest.raises(ValueError):
             moments(unit_family(), "divination", 10)
 
-    def test_closed_form_routes_need_constant_coefficients(self):
+    @pytest.mark.parametrize("route", MOMENT_ROUTES[1:])
+    def test_closed_form_routes_need_constant_coefficients(self, route):
         fam = LBPFamily.periodic([1, 2], [1], order=6)
         moments(fam, "matrix_inverse", 6)  # matrix route is fine
-        with pytest.raises(ValueError):
-            moments(fam, route="catalan_sum", n_max=6)
+        with pytest.raises(ValueError, match=f"route '{route}' applies to constant"):
+            moments(fam, route=route, n_max=6)
 
     @pytest.mark.parametrize("route", MOMENT_ROUTES)
     def test_negative_n_max_rejected(self, route):
@@ -228,6 +237,33 @@ class TestMoments:
             return acc
         got = moments(LBPFamily.constant(b, c), "catalan_sum", 12)
         assert list(got) == [double_sum(n) for n in range(13)]
+
+    @given(st.one_of(locus_pairs, st.just((DensePoly([0, 1]), 1))),
+           st.integers(min_value=0, max_value=40))
+    @example((PARAM_B, PARAM_C), 13)
+    @example((PARAM_B, Fraction(3, 2)), 12)
+    @example((Fraction(-1, 3), PARAM_C), 12)
+    @example((PARAM_B, -PARAM_C), 8)
+    @settings(max_examples=60, deadline=None)
+    def test_recurrence_route_equals_the_catalan_sum(self, bc, n_max):
+        """Equal in value and in type: an int stays an int, a Fraction a
+        Fraction, and (x, 1) on DensePoly a DensePoly."""
+        fam = LBPFamily.constant(*bc)
+        got = moments(fam, "p_recurrence", n_max)
+        expected = moments(fam, "catalan_sum", n_max)
+        assert [(type(v), v) for v in got] == [(type(v), v) for v in expected]
+
+    @pytest.mark.parametrize("n_max", [0, 1, 2, 3])
+    @pytest.mark.parametrize("b, c", [(2, 5), (1, -1), (3, -6), (Fraction(3, 2), 1),
+                                      (1, Fraction(-1, 3)), (DensePoly([0, 1]), 1),
+                                      (PARAM_B, PARAM_C), (PARAM_B, Fraction(3, 2)),
+                                      (Fraction(-1, 3), PARAM_C)])
+    def test_recurrence_route_initial_terms(self, b, c, n_max):
+        """mu_0, mu_1 and mu_2 are given; the recurrence starts at mu_3."""
+        got = moments(LBPFamily.constant(b, c), "p_recurrence", n_max)
+        one = b ** 0
+        expected = [one, c * one, c * (b + c), c * (b + c) * (2 * b + c)][:n_max + 1]
+        assert [(type(v), v) for v in got] == [(type(v), v) for v in expected]
 
     def test_catalan_route_goes_through_the_shifted_sum(self, monkeypatch):
         calls = []
