@@ -127,12 +127,12 @@ def _table(args, b, c) -> list:
         return production_of_inverse(coefficient_matrix(fam, order + 2))
     if args.kind == "hankel":
         fam = LBPFamily.constant(b, c)
-        mu = moments(fam, "shifted_tfraction", 2 * order)
+        mu = moments(fam, "p_recurrence", 2 * order)
         return [[v] for v in hankel_transform(mu, order)]
     if args.kind == "toeplitz":
         # the determinants read mu_{-order}..mu_{order+1}
         fam = LBPFamily.constant(b, c)
-        mu = moments(fam, "shifted_tfraction", order + 1)
+        mu = moments(fam, "p_recurrence", order + 1)
         bi = BiInfiniteMoments(mu, c, order)
         return toeplitz_dets(bi, order)
     if args.kind == "cfrac-expand":
@@ -240,8 +240,9 @@ SUBCOMMANDS = {
                     "help": "rational string or 'sym'; write negatives as --c=-1/3"},
             "--order": {"type": int, "default": 12, "help": _order_help("generate")},
             "--format": {"choices": ("csv", "json"), "default": "csv"},
-            "--route": {"choices": MOMENT_ROUTES, "default": "matrix_inverse",
-                        "help": "moment computation route (moments kind only)"},
+            "--route": {"choices": MOMENT_ROUTES, "default": "p_recurrence",
+                        "help": "moment computation route (moments kind only; "
+                        "default: p_recurrence, O(n) operations)"},
             "--shape": {"choices": ("s", "j", "t"), "default": "t",
                         "help": "continued-fraction shape (cfrac-expand kind only)"},
             "--family": {"choices": ORTHO_KINDS, "default": "q",

@@ -9,7 +9,7 @@ array is the Riordan array (1/(1+ct), t(1-bt)/(1+ct)) and the moment matrix
 is its inverse; the moment sequence mu_n (the inverse's first column) begins
 1, c, c(b+c), c(b+c)(2b+c), ...
 
-Five independent routes compute the moments and must agree; `moments`
+Six independent routes compute the moments and must agree; `moments`
 returns mu_0..mu_n_max by any of them as a plain list:
 
 * matrix_inverse     -- forward-solve the first column of the inverse of the
@@ -22,7 +22,11 @@ returns mu_0..mu_n_max by any of them as a plain list:
 * shifted_tfraction  -- solve u = 1/(1 - ct - btu) order by order and shift
                         through mu(t) = 1 + c t u(t);
 * gf_expansion       -- expand the closed form
-                        (c + 2b - c^2 t - c sqrt(1 - 2(2b+c)t + c^2 t^2))/(2b).
+                        (c + 2b - c^2 t - c sqrt(1 - 2(2b+c)t + c^2 t^2))/(2b);
+* p_recurrence       -- the P-recurrence of that algebraic series, O(n)
+                        operations: mu_0 = 1, mu_1 = c, mu_2 = c(b+c) and
+                        (n+1) mu_{n+1} = (2b+c)(2n-1) mu_n - c^2 (n-2) mu_{n-1}
+                        for n >= 2 (the large Schroeder recurrence at b = c = 1).
 
 Sizes are arguments: every function here takes the order, `n_max` or `dim`
 it computes to.  `LBPFamily.order` is not read by any of them.
@@ -34,7 +38,7 @@ from fractions import Fraction
 
 from .combinat import binomial, catalan
 from .riordan import LowerTriangularMatrix, RiordanArray
-from .scalars import check_size, coerce_scalar
+from .scalars import DensePoly, _quotient, check_size, coerce_scalar
 from .series import TruncatedSeries
 
 MOMENT_ROUTES = (
@@ -43,6 +47,7 @@ MOMENT_ROUTES = (
     "lagrange",
     "shifted_tfraction",
     "gf_expansion",
+    "p_recurrence",
 )
 
 #: default of `LBPFamily.order`, a size that no function reads
@@ -214,8 +219,34 @@ def schroeder_binomial_sums(count: int) -> list:
             for n in range(count)]
 
 
+def moment_recurrence(b, c, n_max: int) -> list:
+    """mu_0..mu_n_max by the P-recurrence, a fixed number of operations per
+    term.
+
+    n+1 divides the right-hand side exactly, so an int or a DensePoly is
+    divided without building a Fraction.  The values have the types
+    `catalan_sum` gives them.
+    """
+    one = b ** 0
+    mu = [one, c * one, c * (b + c)][:n_max + 1]
+    s, c2 = 2 * b + c, c * c
+    for n in range(2, n_max):
+        rhs = s * (2 * n - 1) * mu[n] - c2 * (n - 2) * mu[n - 1]
+        if type(rhs) is int:
+            mu.append(_quotient(rhs, n + 1))
+        elif type(rhs) is DensePoly:
+            mu.append(rhs.divexact(n + 1))
+        else:
+            mu.append(rhs * Fraction(1, n + 1))
+    return mu
+
+
 def moments(family: LBPFamily, route: str, n_max: int) -> list:
-    """mu_0..mu_n_max by the named route, as a list."""
+    """mu_0..mu_n_max by the named route, as a list.
+
+    Every route but matrix_inverse needs a constant-coefficient family.
+    p_recurrence takes O(n) operations, every other route O(n^2).
+    """
     if route not in MOMENT_ROUTES:
         raise ValueError(f"unknown moment route {route!r}; choose from {MOMENT_ROUTES}")
     check_size("n_max", n_max)
@@ -231,5 +262,7 @@ def moments(family: LBPFamily, route: str, n_max: int) -> list:
     if route == "shifted_tfraction":
         u = tfraction_fixed_point(b, c, max(n_max - 1, 0))
         return [b ** 0] + [c * u.coeffs[n - 1] for n in range(1, n_max + 1)]
+    if route == "p_recurrence":
+        return moment_recurrence(b, c, n_max)
     return list(moment_gf(b, c, n_max).coeffs)  # gf_expansion
 
