@@ -245,7 +245,7 @@ def moments(family: LBPFamily, route: str, n_max: int) -> list:
     """mu_0..mu_n_max by the named route, as a list.
 
     Every route but matrix_inverse needs a constant-coefficient family.
-    p_recurrence takes O(n) operations, every other route O(n^2).
+    p_recurrence takes O(n) operations, every other route O(n^2) or more.
     """
     if route not in MOMENT_ROUTES:
         raise ValueError(f"unknown moment route {route!r}; choose from {MOMENT_ROUTES}")

@@ -43,7 +43,7 @@ nonzero_fractions = st.fractions(
 nonzero_ints = st.integers(min_value=-9, max_value=9).filter(bool)
 
 #: (b, c) drawn from ints and Fractions, with c = -b (b+c = 0) and c = -2b
-#: (2b+c = 0) a third of the time each
+#: (2b+c = 0) a quarter of the time each
 locus_pairs = st.one_of(nonzero_ints, nonzero_fractions).flatmap(
     lambda b: st.tuples(st.just(b), st.one_of(st.just(-b), st.just(-2 * b),
                                               nonzero_ints, nonzero_fractions)))
