@@ -35,7 +35,7 @@ from __future__ import annotations
 import os
 import sys
 from fractions import Fraction
-from functools import cache
+from functools import cache, partial
 from math import gcd, lcm
 from types import SimpleNamespace
 
@@ -95,7 +95,7 @@ def _parse_param(text: str, symbol):
 #: degree in (b, c) of entry k on line n of each kind's output.  Every table
 #: is homogeneous: (b, c, x) -> (lb, lc, lx) sends P_n to l^n P_n, so at
 #: (b, c) = (B/D, C/D) entry (n, k) is its value at (B, C) over D^degree,
-#: and at (sym, sym) it is c^degree times its value at (b/c, 1).
+#: and where b or c is sym it is c^degree times its value at (b/c, 1).
 DEGREES = {
     "lbp-coeffs": lambda n, k: n - k,
     "moments": lambda n, k: n,
@@ -167,19 +167,19 @@ def _generate_data(args) -> list[str]:
     """Lines of the table args asks for.
 
     Rational (b, c) are computed at the integers (Db, Dc), D the lcm of the
-    denominators, and (sym, sym) on DensePoly at (b, c) = (x, 1); entry
-    (n, k) is then rendered from its degree DEGREES[kind](n, k).  A sym
-    mixed with a rational keeps the RationalFunction route.
+    denominators, and (b, c) with a sym on DensePoly at (b, c) = (x, 1), a
+    rational side r at 1, or at 0 where r is 0 (which LBPFamily refuses);
+    entry (n, k) is then rendered from its degree DEGREES[kind](n, k).
     """
     b = _parse_param(args.b, PARAM_B)
     c = _parse_param(args.c, PARAM_C)
     if isinstance(b, Fraction) and isinstance(c, Fraction):
         scale = lcm(b.denominator, c.denominator)
         b, c, show = int(b * scale), int(c * scale), _over_powers(scale)
-    elif b is PARAM_B and c is PARAM_C:
-        b, c, show = DensePoly([0, 1]), 1, _homogeneous_str
     else:
-        show = lambda v, degree: str(v)
+        show = (_homogeneous_str if b is PARAM_B and c is PARAM_C
+                else partial(_homogeneous_str, b=b, c=c))
+        b, c = DensePoly([0, 1]) if b else 0, 1 if c else 0
     degree = DEGREES[args.kind]
     return [",".join(show(v, degree(n, k)) for k, v in enumerate(row))
             for n, row in enumerate(_table(args, b, c))]

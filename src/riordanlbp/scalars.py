@@ -15,7 +15,7 @@ Five kinds of scalar circulate here:
 * ``DensePoly``       -- a dense coefficient list in one indeterminate that
                          stands for b/c: a value homogeneous in (b, c) at
                          (b, c) = (b/c, 1), on which ``generate`` computes
-                         its (sym, sym) tables.
+                         every table with a sym.
 
 Polynomials in the indeterminate x of the LBP rows are not a scalar kind: a
 row P_n(x) is the plain list of its coefficients, ascending in the power of
@@ -839,18 +839,27 @@ class DensePoly:
         return f"DensePoly({self.coeffs})"
 
 
-def _homogeneous_str(v, degree: int) -> str:
-    """str() of the value homogeneous of the given degree in (b, c) whose
-    value at (b, c) = (x, 1) is v, a DensePoly or a constant.
+def _homogeneous_str(v, degree: int, b=PARAM_B, c=PARAM_C) -> str:
+    """str() at (b, c), both sym or one a rational r, of the homogeneous
+    value of the given degree that is v, a DensePoly or a constant, at (x, 1).
 
-    x^i becomes b^i c^(degree-i).  Where i exceeds the degree, by m at
-    most, every term gains c^m and the sum is printed over c^m, as
-    RationalFunction prints it.  Terms come in ascending powers of b, the
-    order BivarPoly prints a homogeneous polynomial in.
+    x^i becomes b^i c^(degree-i), or r^(degree-i) b^i at (sym, r) and
+    r^i c^(degree-i) at (r, sym).  Where i exceeds the degree, by m at
+    most, every term in c gains c^m and the sum is printed over c^m, as
+    RationalFunction prints it.  Terms come in ascending powers of b, or
+    of c at (r, sym), the order BivarPoly prints them in.  At r = 0 no i
+    may exceed the degree, and only x^degree or x^0 is read.
     """
     coeffs = v.coeffs if type(v) is DensePoly else (v,)
+    if c is not PARAM_C:
+        return _sum_str([(p * c ** (degree - i), _times_monomial(i, 0))
+                         for i, p in enumerate(coeffs)])
     top = max(len(coeffs) - 1, degree)
-    body = _sum_str(zip(coeffs, _monomials(top)))
+    if b is PARAM_B:
+        body = _sum_str(zip(coeffs, _monomials(top)))
+    else:
+        body = _sum_str([(coeffs[i] * b ** i, _times_monomial(0, top - i))
+                         for i in range(len(coeffs) - 1, -1, -1)])
     if top == degree:
         return body
     return f"({body})/({_times_monomial(0, top - degree)[1:]})"

@@ -209,39 +209,67 @@ class TestGradedRoute:
 
 
 class TestDenseRoute:
-    """(sym, sym) tables are computed at (b, c) = (x, 1) on DensePoly and made
-    homogeneous again while rendering; that must print what the
-    RationalFunction route prints at (PARAM_B, PARAM_C)."""
+    """Every table with a sym is computed at (b, c) = (x, 1) on DensePoly and
+    made homogeneous again while rendering, at a rational side too; that
+    must print what the RationalFunction route prints at (PARAM_B, PARAM_C),
+    (PARAM_B, r) and (r, PARAM_C)."""
 
     @pytest.mark.parametrize("variant", VARIANTS, ids=" ".join)
     def test_dense_lines_equal_the_rational_function_lines(self, capsys, variant):
         floor = cli.MIN_ORDER["generate"].get(variant[0], 0)
-        for order in range(11):
-            argv = ["generate", *variant, "--order", str(order), "--b", "sym", "--c", "sym"]
-            if order < floor:
-                with pytest.raises(SystemExit) as exc:
-                    main(argv)
-                assert exc.value.code == 2
-                capsys.readouterr()
-                continue
-            args = build_parser().parse_args(argv)
-            lines = [",".join(str(v) for v in row)
-                     for row in cli._table(args, PARAM_B, PARAM_C)]
-            assert run_cli(capsys, *argv) == (0, "".join(f"{line}\n" for line in lines), "")
-            payload = {"kind": variant[0], "params": {"b": "sym", "c": "sym"},
-                       "order": order, "data": lines}
-            assert run_cli(capsys, *argv, "--format", "json") == (
-                0, json.dumps(payload, indent=2) + "\n", "")
+        family_kind = variant[0] not in ("cfrac-expand", "ortho-array")
+        # the RationalFunction tables grow costly with the order: the mixed
+        # points run to order 7
+        points = [("sym", "sym", range(11))] + [
+            point for r in ("3/2", "-1/3", "1", "-1", "0")
+            for point in (("sym", r, range(8)), (r, "sym", range(8)))]
+        for b, c, orders in points:
+            at = [PARAM_B if b == "sym" else Fraction(b), PARAM_C if c == "sym" else Fraction(c)]
+            for order in orders:
+                argv = ["generate", *variant, "--order", str(order), f"--b={b}", f"--c={c}"]
+                if order < floor:
+                    with pytest.raises(SystemExit) as exc:
+                        main(argv)
+                    assert exc.value.code == 2
+                    capsys.readouterr()
+                    continue
+                args = build_parser().parse_args(argv)
+                lines = lines_or_error(lambda: [",".join(str(v) for v in row)
+                                                for row in cli._table(args, *at)])
+                if "0" in (b, c) and family_kind:
+                    # LBPFamily refuses a zero b or c, here and in the CLI
+                    error = "recurrence coefficients must be nonzero"
+                    assert lines == (ValueError, error)
+                    assert run_cli(capsys, *argv) == (2, "", f"error: {error}\n")
+                    continue
+                assert run_cli(capsys, *argv) == (0, "".join(f"{line}\n" for line in lines), "")
+                payload = {"kind": variant[0], "params": {"b": b, "c": c},
+                           "order": order, "data": lines}
+                assert run_cli(capsys, *argv, "--format", "json") == (
+                    0, json.dumps(payload, indent=2) + "\n", "")
 
-    @pytest.mark.parametrize("v, degree, shown", [
-        (0, 3, "0"), (DensePoly([]), 0, "0"), (1, 0, "1"), (-7, 0, "-7"),
-        (Fraction(-1, 2), 0, "-1/2"), (1, 2, "c^2"), (-1, 1, "-c"), (12, 1, "12*c"),
-        (DensePoly([0, 1]), 1, "b"), (DensePoly([1, -1]), 1, "c - b"),
-        (DensePoly([0, 0, -1]), 0, "(-b^2)/(c^2)"), (DensePoly([2, 0, 1]), 1, "(2*c^2 + b^2)/(c)"),
-        (DensePoly([Fraction(1, 2), 11, 1]), 2, "1/2*c^2 + 11*b*c + b^2"),
+    @pytest.mark.parametrize("v, degree, at, shown", [
+        (0, 3, {}, "0"), (DensePoly([]), 0, {}, "0"), (1, 0, {}, "1"), (-7, 0, {}, "-7"),
+        (Fraction(-1, 2), 0, {}, "-1/2"), (1, 2, {}, "c^2"), (-1, 1, {}, "-c"),
+        (12, 1, {}, "12*c"), (DensePoly([0, 1]), 1, {}, "b"),
+        (DensePoly([1, -1]), 1, {}, "c - b"), (DensePoly([0, 0, -1]), 0, {}, "(-b^2)/(c^2)"),
+        (DensePoly([2, 0, 1]), 1, {}, "(2*c^2 + b^2)/(c)"),
+        (DensePoly([Fraction(1, 2), 11, 1]), 2, {}, "1/2*c^2 + 11*b*c + b^2"),
+        # (sym, r): a polynomial in b, r^(degree-i) b^i, with no denominator
+        (DensePoly([1, -1]), 1, {"c": Fraction(3, 2)}, "3/2 - b"),
+        (DensePoly([2, 0, 1]), 1, {"c": Fraction(-1, 3)}, "-2/3 - 3*b^2"),
+        (DensePoly([1, 1]), 1, {"c": Fraction(-1)}, "-1 + b"),
+        (DensePoly([0, 0, 5]), 2, {"c": Fraction(0)}, "5*b^2"),
+        # (r, sym): r^i c^(degree-i) in ascending powers of c, over c^m; t_1
+        # and t_2, line 0 of toeplitz, are -x and -x^3 at (x, 1)
+        (DensePoly([0, -1]), 0, {"b": Fraction(3, 2)}, "(-3/2)/(c)"),
+        (DensePoly([0, 0, 0, -1]), 0, {"b": Fraction(-1, 3)}, "(1/27)/(c^3)"),
+        (DensePoly([2, 0, 1]), 1, {"b": Fraction(-1, 3)}, "(1/9 + 2*c^2)/(c)"),
+        (DensePoly([1, -1]), 1, {"b": Fraction(1)}, "-1 + c"),
+        (7, 2, {"b": Fraction(0)}, "7*c^2"),
     ])
-    def test_entry_prints_as_its_rational_function(self, v, degree, shown):
-        assert scalars._homogeneous_str(v, degree) == shown
+    def test_entry_prints_as_its_rational_function(self, v, degree, at, shown):
+        assert scalars._homogeneous_str(v, degree, **at) == shown
 
     def test_default_moments_route_makes_one_product_a_moment(self, capsys, monkeypatch):
         """`generate moments` runs the P-recurrence by default: at (sym, sym)
@@ -269,9 +297,7 @@ class TestDenseRoute:
 
     def test_rational_parameters_never_touch_dense_polys(self, capsys, monkeypatch):
         def outputs():
-            # rational parameters, and sym mixed with a rational
-            return [run_cli(capsys, "generate", *variant, "--order", "6", *params)
-                    for params in (("--b=3/2", "--c=-1/3"), ("--b", "sym", "--c=2"))
+            return [run_cli(capsys, "generate", *variant, "--order", "6", "--b=3/2", "--c=-1/3")
                     for variant in VARIANTS]
 
         plain = outputs()
@@ -290,6 +316,30 @@ class TestDenseRoute:
         # the patch bites where the dense route runs
         code, _, err = run_cli(capsys, "generate", "lbp-coeffs", "--order", "2")
         assert code == EXIT_INTERNAL and "DensePoly used" in err
+
+    def test_mixed_parameters_build_no_bivariate_values(self, capsys, monkeypatch):
+        # a sym mixed with a rational runs the dense route too: no BivarPoly
+        # product and no RationalFunction is built, by either constructor
+        def outputs():
+            return [run_cli(capsys, "generate", *variant, "--order", "6", *params)
+                    for params in (("--b", "sym", "--c=2"), ("--b=-1/3", "--c", "sym"))
+                    for variant in VARIANTS]
+
+        plain = outputs()
+        assert {code for code, _, _ in plain} == {0}
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("BivarPoly or RationalFunction built")
+
+        for name in ("__mul__", "__rmul__"):
+            monkeypatch.setattr(scalars.BivarPoly, name, refuse)
+        monkeypatch.setattr(scalars.RationalFunction, "__init__", refuse)
+        monkeypatch.setattr(scalars, "_poly", refuse)
+        monkeypatch.setattr(scalars, "_value", refuse)
+        assert outputs() == plain
+        # the patch bites where RationalFunction values are computed
+        code, _, err = run_cli(capsys, "verify", "example2")
+        assert code == EXIT_INTERNAL and "BivarPoly or RationalFunction built" in err
 
 
 class TestOrthoArray:

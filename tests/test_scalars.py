@@ -296,8 +296,9 @@ printed_keys = st.one_of(st.just((0, 0)), st.tuples(st.integers(0, 12), st.integ
 
 
 class TestPrinter:
-    """BivarPoly and the dense (sym, sym) entries print through one printer,
-    which must keep the spelling BivarPoly's own loop had."""
+    """BivarPoly and the dense entries, at (sym, sym) and with one side fixed
+    at a rational, print through one printer, which must keep the spelling
+    BivarPoly's own loop had."""
 
     @given(st.dictionaries(printed_keys, printed_coefficients, max_size=8))
     @settings(max_examples=300, deadline=None)
@@ -308,14 +309,21 @@ class TestPrinter:
     @given(st.one_of(printed_coefficients, st.just(0),
                      st.lists(st.one_of(st.just(0), printed_coefficients), max_size=9)
                      .map(DensePoly)),
-           st.integers(0, 10))
+           st.integers(0, 10),
+           st.one_of(st.none(), st.tuples(st.sampled_from("bc"), st.one_of(
+               st.sampled_from([1, -1]).map(Fraction),
+               st.fractions(min_value=-5, max_value=5, max_denominator=7).filter(bool)))))
     @settings(max_examples=300, deadline=None)
-    def test_dense_entry_prints_as_its_rational_function(self, v, degree):
+    def test_dense_entry_prints_as_its_rational_function(self, v, degree, fixed):
+        # fixed is None at (sym, sym), else the side fixed at a nonzero rational
         coeffs = v.coeffs if isinstance(v, DensePoly) else [v]
         top = max(len(coeffs) - 1, degree)
         num = BivarPoly({(i, top - i): a for i, a in enumerate(coeffs)})
-        expected = str(RationalFunction(num, BivarPoly.monomial(0, top - degree)))
-        assert _homogeneous_str(v, degree) == expected
+        den = BivarPoly.monomial(0, top - degree)
+        at = {} if fixed is None else {fixed[0]: fixed[1]}
+        values = {f"{side}_value": r for side, r in at.items()}
+        expected = str(RationalFunction(num.substitute(**values), den.substitute(**values)))
+        assert _homogeneous_str(v, degree, **at) == expected
 
 
 rational_functions = st.builds(
