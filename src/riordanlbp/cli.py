@@ -167,9 +167,10 @@ def _generate_data(args) -> list[str]:
     """Lines of the table args asks for.
 
     Rational (b, c) are computed at the integers (Db, Dc), D the lcm of the
-    denominators, and (b, c) with a sym on DensePoly at (b, c) = (x, 1), a
-    rational side r at 1, or at 0 where r is 0 (which LBPFamily refuses);
-    entry (n, k) is then rendered from its degree DEGREES[kind](n, k).
+    denominators, and (b, c) with a sym on DensePoly at (b, c) = (x, 1); a
+    rational side r is 1 there, or 0 where r is 0, so that LBPFamily refuses
+    it, and only the printer sees r.  Entry (n, k) is then rendered from its
+    degree DEGREES[kind](n, k).
     """
     b = _parse_param(args.b, PARAM_B)
     c = _parse_param(args.c, PARAM_C)

@@ -15,7 +15,9 @@ record, set an entry to ``null``, or append an argv to the grid, and run
 ``PYTHONPATH=src python tests/test_cli_grid.py``: it records the digest of
 the current code for the ``null`` entries and for the argvs past the end of
 the list only, and leaves every other entry as it is.  So run it before the
-change whose output the grid is meant to hold fixed.  argparse's wording of
+change whose output the grid is meant to hold fixed.  A digest is matched by
+its position, so a cell added anywhere but at the end shifts the ones after
+it, and they must be recorded again at the parent.  argparse's wording of
 usage errors can differ between Python versions, so the digests hold for
 the version they were recorded on (3.11).
 """
