@@ -55,7 +55,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from itertools import repeat
+from itertools import count, repeat
 from operator import add, mul, sub
 
 
@@ -850,16 +850,19 @@ def _homogeneous_str(v, degree: int, b=PARAM_B, c=PARAM_C) -> str:
     of c at (r, sym), the order BivarPoly prints them in.  At r = 0 no i
     may exceed the degree, and only x^degree or x^0 is read.
     """
+    # maps, not comprehensions: a comprehension that reads a local of this
+    # function turns it into a cell, which slows every call
     coeffs = v.coeffs if type(v) is DensePoly else (v,)
     if c is not PARAM_C:
-        return _sum_str([(p * c ** (degree - i), _times_monomial(i, 0))
-                         for i, p in enumerate(coeffs)])
+        scaled = map(mul, coeffs, map(c.__pow__, count(degree, -1)))
+        return _sum_str(zip(scaled, map(_times_monomial, count(), repeat(0))))
     top = max(len(coeffs) - 1, degree)
     if b is PARAM_B:
         body = _sum_str(zip(coeffs, _monomials(top)))
     else:
-        body = _sum_str([(coeffs[i] * b ** i, _times_monomial(0, top - i))
-                         for i in range(len(coeffs) - 1, -1, -1)])
+        scaled = list(map(mul, coeffs, map(b.__pow__, count())))
+        body = _sum_str(zip(reversed(scaled),
+                            map(_times_monomial, repeat(0), count(top + 1 - len(scaled)))))
     if top == degree:
         return body
     return f"({body})/({_times_monomial(0, top - degree)[1:]})"
