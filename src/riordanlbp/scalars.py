@@ -850,8 +850,8 @@ def _homogeneous_str(v, degree: int, b=PARAM_B, c=PARAM_C) -> str:
     of c at (r, sym), the order BivarPoly prints them in.  At r = 0 no i
     may exceed the degree, and only x^degree or x^0 is read.
     """
-    # maps, not comprehensions: a comprehension that reads a local of this
-    # function turns it into a cell, which slows every call
+    # maps, not comprehensions: up to Python 3.11 a comprehension reading a
+    # local makes it a cell, which slows every call, (sym, sym) ones included
     coeffs = v.coeffs if type(v) is DensePoly else (v,)
     if c is not PARAM_C:
         scaled = map(mul, coeffs, map(c.__pow__, count(degree, -1)))
