@@ -45,6 +45,7 @@ from .lbp import (
     MOMENT_ROUTES,
     coefficient_matrix,
     moments,
+    rows_by_recurrence,
 )
 from .hankel_toeplitz import (
     BiInfiniteMoments,
@@ -116,25 +117,7 @@ def _table(args, b, c) -> list:
     route, ``ortho_array(...).matrix``, is its reference (see ``orthopoly``).
     """
     order = args.order
-    if args.kind == "lbp-coeffs":
-        fam = LBPFamily.constant(b, c)
-        return coefficient_matrix(fam, order + 1).rows
-    if args.kind == "moments":
-        fam = LBPFamily.constant(b, c)
-        return [[v] for v in moments(fam, args.route, order)]
-    if args.kind == "production":
-        fam = LBPFamily.constant(b, c)
-        return production_of_inverse(coefficient_matrix(fam, order + 2))
-    if args.kind == "hankel":
-        fam = LBPFamily.constant(b, c)
-        mu = moments(fam, "p_recurrence", 2 * order)
-        return [[v] for v in hankel_transform(mu, order)]
-    if args.kind == "toeplitz":
-        # the determinants read mu_{-order}..mu_{order+1}
-        fam = LBPFamily.constant(b, c)
-        mu = moments(fam, "p_recurrence", order + 1)
-        bi = BiInfiniteMoments(mu, c, order)
-        return toeplitz_dets(bi, order)
+    # the two kinds that take a zero parameter come before the family
     if args.kind == "cfrac-expand":
         builder = {
             "s": cfrac.moment_sfraction,
@@ -145,6 +128,20 @@ def _table(args, b, c) -> list:
         return [[v] for v in series.coeffs]
     if args.kind == "ortho-array":
         return ortho_rows_by_recurrence(args.family, b, c, order)
+    fam = LBPFamily.constant(b, c)
+    if args.kind == "lbp-coeffs":
+        return rows_by_recurrence(fam, order)
+    if args.kind == "moments":
+        return [[v] for v in moments(fam, args.route, order)]
+    if args.kind == "production":
+        return production_of_inverse(coefficient_matrix(fam, order + 2))
+    if args.kind == "hankel":
+        mu = moments(fam, "p_recurrence", 2 * order)
+        return [[v] for v in hankel_transform(mu, order)]
+    if args.kind == "toeplitz":
+        # the determinants read mu_{-order}..mu_{order+1}
+        mu = moments(fam, "p_recurrence", order + 1)
+        return toeplitz_dets(BiInfiniteMoments(mu, c, order), order)
     raise ValueError(f"unknown kind {args.kind!r}")
 
 

@@ -17,7 +17,7 @@ from pathlib import Path
 from .cfrac import tfraction_closed_form
 from .lbp import schroeder_binomial_sums, shifted_moment_sum
 from .report import Check
-from .scalars import PARAM_C
+from .scalars import DensePoly
 from .series import TruncatedSeries, catalan_series
 
 DEFAULT_FIXTURES_DIR = Path(__file__).parent / "fixtures"
@@ -76,9 +76,7 @@ def _peak_triangle_terms(count: int) -> list:
     out = []
     n = 0
     while len(out) < count:
-        row = shifted_moment_sum(1, PARAM_C, n)
-        coeffs = row.num.c_coefficients()
-        out.extend(int(v) for v in coeffs + [0] * (n + 1 - len(coeffs)))
+        out.extend(shifted_moment_sum(1, DensePoly([0, 1]), n).coeffs)
         n += 1
     return out[:count]
 

@@ -12,10 +12,12 @@ Five kinds of scalar circulate here:
 * ``RationalFunction``-- a BivarPoly over b^i c^j (b+c)^k in lowest terms,
                          the denominators of the paper's closed forms; any
                          other denominator raises ValueError;
-* ``DensePoly``       -- a dense coefficient list in one indeterminate that
-                         stands for b/c: a value homogeneous in (b, c) at
-                         (b, c) = (b/c, 1), on which ``generate`` computes
-                         every table with a sym.
+* ``DensePoly``       -- a dense coefficient list in one indeterminate x,
+                         the one-variable polynomial type: x is b/c in
+                         ``generate``, which computes every table with a
+                         sym on it at (b, c) = (x, 1), and x is c in the
+                         ``verify`` checks that fix b, whose values are
+                         polynomials in c alone.
 
 Polynomials in the indeterminate x of the LBP rows are not a scalar kind: a
 row P_n(x) is the plain list of its coefficients, ascending in the power of
@@ -96,7 +98,8 @@ def _quotient(a, b):
 
 
 class BivarPoly:
-    """Sparse polynomial in b and c: maps exponent pairs (i, j) to coefficients.
+    """Sparse polynomial in b and c: maps exponent pairs (i, j), non-negative
+    ints, to coefficients.
 
     Every value of ``terms`` is an ``int`` when the coefficient is integral and
     a ``Fraction`` with denominator > 1 otherwise, and every operation
@@ -121,12 +124,11 @@ class BivarPoly:
             for key, val in items:
                 if not isinstance(val, (int, Fraction)):
                     raise TypeError(f"not an exact rational: {type(val).__name__}")
-                key = (int(key[0]), int(key[1]))
-                acc = cleaned.get(key, 0) + val
-                if acc:
-                    cleaned[key] = _exact(acc)
-                else:
-                    cleaned.pop(key, None)
+                if type(key) is not tuple or len(key) != 2 or not all(
+                        type(e) is int and e >= 0 for e in key):
+                    raise ValueError(f"not a pair of non-negative int exponents: {key!r}")
+                if val:
+                    cleaned[key] = _exact(+val)  # +val: a bool becomes its int
         self.terms = cleaned
 
     # -- constructors ------------------------------------------------------
@@ -322,16 +324,6 @@ class BivarPoly:
         for (i, j), v in self.terms.items():
             total += v * bq ** i * cq ** j
         return total
-
-    def c_coefficients(self) -> list[int | Fraction]:
-        """Coefficient list in c (ascending), for polynomials free of b."""
-        if any(i for i, _ in self.terms):
-            raise ValueError("polynomial still involves b")
-        deg = max((j for _, j in self.terms), default=0)
-        out = [0] * (deg + 1)
-        for (_, j), v in self.terms.items():
-            out[j] = v
-        return out
 
     # -- rendering ----------------------------------------------------------
 
@@ -668,10 +660,13 @@ PARAM_C = RationalFunction(BivarPoly.c())
 class DensePoly:
     """Dense polynomial in one indeterminate: ``coeffs[i]`` multiplies x^i.
 
-    Here x stands for b/c, not for the variable of the rows P_n(x).  A value
-    homogeneous of degree d in (b, c) is c^d times a polynomial in x = b/c,
-    so a table of such values computed at (b, c) = (x, 1) on this type
-    loses nothing, and x^i becomes b^i c^(d-i) again when it is rendered.
+    Here x stands for a parameter, not for the variable of the rows P_n(x).
+    In ``generate`` x is b/c: a value homogeneous of degree d in (b, c) is
+    c^d times a polynomial in x = b/c, so a table of such values computed
+    at (b, c) = (x, 1) on this type loses nothing, and x^i becomes
+    b^i c^(d-i) again when it is rendered.  In the ``verify`` checks that
+    fix b (b = 1, c - 1 or c + 1) x is c, and ``coeffs`` is the row of
+    c-coefficients they compare.
 
     ``coeffs`` is a list of int and Fraction values whose last entry is
     nonzero, so zero has no coefficients.  Arithmetic on int coefficients

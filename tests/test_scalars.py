@@ -87,12 +87,6 @@ class TestBivarPoly:
         got = p.substitute(b_value=Fraction(2))
         assert got == BivarPoly.monomial(0, 1, 2)
 
-    def test_c_coefficients(self):
-        p = BivarPoly.monomial(0, 0, 2) + BivarPoly.monomial(0, 2, -1)
-        assert p.c_coefficients() == [Fraction(2), Fraction(0), Fraction(-1)]
-        with pytest.raises(ValueError):
-            BivarPoly.b().c_coefficients()
-
     def test_terms_must_be_a_dict(self):
         with pytest.raises(TypeError, match="^BivarPoly expects a dict from exponent pairs"):
             BivarPoly([((0, 0), 1)])
@@ -365,6 +359,13 @@ class TestRationalFunction:
         assert (r * c - b).is_zero
         assert (scalar_inv(r) * r - RationalFunction(BivarPoly.one())).is_zero
 
+    def test_inverse_of_a_polynomial_and_negative_power(self):
+        b, c = PARAM_B, PARAM_C
+        assert scalar_inv(BivarPoly.b()) == 1 / b
+        assert str(scalar_inv(BivarPoly.b())) == "(1)/(b)"
+        assert (b / c) ** -2 == c * c / (b * b)
+        assert str((b / c) ** -2) == "(c^2)/(b^2)"
+
     def test_zero_denominator_rejected(self):
         with pytest.raises(ZeroDivisionError):
             PARAM_B / (PARAM_C - PARAM_C)
@@ -530,6 +531,15 @@ class TestInexactInput:
             BivarPoly({(1, 0): value})
         with pytest.raises(TypeError, match=message):
             BivarPoly.const(value)
+
+    @pytest.mark.parametrize("key", [(2.7, 0), ("3", 0), (True, 0), (1,), (0, 1, 2), (-1, 0)],
+                             ids=repr)
+    def test_constructor_refuses_an_exponent_key(self, key):
+        """An exponent key is a pair of non-negative ints: b^2.7 is not b^2,
+        and b^-1 is not a polynomial."""
+        message = f"^not a pair of non-negative int exponents: {re.escape(repr(key))}$"
+        with pytest.raises(ValueError, match=message):
+            BivarPoly({key: 1})
 
     def test_polynomial_evaluate_refuses(self):
         with pytest.raises(TypeError, match="^not an exact rational: float$"):

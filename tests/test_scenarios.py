@@ -131,9 +131,11 @@ class TestRunScenario:
 #: 4,573 products.  Forming t_n t'_n and t_{n+1} t'_n twice in
 #: recover_parameters took 4,474 products, and a shifted_moment_sum call per
 #: term of the schroeder binomial sum (28 for 7 distinct k) 1,689
-#: coerce_scalar calls.
-SCALAR_OP_CEILINGS = {"BivarPoly.__mul__": 4466, "RationalFunction.__init__": 62,
-                      "BivarPoly.__init__": 34, "scalars.coerce_scalar": 1647,
+#: coerce_scalar calls.  Computing the b-fixed checks of example1, example3
+#: and cfrac on BivarPoly in b and c took 4,466 products, 62
+#: RationalFunction and 34 BivarPoly constructions.
+SCALAR_OP_CEILINGS = {"BivarPoly.__mul__": 4021, "RationalFunction.__init__": 56,
+                      "BivarPoly.__init__": 10, "scalars.coerce_scalar": 1645,
                       "hankel_toeplitz.determinant": 20}
 
 
@@ -159,3 +161,22 @@ def test_verify_all_scalar_operation_counts(monkeypatch):
     assert main(["verify", "all", "--order", "12"]) == 0
     over = {k: v for k, v in counts.items() if v > SCALAR_OP_CEILINGS[k]}
     assert not over, f"scalar operation counts {counts} above {SCALAR_OP_CEILINGS}"
+
+
+@pytest.mark.parametrize("argv", [["verify", "example1"], ["verify", "example3"],
+                                  ["oeis-check", "A060693"]], ids=" ".join)
+def test_b_fixed_checks_build_no_two_variable_value(argv, monkeypatch, capsys):
+    """With b fixed, every value is a polynomial in c alone, on DensePoly:
+    the same output comes with every BivarPoly and RationalFunction
+    constructor refusing."""
+    assert main(argv) == 0
+    expected = capsys.readouterr().out
+
+    def refused(*args):
+        raise AssertionError("a two-variable value was built")
+
+    for owner, name in ((scalars, "_poly"), (scalars, "_value"),
+                        (BivarPoly, "__init__"), (RationalFunction, "__init__")):
+        monkeypatch.setattr(owner, name, refused)
+    assert main(argv) == 0
+    assert capsys.readouterr().out == expected
