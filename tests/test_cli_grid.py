@@ -5,9 +5,9 @@ recorded.
 The grid is every ``generate`` variant (each kind with each of its routes,
 shapes and families) at ``PAIRS`` and orders 0-9, in csv and json; every
 ``verify`` scenario at its default, in json and at orders 8, 10 and 13;
-``oeis-check all``; and a few usage errors.  Each argv runs in-process with
-``COLUMNS`` fixed, since argparse wraps its usage text to the terminal
-width.  Its digest is the first 16 hex digits of the sha256 of its stdout,
+``oeis-check all``; a few usage errors; and ``hankel`` and ``toeplitz`` at
+``LARGE_ORDERS``.  Each argv runs in-process with ``COLUMNS`` fixed, since
+argparse wraps its usage text to the terminal width.  Its digest is the first 16 hex digits of the sha256 of its stdout,
 its stderr and its exit code together.
 
 ``tests/data/cli_grid.json`` is the list of the digests in grid order.  To
@@ -70,6 +70,13 @@ USAGE_ERRORS = (
     ("oeis-check", "A999999"),
 )
 
+#: hankel and toeplitz past the grid's orders, on a rational pair of the
+#: benchmark and at (sym, sym)
+LARGE_ORDERS = (
+    (("--b=141/86", "--c=-47/129"), (24, 32, 40)),
+    (("--b=sym", "--c=sym"), (12, 16)),
+)
+
 GRID = (
     [("generate", *variant, f"--b={b}", f"--c={c}", "--order", str(order), *fmt)
      for variant in VARIANTS
@@ -82,6 +89,10 @@ GRID = (
                        ("--order", "13"))]
     + [("oeis-check", "all")]
     + list(USAGE_ERRORS)
+    + [("generate", kind, *params, "--order", str(order))
+       for params, orders in LARGE_ORDERS
+       for kind in ("hankel", "toeplitz")
+       for order in orders]
 )
 
 
