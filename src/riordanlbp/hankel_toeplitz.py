@@ -1,22 +1,36 @@
 """Hankel and Toeplitz determinants of a moment sequence.
 
-Everything here is exact.  Determinants use fraction-free (Bareiss)
-elimination, so intermediate entries stay integral or polynomial.  Each row
-is cleared first, multiplied by the lcm of its denominators: numeric rows
-(ints and Fractions) to int rows, eliminated with exact `//`, and rows of
-rational functions to polynomial rows.  The accumulated row factors are
-divided back out at the end.  Rows that hold a DensePoly have no
-denominators and are eliminated with `DensePoly.divexact` as they are.
+Everything here is exact.  `hankel_transform` and `toeplitz_dets` read the
+leading minors of a Hankel or Toeplitz matrix off the three-term recurrence
+of the orthogonal polynomials of its moments, in O(n^2) operations:
+Chebyshev's algorithm (Gautschi, Orthogonal Polynomials, 2004, 2.1.7) for
+Hankel, and its analogue for the LBP recurrence
+P_{n+1} = (x - d_n) P_n - a_n x P_{n-1} (Zhedanov, J. Comput. Appl. Math. 98,
+1998) for Toeplitz.  Each minor is the last one times a pivot
+sigma_k = L(x^l P_k) of the recurrence.  The recurrence runs in the ring of
+the moments: the sequence is cleared once, by one common factor, to ints or
+polynomials, and every quotient must be exact there.  For the LBP moments it
+is (alpha_k = 2b+c, beta_k = b(b+c); d_k = c, a_k = b).  A zero pivot, as on
+the b+c = 0 locus where h_2 = 0, or a quotient that leaves the ring sends
+the whole call to `leading_minors`.
 
-h_0..h_n and t_0..t_n are the leading principal minors of one matrix, and
-the pivots of one Bareiss pass without row swaps are exactly those minors
-(Bareiss, Math. Comp. 22, 1968, via Sylvester's identity), so
-`leading_minors` reads all of them off a single O(n^3) pass instead of
-computing n+1 determinants.  A zero pivot, as on the b+c = 0 locus where
-h_2 = 0, ends the pass; each larger block then goes to `determinant`, which
-shares the clearing and the elimination code.  `hankel_and_shifted` runs the
-same pass over the Hankel matrix with one more column, which also yields the
-determinants s_n of the J-fraction extraction.
+`leading_minors` and `determinant` use fraction-free (Bareiss) elimination,
+so intermediate entries stay integral or polynomial.  Each row is cleared
+first, multiplied by the lcm of its denominators: numeric rows (ints and
+Fractions) to int rows, eliminated with exact `//`, and rows of rational
+functions to polynomial rows.  The accumulated row factors are divided back
+out at the end.  Rows that hold a DensePoly have no denominators and are
+eliminated with `DensePoly.divexact` as they are.
+
+The pivots of one Bareiss pass without row swaps are exactly the leading
+principal minors (Bareiss, Math. Comp. 22, 1968, via Sylvester's identity),
+so `leading_minors` reads all of them off a single O(n^3) pass.  A zero pivot
+ends the pass; each larger block then goes to `determinant`, which shares
+the clearing and the elimination code.  `hankel_and_shifted` runs the same
+pass over the Hankel matrix with one more column, which also yields the
+determinants s_n of the J-fraction extraction.  Bareiss stays the route of
+the J-fraction extraction and of the bordered determinants, so `verify`
+compares independent routes, and it is the reference of the recurrences.
 
 For the constant-coefficient moment sequence the closed forms are
 
@@ -163,15 +177,98 @@ def leading_minors(rows) -> list:
     ]
 
 
+def _int_divexact(a: int, b: int) -> int:
+    q, r = divmod(a, b)
+    if r:
+        raise ValueError("inexact integer division")
+    return q
+
+
+def _minors_by_recurrence(values: list, recurrence, rows) -> list:
+    """Leading minors of the Hankel or Toeplitz matrix of values from
+    recurrence, or leading_minors(rows()) where the recurrence cannot run.
+
+    The values are cleared by one common factor F, so a minor of order m of
+    the cleared matrix is F^m times the original one.  recurrence(cleared,
+    divide) returns the minors of orders 1, 2, ...; divide is exact
+    division in the ring of the cleared values, and raises ValueError for a
+    quotient outside it and ZeroDivisionError for a zero divisor.
+    """
+    [cleared], divide, scales = _clear([[coerce_scalar(v) for v in values]])
+    if divide is operator.floordiv:
+        divide = _int_divexact
+    try:
+        minors = recurrence(cleared, divide)
+    except (ValueError, ZeroDivisionError):
+        return leading_minors(rows())
+    if scales is None:
+        return minors
+    scale, orders = scales[0], range(1, len(minors) + 1)
+    return _unscale(minors, [scale ** m for m in orders] if type(scale) is int
+                    else [tuple(m * e for e in scale) for m in orders])
+
+
+def _chebyshev(mu: list, divide) -> list:
+    """h_0..h_n of the Hankel matrix of mu_0..mu_2n by Chebyshev's algorithm.
+
+    Row k holds sigma_k[l] = L(x^l pi_k) for l = k..2n-k, pi_k the monic
+    orthogonal polynomial of degree k, and
+    sigma_k[l] = sigma_{k-1}[l+1] - alpha_{k-1} sigma_{k-1}[l]
+    - beta_{k-1} sigma_{k-2}[l].  The quotient sigma_k[k+1] / sigma_k[k] is
+    alpha_0 + ... + alpha_k, beta_k = sigma_k[k] / sigma_{k-1}[k-1], and
+    h_k = h_{k-1} sigma_k[k].
+    """
+    minors, older, old = [mu[0]], None, mu
+    for _ in range(len(mu) // 2):
+        pivot = old[0]
+        total = divide(old[1], pivot)
+        if older is None:
+            new = [x2 - total * x1 for x1, x2 in zip(old[1:], old[2:])]
+        else:
+            alpha, beta = total - prev_total, divide(pivot, older[0])
+            new = [x2 - alpha * x1 - beta * y
+                   for x1, x2, y in zip(old[1:], old[2:], older[2:])]
+        minors.append(minors[-1] * new[0])
+        older, old, prev_total = old, new, total
+    return minors
+
+
+def _lbp_analogue(mu: list, divide) -> list:
+    """t_0..t_n of the Toeplitz matrix (mu_{k-j}) of mu_{-n}..mu_n by the
+    analogue of Chebyshev's algorithm for P_{k+1} = (x - d_k) P_k - a_k x P_{k-1}.
+
+    Row k holds sigma_k[l] = L(x^l P_k) for l = -n..n-k, and
+    sigma_{k+1}[l] = sigma_k[l+1] - d_k sigma_k[l] - a_k sigma_{k-1}[l+1].
+    With g_k = sigma_k[-k] and w_k = sigma_k[1], d_0 = w_0 / g_0, a_0 = 0,
+    and for k > 0, where orthogonality makes sigma_k[0] vanish,
+    d_k = -w_k g_{k-1} / (g_k w_{k-1}) and a_k = -d_k g_k / g_{k-1};
+    t_k = t_{k-1} g_k.
+    """
+    n = len(mu) // 2
+    minors, older, old = [mu[n]], None, mu
+    for k in range(n):
+        g, w = old[n - k], old[n + 1]
+        if older is None:
+            d = divide(w, g)
+            new = [x1 - d * x0 for x0, x1 in zip(old, old[1:])]
+        else:
+            d = divide(-(w * g_prev), g * w_prev)
+            a = divide(-(d * g), g_prev)
+            new = [x1 - d * x0 - a * y for x0, x1, y in zip(old, old[1:], older[1:])]
+        minors.append(minors[-1] * new[n - k - 1])
+        older, old, g_prev, w_prev = old, new, g, w
+    return minors
+
+
 def hankel_transform(mu, n_max: int) -> list:
     """h_n = det(mu_{i+j}) for n = 0..n_max; needs 2 n_max + 1 moments."""
     values = list(mu)
     check_size("n_max", n_max)
     if len(values) < 2 * n_max + 1:
         raise ValueError(f"need {2 * n_max + 1} moments for depth {n_max}")
-    return leading_minors(
-        [[values[i + j] for j in range(n_max + 1)] for i in range(n_max + 1)]
-    )
+    size = range(n_max + 1)
+    return _minors_by_recurrence(values[:2 * n_max + 1], _chebyshev,
+                                 lambda: [[values[i + j] for j in size] for i in size])
 
 
 def hankel_and_shifted(mu, depth: int) -> tuple[list, list]:
@@ -243,9 +340,11 @@ def toeplitz_dets(bm: BiInfiniteMoments, n_max: int) -> tuple[list, list]:
     check_size("n_max", n_max)
     check_size("backward depth", bm.depth, n_max)
     size = range(n_max + 1)
-    t_seq = leading_minors([[bm.moment(k - j) for k in size] for j in size])
-    tp_seq = leading_minors([[bm.moment(1 + k - j) for k in size] for j in size])
-    return t_seq, tp_seq
+    return tuple(
+        _minors_by_recurrence(
+            [bm.moment(shift + l) for l in range(-n_max, n_max + 1)], _lbp_analogue,
+            lambda: [[bm.moment(shift + k - j) for k in size] for j in size])
+        for shift in (0, 1))
 
 
 def toeplitz_closed_form(b, c, n_max: int) -> list:

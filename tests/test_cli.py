@@ -3,6 +3,7 @@
 import argparse
 import contextlib
 import io
+import itertools
 import json
 import os
 import subprocess
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from riordanlbp import cli, lbp, oeis, scalars
+from riordanlbp import cli, hankel_toeplitz, lbp, oeis, scalars
 from riordanlbp.cli import EXIT_BROKEN_PIPE, EXIT_INTERNAL, GENERATE_KINDS, build_parser, main
 from riordanlbp.lbp import MOMENT_ROUTES, LBPFamily, moments
 from riordanlbp.orthopoly import ORTHO_KINDS, ortho_array
@@ -340,6 +341,65 @@ class TestDenseRoute:
         # the patch bites where RationalFunction values are computed
         code, _, err = run_cli(capsys, "verify", "example2")
         assert code == EXIT_INTERNAL and "BivarPoly or RationalFunction built" in err
+
+
+#: every (b, c) the benchmark's rational workload can draw: lam (3/2, -1/3)
+#: for lam = +-p/q, p and q distinct primes of 37, 41, 43 and 47
+BENCHMARK_PAIRS = [(f"--b={lam * Fraction(3, 2)}", f"--c={-lam / 3}")
+                   for lam in (sign * Fraction(p, q)
+                               for p, q in itertools.permutations((37, 41, 43, 47), 2)
+                               for sign in (1, -1))]
+
+
+class TestMinorRoutes:
+    """`generate hankel` and `toeplitz` read their minors off the orthogonal
+    recurrences; a Bareiss pass is left only as the fallback."""
+
+    @pytest.fixture
+    def bareiss_calls(self, monkeypatch):
+        calls = []
+        real = hankel_toeplitz._bareiss
+
+        def counted(*args, **kwargs):
+            calls.append(len(args[0]))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(hankel_toeplitz, "_bareiss", counted)
+        return calls
+
+    @pytest.mark.parametrize("params", [("--b=sym", "--c=sym"), *BENCHMARK_PAIRS],
+                             ids=" ".join)
+    @pytest.mark.parametrize("kind, order", [("hankel", "9"), ("toeplitz", "10")])
+    def test_benchmark_tables_run_no_bareiss_pass(self, capsys, bareiss_calls, kind, order,
+                                                  params):
+        code, out, err = run_cli(capsys, "generate", kind, "--order", order, *params)
+        assert (code, err) == (0, "")
+        assert bareiss_calls == []
+
+    @pytest.mark.parametrize("kind, order, ceiling", [
+        # half the 586 and 1,549 products of one Bareiss pass per sequence
+        ("hankel", "9", 293), ("toeplitz", "10", 774)])
+    def test_symbolic_tables_make_half_the_products(self, capsys, monkeypatch, kind, order,
+                                                   ceiling):
+        products = []
+        real = DensePoly.__mul__
+
+        def counted(self, other):
+            if type(other) is DensePoly:
+                products.append(other)
+            return real(self, other)
+
+        monkeypatch.setattr(DensePoly, "__mul__", counted)
+        code, _, _ = run_cli(capsys, "generate", kind, "--order", order, "--b", "sym",
+                             "--c", "sym")
+        assert code == 0
+        assert len(products) <= ceiling
+
+    def test_zero_pivot_falls_back_to_bareiss(self, capsys, bareiss_calls):
+        # on b+c = 0 h_2 vanishes, so Chebyshev's algorithm cannot go on
+        code, out, err = run_cli(capsys, "generate", "hankel", "--b", "1", "--c", "-1")
+        assert (code, out, err) == (0, "1\n-1\n" + "0\n" * 11, "")
+        assert bareiss_calls
 
 
 class TestOrthoArray:

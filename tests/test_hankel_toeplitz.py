@@ -3,6 +3,7 @@
 import itertools
 import operator
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import example, given, settings
@@ -27,6 +28,7 @@ from riordanlbp.scalars import (
     PARAM_B,
     PARAM_C,
     BivarPoly,
+    DensePoly,
     RationalFunction,
     coerce_scalar,
     scalar_inv,
@@ -396,6 +398,106 @@ class TestHankel:
         bv, cv = bc
         mu = moments(LBPFamily.constant(bv, cv, order=9), "matrix_inverse", 9)
         assert hankel_transform(list(mu), 4) == hankel_closed_form(bv, cv, 4)
+
+
+def hankel_reference(values, n):
+    return leading_minors([[values[i + j] for j in range(n + 1)] for i in range(n + 1)])
+
+
+def toeplitz_reference(bm, n):
+    size = range(n + 1)
+    return tuple(leading_minors([[bm.moment(shift + k - j) for k in size] for j in size])
+                 for shift in (0, 1))
+
+
+def shown(v):
+    """What a value prints as: a DensePoly through its coefficients, since
+    an integral Fraction coefficient prints as its int."""
+    return [str(k) for k in v.coeffs] if type(v) is DensePoly else str(v)
+
+
+def same_typed(got, ref):
+    assert got == ref
+    assert [type(v) for v in got] == [type(v) for v in ref]
+    assert [shown(v) for v in got] == [shown(v) for v in ref]
+
+
+def assert_recurrences_match_bareiss(mu, c, n):
+    """hankel_transform and toeplitz_dets equal the Bareiss leading minors
+    in value, type and print; Toeplitz only where c is invertible."""
+    same_typed(hankel_transform(mu, n), hankel_reference(mu, n))
+    if c is None:
+        return
+    bm = BiInfiniteMoments(mu[:n + 2], c, n)
+    for got, ref in zip(toeplitz_dets(bm, n), toeplitz_reference(bm, n)):
+        same_typed(got, ref)
+
+
+small_fractions = st.fractions(min_value=-6, max_value=6, max_denominator=6).filter(bool)
+# b+c = 0 (h_2 = 0, the fallback) and 2b+c = 0 are drawn a third of the time each
+pairs_with_loci = st.one_of(
+    st.tuples(small_fractions, small_fractions),
+    small_fractions.map(lambda b: (b, -b)),
+    small_fractions.map(lambda b: (b, -2 * b)),
+)
+
+
+class TestRecurrencesMatchBareiss:
+    """The O(n^2) recurrences against the Bareiss leading minors they replace."""
+
+    @given(pairs_with_loci, st.integers(0, 40))
+    @example((Fraction(1), Fraction(-1)), 40)
+    @example((Fraction(3, 2), Fraction(-3)), 40)
+    @settings(max_examples=12, deadline=None)
+    def test_rational_pairs(self, pair, n):
+        b, c = pair
+        # at (b, c) itself, and at the integers (Db, Dc) where generate
+        # computes; Fraction moments usually leave the ring of ints
+        scale = lcm(b.denominator, c.denominator)
+        for bv, cv in ((b, c), (int(b * scale), int(c * scale))):
+            mu = moments(LBPFamily.constant(bv, cv), "p_recurrence", 2 * n + 1)
+            assert_recurrences_match_bareiss(mu, cv, n)
+
+    @given(st.sampled_from(["1", "-1", "2", "-x", "-2x"]), st.integers(0, 12))
+    @settings(max_examples=15, deadline=None)
+    def test_dense_polynomials(self, c_name, n):
+        # at (x, 1) as generate computes (sym, sym); c = -x is b+c = 0 and
+        # c = -2x is 2b+c = 0, where c has no inverse and only Hankel runs
+        x = DensePoly([0, 1])
+        c = {"-x": -x, "-2x": -2 * x}[c_name] if "x" in c_name else int(c_name)
+        mu = moments(LBPFamily.constant(x, c), "p_recurrence", 2 * n + 1)
+        assert_recurrences_match_bareiss(mu, None if type(c) is DensePoly else c, n)
+
+    @given(st.integers(0, 8).flatmap(lambda n: st.tuples(
+        st.just(n),
+        st.lists(st.sampled_from([0, 1, -1, 2, 3, -5, Fraction(1, 2), Fraction(-3, 2)]),
+                 min_size=2 * n + 1, max_size=2 * n + 1),
+        st.sampled_from([1, -1, 2, Fraction(1, 3), Fraction(-2, 5)]))))
+    @settings(max_examples=60, deadline=None)
+    def test_arbitrary_moments(self, drawn):
+        # zero pivots and quotients outside the ints are common here
+        n, tail, c = drawn
+        assert_recurrences_match_bareiss([1, *tail], c, n)
+
+    def test_inexact_quotient_falls_back(self, monkeypatch):
+        # sigma_1 = (-3, 1, -5): alpha_0 + alpha_1 = 1 / -3 is no int
+        calls = []
+        bareiss = hankel_toeplitz._bareiss
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return bareiss(*args, **kwargs)
+
+        monkeypatch.setattr(hankel_toeplitz, "_bareiss", counted)
+        assert hankel_transform([1, 2, 1, 3, 1], 2) == [1, -3, -1]
+        assert len(calls) == 1
+        # the LBP moments at integers stay in the ring: no Bareiss pass
+        calls.clear()
+        mu = moments(LBPFamily.constant(3, -2), "p_recurrence", 20)
+        assert hankel_transform(mu, 10) == hankel_closed_form(3, -2, 10)
+        t_seq, tp_seq = toeplitz_dets(BiInfiniteMoments(mu[:12], -2, 10), 10)
+        assert t_seq == toeplitz_closed_form(3, -2, 10)
+        assert calls == []
 
 
 class TestBiInfiniteMoments:

@@ -117,10 +117,11 @@ class TestRunScenario:
             run_scenario("nonesuch")
 
 
-#: BivarPoly products, RationalFunction constructions and determinants in
-#: one `verify all --order 12`, as the benchmark's scalars.poly_mul.calls,
-#: scalars.ratfunc_new.calls and hankel_toeplitz.determinant.calls count
-#: them, and the validating BivarPoly constructions and coerce_scalar calls.
+#: BivarPoly products, RationalFunction constructions, determinants and
+#: exact BivarPoly divisions in one `verify all --order 12`, as the
+#: benchmark's scalars.poly_mul.calls, scalars.ratfunc_new.calls,
+#: hankel_toeplitz.determinant.calls and scalars.divexact.calls count them,
+#: and the validating BivarPoly constructions and coerce_scalar calls.
 #: One product and one reduction per term of each series convolution
 #: took 11,116 and 3,155; coercing each int or Fraction operand through the
 #: validating constructors, 878 constructions; computing t_{n-1} apart from
@@ -133,10 +134,12 @@ class TestRunScenario:
 #: term of the schroeder binomial sum (28 for 7 distinct k) 1,689
 #: coerce_scalar calls.  Computing the b-fixed checks of example1, example3
 #: and cfrac on BivarPoly in b and c took 4,466 products, 62
-#: RationalFunction and 34 BivarPoly constructions.
-SCALAR_OP_CEILINGS = {"BivarPoly.__mul__": 4021, "RationalFunction.__init__": 56,
-                      "BivarPoly.__init__": 10, "scalars.coerce_scalar": 1645,
-                      "hankel_toeplitz.determinant": 20}
+#: RationalFunction and 34 BivarPoly constructions.  Reading the Hankel and
+#: Toeplitz minors off a Bareiss pass instead of their recurrences took
+#: 4,021 products, 313 exact divisions and 1,645 coerce_scalar calls.
+SCALAR_OP_CEILINGS = {"BivarPoly.__mul__": 3911, "RationalFunction.__init__": 56,
+                      "BivarPoly.__init__": 10, "scalars.coerce_scalar": 1445,
+                      "hankel_toeplitz.determinant": 20, "BivarPoly.divexact": 250}
 
 
 def test_verify_all_scalar_operation_counts(monkeypatch):
@@ -152,6 +155,7 @@ def test_verify_all_scalar_operation_counts(monkeypatch):
     count(BivarPoly, "__rmul__", "BivarPoly.__mul__")
     count(RationalFunction, "__init__", "RationalFunction.__init__")
     count(BivarPoly, "__init__", "BivarPoly.__init__")
+    count(BivarPoly, "divexact", "BivarPoly.divexact")
     count(hankel_toeplitz, "determinant", "hankel_toeplitz.determinant")
     # every module that imported coerce_scalar calls its own binding
     coerce_scalar = scalars.coerce_scalar
