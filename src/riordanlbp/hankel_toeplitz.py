@@ -178,6 +178,7 @@ def leading_minors(rows) -> list:
 
 
 def _int_divexact(a: int, b: int) -> int:
+    """a // b; ValueError where b does not divide a."""
     q, r = divmod(a, b)
     if r:
         raise ValueError("inexact integer division")
@@ -211,8 +212,8 @@ def _minors_by_recurrence(values: list, recurrence, rows) -> list:
 def _chebyshev(mu: list, divide) -> list:
     """h_0..h_n of the Hankel matrix of mu_0..mu_2n by Chebyshev's algorithm.
 
-    Row k holds sigma_k[l] = L(x^l pi_k) for l = k..2n-k, pi_k the monic
-    orthogonal polynomial of degree k, and
+    Row k holds sigma_k[l] = L(x^l pi_k) for l = k..2n-k, from index 0 on,
+    pi_k the monic orthogonal polynomial of degree k, and
     sigma_k[l] = sigma_{k-1}[l+1] - alpha_{k-1} sigma_{k-1}[l]
     - beta_{k-1} sigma_{k-2}[l].  The quotient sigma_k[k+1] / sigma_k[k] is
     alpha_0 + ... + alpha_k, beta_k = sigma_k[k] / sigma_{k-1}[k-1], and
@@ -237,7 +238,7 @@ def _lbp_analogue(mu: list, divide) -> list:
     """t_0..t_n of the Toeplitz matrix (mu_{k-j}) of mu_{-n}..mu_n by the
     analogue of Chebyshev's algorithm for P_{k+1} = (x - d_k) P_k - a_k x P_{k-1}.
 
-    Row k holds sigma_k[l] = L(x^l P_k) for l = -n..n-k, and
+    Row k holds sigma_k[l] = L(x^l P_k) for l = -n..n-k, from index 0 on, and
     sigma_{k+1}[l] = sigma_k[l+1] - d_k sigma_k[l] - a_k sigma_{k-1}[l+1].
     With g_k = sigma_k[-k] and w_k = sigma_k[1], d_0 = w_0 / g_0, a_0 = 0,
     and for k > 0, where orthogonality makes sigma_k[0] vanish,
