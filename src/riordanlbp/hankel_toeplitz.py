@@ -6,13 +6,14 @@ of the orthogonal polynomials of its moments, in O(n^2) operations:
 Chebyshev's algorithm (Gautschi, Orthogonal Polynomials, 2004, 2.1.7) for
 Hankel, and its analogue for the LBP recurrence
 P_{n+1} = (x - d_n) P_n - a_n x P_{n-1} (Zhedanov, J. Comput. Appl. Math. 98,
-1998) for Toeplitz.  Each minor is the last one times a pivot
-sigma_k = L(x^l P_k) of the recurrence.  The recurrence runs in the ring of
-the moments: the sequence is cleared once, by one common factor, to ints or
-polynomials, and every quotient must be exact there.  For the LBP moments it
-is (alpha_k = 2b+c, beta_k = b(b+c); d_k = c, a_k = b).  A zero pivot, as on
-the b+c = 0 locus where h_2 = 0, or a quotient that leaves the ring sends
-the whole call to `leading_minors`.
+1998) for Toeplitz.  Each minor is the one before times a pivot of the
+recurrence: h_k = h_{k-1} L(x^k pi_k) and t_k = t_{k-1} L(x^-k P_k), L the
+moment functional.  The recurrence runs in the ring of the moments: the
+sequence is cleared once, by one common factor, to ints or polynomials, and
+every quotient must be exact there.  For the LBP moments it is: alpha_0 = c,
+alpha_k = 2b+c, beta_1 = bc, beta_k = b(b+c), d_k = c and a_k = b.  A zero
+pivot, as on the b+c = 0 locus where h_2 = 0, or a quotient that leaves the
+ring sends the whole call to `leading_minors`.
 
 `leading_minors` and `determinant` use fraction-free (Bareiss) elimination,
 so intermediate entries stay integral or polynomial.  Each row is cleared
@@ -30,7 +31,7 @@ the clearing and the elimination code.  `hankel_and_shifted` runs the same
 pass over the Hankel matrix with one more column, which also yields the
 determinants s_n of the J-fraction extraction.  Bareiss stays the route of
 the J-fraction extraction and of the bordered determinants, so `verify`
-compares independent routes, and it is the reference of the recurrences.
+compares independent routes, and the tests compare the recurrences with it.
 
 For the constant-coefficient moment sequence the closed forms are
 

@@ -458,14 +458,13 @@ class TestRecurrencesMatchBareiss:
             mu = moments(LBPFamily.constant(bv, cv), "p_recurrence", 2 * n + 1)
             assert_recurrences_match_bareiss(mu, cv, n)
 
-    @given(st.sampled_from(["1", "-1", "2", "-x", "-2x"]), st.integers(0, 12))
+    @given(st.sampled_from([1, -1, 2, DensePoly([0, -1]), DensePoly([0, -2])]),
+           st.integers(0, 12))
     @settings(max_examples=15, deadline=None)
-    def test_dense_polynomials(self, c_name, n):
+    def test_dense_polynomials(self, c, n):
         # at (x, 1) as generate computes (sym, sym); c = -x is b+c = 0 and
         # c = -2x is 2b+c = 0, where c has no inverse and only Hankel runs
-        x = DensePoly([0, 1])
-        c = {"-x": -x, "-2x": -2 * x}[c_name] if "x" in c_name else int(c_name)
-        mu = moments(LBPFamily.constant(x, c), "p_recurrence", 2 * n + 1)
+        mu = moments(LBPFamily.constant(DensePoly([0, 1]), c), "p_recurrence", 2 * n + 1)
         assert_recurrences_match_bareiss(mu, None if type(c) is DensePoly else c, n)
 
     @given(st.integers(0, 8).flatmap(lambda n: st.tuples(
