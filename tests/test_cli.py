@@ -377,7 +377,8 @@ class TestMinorRoutes:
         assert bareiss_calls == []
 
     @pytest.mark.parametrize("kind, order, ceiling", [
-        # half the 586 and 1,549 products of one Bareiss pass per sequence
+        # half the parent's 586 and 1,549, most of them in one Bareiss pass
+        # per sequence
         ("hankel", "9", 293), ("toeplitz", "10", 774)])
     def test_symbolic_tables_make_half_the_products(self, capsys, monkeypatch, kind, order,
                                                    ceiling):

@@ -7,8 +7,9 @@ shapes and families) at ``PAIRS`` and orders 0-9, in csv and json; every
 ``verify`` scenario at its default, in json and at orders 8, 10 and 13;
 ``oeis-check all``; a few usage errors; and ``hankel`` and ``toeplitz`` at
 ``LARGE_ORDERS``.  Each argv runs in-process with ``COLUMNS`` fixed, since
-argparse wraps its usage text to the terminal width.  Its digest is the first 16 hex digits of the sha256 of its stdout,
-its stderr and its exit code together.
+argparse wraps its usage text to the terminal width.  Its digest is the
+first 16 hex digits of the sha256 of its stdout, its stderr and its exit
+code together.
 
 ``tests/data/cli_grid.json`` is the list of the digests in grid order.  To
 record, set an entry to ``null``, or append an argv to the grid, and run
