@@ -34,6 +34,7 @@ from .lbp import (
     inverse_entry_lagrange,
     moment_gf,
     moment_matrix,
+    moment_production,
     moments,
     rows_by_recurrence,
 )
@@ -71,7 +72,8 @@ __all__ = [
     "has_column_shift", "production_matrix", "production_of_inverse",
     "LBPFamily", "MOMENT_ROUTES", "coefficient_array",
     "coefficient_matrix", "entry_closed_form", "inverse_entry_lagrange",
-    "moment_gf", "moment_matrix", "moments", "rows_by_recurrence",
+    "moment_gf", "moment_matrix", "moment_production", "moments",
+    "rows_by_recurrence",
     "ORTHO_KINDS", "ortho_array", "ortho_rows_by_recurrence",
     "verify_factorizations",
     "JFraction", "SFraction", "TFraction", "cf_expand",

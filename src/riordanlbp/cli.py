@@ -44,6 +44,7 @@ from .lbp import (
     LBPFamily,
     MOMENT_ROUTES,
     coefficient_matrix,
+    moment_production,
     moments,
 )
 from .hankel_toeplitz import (
@@ -52,7 +53,6 @@ from .hankel_toeplitz import (
     toeplitz_dets,
 )
 from .orthopoly import ORTHO_KINDS, ortho_rows_by_recurrence
-from .riordan import production_of_inverse
 from .scalars import PARAM_B, PARAM_C, DensePoly, _homogeneous_str, parse_rational
 
 GENERATE_KINDS = (
@@ -114,6 +114,8 @@ def _table(args, b, c) -> list:
 
     ``ortho-array`` is the O(n^2) three-term recurrence; the O(n^3) series
     route, ``ortho_array(...).matrix``, is its reference (see ``orthopoly``).
+    ``production`` is the O(n^2) route by the A- and Z-sequences; the O(n^3)
+    solve ``production_of_inverse`` is its reference.
     """
     order = args.order
     # the two kinds that take a zero parameter come before the family
@@ -136,7 +138,7 @@ def _table(args, b, c) -> list:
     if args.kind == "moments":
         return [[v] for v in moments(fam, args.route, order)]
     if args.kind == "production":
-        return production_of_inverse(coefficient_matrix(fam, order + 2))
+        return moment_production(fam, order + 1)
     if args.kind == "hankel":
         mu = moments(fam, "p_recurrence", 2 * order)
         return [[v] for v in hankel_transform(mu, order)]

@@ -28,6 +28,10 @@ returns mu_0..mu_n_max by any of them as a plain list:
                         (n+1) mu_{n+1} = (2b+c)(2n-1) mu_n - c^2 (n-2) mu_{n-1}
                         for n >= 2 (the large Schroeder recurrence at b = c = 1).
 
+The production block of the moment matrix is read off its A- and
+Z-sequences (`moment_production`, O(dim^2) operations); the O(dim^3) solve
+of P L = L S, `riordan.production_of_inverse`, is its reference.
+
 Sizes are arguments: every function here takes the order, `n_max` or `dim`
 it computes to.  `LBPFamily.order` is not read by any of them.
 """
@@ -129,10 +133,14 @@ def coefficient_matrix(family: LBPFamily, dim: int) -> LowerTriangularMatrix:
     return LowerTriangularMatrix(rows_by_recurrence(family, dim - 1))
 
 
-def coefficient_array(family: LBPFamily, order: int) -> RiordanArray:
-    """(1/(1+ct), t(1-bt)/(1+ct)); constant-coefficient families only."""
+def _check_riordan(family: LBPFamily) -> None:
     if not family.is_constant:
         raise ValueError("only constant-coefficient families form a Riordan array")
+
+
+def coefficient_array(family: LBPFamily, order: int) -> RiordanArray:
+    """(1/(1+ct), t(1-bt)/(1+ct)); constant-coefficient families only."""
+    _check_riordan(family)
     b, c = family.b, family.c
     return RiordanArray(
         TruncatedSeries.ratio([1], [1, c], order),
@@ -143,6 +151,34 @@ def coefficient_array(family: LBPFamily, order: int) -> RiordanArray:
 def moment_matrix(family: LBPFamily, dim: int) -> LowerTriangularMatrix:
     """Inverse of the coefficient block; first column is the moment sequence."""
     return coefficient_matrix(family, dim).inverse()
+
+
+def moment_production(family: LBPFamily, dim: int) -> list[list]:
+    """Production block of the moment matrix L^-1, of dimension dim, in
+    O(dim^2) operations; constant-coefficient families only.
+
+    Row i is z_i, a_i, ..., a_1, a_0 (Deutsch, Ferrari and Rinaldi 2005),
+    read off columns 1 and 0 of P L = L S on the monic coefficient rows L:
+    a_i = L[i][0] - sum_{k=2..i+1} a_{i-k+1} L[k][1] and
+    z_i = -sum_{k=1..i+1} a_{i-k+1} L[k][0].  a_0 = 1 is stored as L[i][i],
+    so each value has the type `production_of_inverse` gives it; that
+    function solves all of P L = L S instead, in O(dim^3).
+    """
+    check_size("dim", dim, 1)
+    _check_riordan(family)
+    rows = rows_by_recurrence(family, dim)
+    zero = rows[0][0] * 0
+    a, out = [], []
+    for i in range(dim):
+        acc = rows[i][0]
+        for k in range(2, i + 2):
+            acc = acc - a[i - k + 1] * rows[k][1]
+        a.append(acc)
+        acc = zero
+        for k in range(1, i + 2):
+            acc = acc - a[i - k + 1] * rows[k][0]
+        out.append(([acc, *a[:0:-1], rows[i][i]] + [zero] * dim)[:dim])
+    return out
 
 
 def entry_closed_form(n: int, k: int, b, c):

@@ -31,6 +31,21 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+@pytest.fixture
+def products(monkeypatch):
+    """The DensePoly x DensePoly products made while the test runs."""
+    made = []
+    real = DensePoly.__mul__
+
+    def counted(self, other):
+        if type(other) is DensePoly:
+            made.append(other)
+        return real(self, other)
+
+    monkeypatch.setattr(DensePoly, "__mul__", counted)
+    return made
+
+
 class TestGenerate:
     def test_unit_moments(self, capsys):
         code, out, err = run_cli(
@@ -272,29 +287,33 @@ class TestDenseRoute:
     def test_entry_prints_as_its_rational_function(self, v, degree, at, shown):
         assert scalars._homogeneous_str(v, degree, **at) == shown
 
-    def test_default_moments_route_makes_one_product_a_moment(self, capsys, monkeypatch):
+    def test_default_moments_route_makes_one_product_a_moment(self, capsys, monkeypatch,
+                                                              products):
         """`generate moments` runs the P-recurrence by default: at (sym, sym)
         one DensePoly x DensePoly product per moment from mu_3 on, 24 at
         order 26 as measured (matrix_inverse, the default before, made 622),
         and no coefficient block.  An O(n^2) default fails here."""
-        products = []
-        real = DensePoly.__mul__
-
-        def counted(self, other):
-            if type(other) is DensePoly:
-                products.append(other)
-            return real(self, other)
-
         def refuse(*args):
             raise AssertionError("coefficient_matrix called")
 
-        monkeypatch.setattr(DensePoly, "__mul__", counted)
         monkeypatch.setattr(lbp, "coefficient_matrix", refuse)
         monkeypatch.setattr(cli, "coefficient_matrix", refuse)
         code, out, err = run_cli(capsys, "generate", "moments", "--order", "26",
                                  "--b", "sym", "--c", "sym")
         assert (code, err, len(out.splitlines())) == (0, "", 27)
         assert len(products) <= 26
+
+    @pytest.mark.parametrize("order, ceiling", [("20", 587), ("64", 6109)])
+    def test_production_makes_quadratically_many_products(self, capsys, products, order,
+                                                          ceiling):
+        """`generate production` reads the block off its A- and Z-sequences:
+        at (sym, sym) 587 DensePoly x DensePoly products at order 20 and
+        6,109 at order 64 as measured, where the O(n^3) solve of P L = L S,
+        the route before, made 1,955 and 49,915."""
+        code, out, err = run_cli(capsys, "generate", "production", "--order", order,
+                                 "--b", "sym", "--c", "sym")
+        assert (code, err, len(out.splitlines())) == (0, "", int(order) + 1)
+        assert len(products) <= ceiling
 
     def test_rational_parameters_never_touch_dense_polys(self, capsys, monkeypatch):
         def outputs():
@@ -380,17 +399,8 @@ class TestMinorRoutes:
         # half the parent's 586 and 1,549, most of them in one Bareiss pass
         # per sequence
         ("hankel", "9", 293), ("toeplitz", "10", 774)])
-    def test_symbolic_tables_make_half_the_products(self, capsys, monkeypatch, kind, order,
+    def test_symbolic_tables_make_half_the_products(self, capsys, products, kind, order,
                                                    ceiling):
-        products = []
-        real = DensePoly.__mul__
-
-        def counted(self, other):
-            if type(other) is DensePoly:
-                products.append(other)
-            return real(self, other)
-
-        monkeypatch.setattr(DensePoly, "__mul__", counted)
         code, _, _ = run_cli(capsys, "generate", kind, "--order", order, "--b", "sym",
                              "--c", "sym")
         assert code == 0

@@ -18,10 +18,11 @@ from riordanlbp.lbp import (
     inverse_entry_lagrange,
     moment_gf,
     moment_matrix,
+    moment_production,
     moments,
     rows_by_recurrence,
 )
-from riordanlbp.riordan import has_column_shift, production_matrix
+from riordanlbp.riordan import has_column_shift, production_matrix, production_of_inverse
 from riordanlbp.scalars import PARAM_B, PARAM_C, DensePoly, RationalFunction, coerce_scalar
 from riordanlbp.series import TruncatedSeries
 
@@ -67,6 +68,14 @@ def unit_family(order=10):
 
 def symbolic_family(order=8):
     return LBPFamily.constant(PARAM_B, PARAM_C, order=order)
+
+
+def typed(block):
+    """Each value of a block with its type."""
+    return [[(type(v), v) for v in row] for row in block]
+
+
+X = DensePoly([0, 1])
 
 
 class TestFamilyConstruction:
@@ -337,3 +346,34 @@ class TestProductionStructure:
                 else:
                     expected = coerce_scalar(0)
                 assert not (got - expected), (i, k)
+
+
+class TestMomentProduction:
+    """The A- and Z-sequence route of `generate production` equals the solve
+    of all of P L = L S, in value and in type."""
+
+    @given(st.one_of(locus_pairs, st.sampled_from([(X, 1), (X, -X), (X, -2 * X)])),
+           st.integers(min_value=1, max_value=21))
+    @example((X, 1), 21)
+    @example((Fraction(-123, 94), Fraction(41, 141)), 21)
+    @settings(max_examples=60, deadline=None)
+    def test_equals_production_of_inverse(self, bc, dim):
+        fam = LBPFamily.constant(*bc)
+        expected = production_of_inverse(coefficient_matrix(fam, dim + 1))
+        assert typed(moment_production(fam, dim)) == typed(expected)
+
+    @pytest.mark.parametrize("dim", range(1, 7))
+    @pytest.mark.parametrize("b, c", [(PARAM_B, PARAM_C), (PARAM_B, -PARAM_B),
+                                      (PARAM_B, -2 * PARAM_B)])
+    def test_symbolic_block_equals_production_of_inverse(self, b, c, dim):
+        fam = LBPFamily.constant(b, c)
+        expected = production_of_inverse(coefficient_matrix(fam, dim + 1))
+        assert typed(moment_production(fam, dim)) == typed(expected)
+
+    def test_periodic_family_is_refused(self):
+        # example2's family, b = 1, 2, 1, 2, ... and c = 1, has no A-sequence
+        fam = LBPFamily.periodic([1, 2], [1])
+        for call in (moment_production, coefficient_array):
+            with pytest.raises(ValueError, match="^only constant-coefficient families "
+                                                 "form a Riordan array$"):
+                call(fam, 6)

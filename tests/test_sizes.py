@@ -72,6 +72,8 @@ SMALL_SIZES = {
     "production_of_inverse": (riordan.production_of_inverse,
                               (riordan.LowerTriangularMatrix([[1]]),),
                               "dim must be at least 2, got 1"),
+    "moment_production": (lbp.moment_production, (UNIT, 0),
+                          "dim must be at least 1, got 0"),
     "has_column_shift": (riordan.has_column_shift, ([[1, 0], [1, 1]],),
                          "dim must be at least 3, got 2"),
     "recover_parameters": (hankel_toeplitz.recover_parameters, ([1, 1, 1], [1, 1, 1], 0),
