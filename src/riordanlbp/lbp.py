@@ -7,7 +7,8 @@ A family is defined by the recurrence
 with P_0 = 1 and P_1 = x - c_0.  When b and c are constant the coefficient
 array is the Riordan array (1/(1+ct), t(1-bt)/(1+ct)) and the moment matrix
 is its inverse; the moment sequence mu_n (the inverse's first column) begins
-1, c, c(b+c), c(b+c)(2b+c), ...
+1, c, c(b+c), c(b+c)(2b+c), ...  Its production block comes from its A- and
+Z-sequences (`moment_production`).
 
 Six independent routes compute the moments and must agree; `moments`
 returns mu_0..mu_n_max by any of them as a plain list:
@@ -27,10 +28,6 @@ returns mu_0..mu_n_max by any of them as a plain list:
                         operations: mu_0 = 1, mu_1 = c, mu_2 = c(b+c) and
                         (n+1) mu_{n+1} = (2b+c)(2n-1) mu_n - c^2 (n-2) mu_{n-1}
                         for n >= 2 (the large Schroeder recurrence at b = c = 1).
-
-The production block of the moment matrix is read off its A- and
-Z-sequences (`moment_production`, O(dim^2) operations); the O(dim^3) solve
-of P L = L S, `riordan.production_of_inverse`, is its reference.
 
 Sizes are arguments: every function here takes the order, `n_max` or `dim`
 it computes to.  `LBPFamily.order` is not read by any of them.
@@ -158,11 +155,11 @@ def moment_production(family: LBPFamily, dim: int) -> list[list]:
     O(dim^2) operations; constant-coefficient families only.
 
     Row i is z_i, a_i, ..., a_1, a_0 (Deutsch, Ferrari and Rinaldi 2005),
-    read off columns 1 and 0 of P L = L S on the monic coefficient rows L:
+    from columns 1 and 0 of P L = L S on the monic coefficient rows L:
     a_i = L[i][0] - sum_{k=2..i+1} a_{i-k+1} L[k][1] and
-    z_i = -sum_{k=1..i+1} a_{i-k+1} L[k][0].  a_0 = 1 is stored as L[i][i],
-    so each value has the type `production_of_inverse` gives it; that
-    function solves all of P L = L S instead, in O(dim^3).
+    z_i = -sum_{k=1..i+1} a_{i-k+1} L[k][0].  a_0 = 1 is taken as L[i][i],
+    which gives each value the type of `production_of_inverse`, the
+    O(dim^3) solve of all of P L = L S.
     """
     check_size("dim", dim, 1)
     _check_riordan(family)

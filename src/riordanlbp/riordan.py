@@ -7,13 +7,10 @@ and inversion uses the compositional inverse of f.
 
 The production matrix of an invertible lower-triangular block M is
 P = M^{-1} S M, S M being M with its top row removed.  For M = L^{-1} it is
-solved from P L = L S against L itself, with no inverse, in O(n^3)
-operations.  For a Riordan array P has the characteristic column-shift
-structure (every column from the second on is the previous one pushed
-down), which is also a practical test for showing that a matrix is NOT
-Riordan.  Its first two columns, the Z- and A-sequences, then fix P:
-`lbp.moment_production` reads them off two columns of P L = L S in O(n^2)
-operations, and `production_of_inverse` is its reference.
+solved from P L = L S against L itself, with no inverse, in O(n^3).  For
+a Riordan array column k >= 2 of P is column 1 pushed down, a test for
+showing that a matrix is NOT Riordan, so columns 0 and 1 (the Z- and
+A-sequences) fix P; `lbp.moment_production` solves only those, in O(n^2).
 
 Sizes are arguments: `binomial_array` takes the order of its series and
 `RiordanArray.matrix` the dimension of the block it materializes.
