@@ -94,7 +94,7 @@ def _parse_param(text: str, symbol):
 
 #: degree in (b, c) of entry k on line n of each kind's output.  Every table
 #: is homogeneous: (b, c, x) -> (lb, lc, lx) sends P_n to l^n P_n, so at
-#: (b, c) = (B/D, C/D) entry (n, k) is its value at (B, C) over D^degree,
+#: (b, c) = s (B, C) entry (n, k) is s^degree times its value at (B, C),
 #: and where b or c is sym it is c^degree times its value at (b/c, 1).
 DEGREES = {
     "lbp-coeffs": lambda n, k: n - k,
@@ -149,35 +149,45 @@ def _table(args, b, c) -> list:
     raise ValueError(f"unknown kind {args.kind!r}")
 
 
-def _over_powers(scale: int):
-    """The printer of an entry computed at the integers (B, C) = (Db, Dc),
-    D = scale: an entry v of degree d prints as str(Fraction(v, D^d)), with
-    one gcd for an int v, and each power of D is computed once."""
-    power = cache(scale.__pow__)
+def _over_powers(scale: Fraction):
+    """The printer of an entry computed at the integers (B, C), where
+    (b, c) = scale (B, C): an entry v of degree d prints as v scale^d in
+    lowest terms.  With scale = p/q, p and q are coprime, so one gcd of an
+    int v against q^d is the whole reduction; each power of p and q is
+    computed once, and p^d multiplies only where p is not 1."""
+    p, q = scale.numerator, scale.denominator
+    num_power, den_power = cache(p.__pow__), cache(q.__pow__)
+    scaled = p != 1
 
     def over_power(v, d: int) -> str:
-        p = power(d)
+        q_d = den_power(d)
         if type(v) is not int:
-            return str(Fraction(v, p))
-        g = gcd(v, p)
-        return str(v // g) if g == p else f"{v // g}/{p // g}"
+            return str(Fraction(v * num_power(d), q_d))
+        g = gcd(v, q_d)
+        v //= g
+        if scaled:
+            v *= num_power(d)
+        return str(v) if g == q_d else f"{v}/{q_d // g}"
     return over_power
 
 
 def _generate_data(args) -> list[str]:
     """Lines of the table args asks for.
 
-    Rational (b, c) are computed at the integers (Db, Dc), D the lcm of the
-    denominators, and (b, c) with a sym on DensePoly at (b, c) = (x, 1); a
-    rational side r is 1 there, or 0 where r is 0, so that LBPFamily refuses
-    it, and only the printer sees r.  Entry (n, k) is then rendered from its
-    degree DEGREES[kind](n, k).
+    Rational (b, c) are computed at the coprime integers (B, C) = (b, c) D/G,
+    D the lcm of the denominators and G the gcd of Db and Dc (1 where both
+    are 0), so (b, c) = (G/D) (B, C).  (b, c) with a sym are computed on
+    DensePoly at (b, c) = (x, 1); a rational side r is 1 there, or 0 where
+    r is 0, so that LBPFamily refuses it, and only the printer sees r.
+    Entry (n, k) is then rendered from its degree DEGREES[kind](n, k).
     """
     b = _parse_param(args.b, PARAM_B)
     c = _parse_param(args.c, PARAM_C)
     if isinstance(b, Fraction) and isinstance(c, Fraction):
-        scale = lcm(b.denominator, c.denominator)
-        b, c, show = int(b * scale), int(c * scale), _over_powers(scale)
+        den = lcm(b.denominator, c.denominator)
+        b, c = int(b * den), int(c * den)
+        common = gcd(b, c) or 1
+        b, c, show = b // common, c // common, _over_powers(Fraction(common, den))
     else:
         show = (_homogeneous_str if b is PARAM_B and c is PARAM_C
                 else partial(_homogeneous_str, b=b, c=c))

@@ -352,6 +352,8 @@ def toeplitz_dets(bm: BiInfiniteMoments, n_max: int) -> tuple[list, list]:
 def toeplitz_closed_form(b, c, n_max: int) -> list:
     check_size("n_max", n_max)
     b, c = coerce_scalar(b), coerce_scalar(c)
+    if not c:
+        raise ZeroDivisionError("c must be nonzero")
     ratio = -b * scalar_inv(c)
     return [ratio ** binomial(n + 1, 2) for n in range(n_max + 1)]
 

@@ -247,6 +247,7 @@ def shifted_moment_sum(b, c, n: int):
 def schroeder_binomial_sums(count: int) -> list:
     """sum_k binom(n+k, 2k) S_k for n = 0..count-1, where S_k = mu~_k at
     b = c = 1 is the k-th large Schroeder number (OEIS A155867)."""
+    check_size("count", count)
     schroeder = [shifted_moment_sum(1, 1, k) for k in range(count)]
     return [sum(binomial(n + k, 2 * k) * schroeder[k] for k in range(n + 1))
             for n in range(count)]
@@ -260,6 +261,8 @@ def moment_recurrence(b, c, n_max: int) -> list:
     divided without building a Fraction.  The values have the types
     `catalan_sum` gives them.
     """
+    check_size("n_max", n_max)
+    b, c = coerce_scalar(b), coerce_scalar(c)
     one = b ** 0
     mu = [one, c * one, c * (b + c)][:n_max + 1]
     s, c2 = 2 * b + c, c * c

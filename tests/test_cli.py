@@ -12,7 +12,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from riordanlbp import cli, hankel_toeplitz, lbp, oeis, scalars
@@ -188,6 +188,10 @@ parameter_pairs = st.one_of(
     st.tuples(parameter, parameter),
     parameter.map(lambda b: (b, -b)),  # b + c = 0
     parameter.map(lambda b: (b, -2 * b)),  # 2b + c = 0
+    # l (b0, c0): the integers (Db, Dc) share a factor G up to ~10^4
+    st.builds(lambda l, b0, c0: (l * b0, l * c0),
+              st.builds(Fraction, st.integers(1, 10**4), st.integers(1, 100)),
+              st.fractions(-9, 9, max_denominator=9), st.fractions(-9, 9, max_denominator=9)),
 )
 
 
@@ -199,20 +203,39 @@ def lines_or_error(compute):
 
 
 class TestGradedRoute:
-    """Rational (b, c) are computed on the integers (Db, Dc) and rescaled by
-    degree; that must print what the library gives at (b, c) itself."""
+    """Rational (b, c) are computed at the coprime integers (B, C), with
+    (b, c) = (G/D) (B, C) for D the lcm of the denominators and G the gcd of
+    Db and Dc, and rescaled by (G/D)^degree; that must print what the
+    library gives at (b, c) itself."""
 
     def test_every_kind_has_a_degree(self):
         assert set(cli.DEGREES) == set(GENERATE_KINDS)
 
     @pytest.mark.parametrize("v", [-12, -7, -1, 0, 1, 7, 12, 360, -360, 10**30 + 6,
                                    Fraction(-9, 4), Fraction(0), Fraction(7)])
-    @pytest.mark.parametrize("power", [1, 2, 6, 360, 6 ** 17])
-    def test_entry_prints_as_its_fraction(self, v, power):
-        # negative, zero and divisible entries, and D^d = 1
-        assert cli._over_powers(power)(v, 1) == str(Fraction(v, power))
+    @pytest.mark.parametrize("scale", [Fraction(1), Fraction(1, 2), Fraction(1, 6),
+                                       Fraction(1, 360), Fraction(1, 6 ** 17),
+                                       Fraction(43, 222), Fraction(2, 3), Fraction(6)])
+    def test_entry_prints_as_its_fraction(self, v, scale):
+        # negative, zero and divisible entries, a unit scale, scales 1/D and
+        # scales G/D with G above 1, at degrees 0, 1 and 3
+        show = cli._over_powers(scale)
+        for d in (0, 1, 3):
+            assert show(v, d) == str(v * scale ** d)
+
+    @pytest.mark.parametrize("b, c, point", [("129/74", "-43/111", (9, -2)),
+                                             ("0", "5/3", (0, 1)), ("0", "0", (0, 0)),
+                                             ("-6", "-4", (-3, -2)), ("2/3", "4/3", (1, 2))])
+    def test_table_is_computed_at_the_primitive_point(self, monkeypatch, b, c, point):
+        seen = []
+        monkeypatch.setattr(cli, "_table", lambda args, *at: seen.append(at) or [])
+        args = build_parser().parse_args(["generate", "moments", f"--b={b}", f"--c={c}"])
+        assert cli._generate_data(args) == []
+        assert seen == [point]
+        assert [type(v) for v in seen[0]] == [int, int]
 
     @given(parameter_pairs, st.integers(1, 7))
+    @example((Fraction(129, 74), Fraction(-43, 111)), 7)
     @settings(max_examples=80, deadline=None)
     def test_graded_lines_equal_the_direct_lines(self, pair, order):
         b, c = pair

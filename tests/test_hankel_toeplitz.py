@@ -3,7 +3,7 @@
 import itertools
 import operator
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 from hypothesis import example, given, settings
@@ -451,10 +451,13 @@ class TestRecurrencesMatchBareiss:
     @settings(max_examples=12, deadline=None)
     def test_rational_pairs(self, pair, n):
         b, c = pair
-        # at (b, c) itself, and at the integers (Db, Dc) where generate
-        # computes; Fraction moments usually leave the ring of ints
+        # at (b, c) itself, and at the coprime integers (Db, Dc) / G where
+        # generate computes, D the lcm of the denominators and G the gcd of
+        # Db and Dc; Fraction moments usually leave the ring of ints
         scale = lcm(b.denominator, c.denominator)
-        for bv, cv in ((b, c), (int(b * scale), int(c * scale))):
+        whole_b, whole_c = int(b * scale), int(c * scale)
+        common = gcd(whole_b, whole_c) or 1
+        for bv, cv in ((b, c), (whole_b // common, whole_c // common)):
             mu = moments(LBPFamily.constant(bv, cv), "p_recurrence", 2 * n + 1)
             assert_recurrences_match_bareiss(mu, cv, n)
 

@@ -2,10 +2,11 @@
 type and the full message that names the quantity at fault."""
 
 import re
+from fractions import Fraction
 
 import pytest
 
-from riordanlbp import cfrac, hankel_toeplitz
+from riordanlbp import cfrac, hankel_toeplitz, lbp
 from riordanlbp.lbp import LBPFamily
 from riordanlbp.riordan import LowerTriangularMatrix, RiordanArray
 from riordanlbp.series import TruncatedSeries
@@ -27,6 +28,16 @@ REFUSALS = {
                   ValueError, "reversion requires f(0) = 0"),
     "LowerTriangularMatrix_empty": (lambda: LowerTriangularMatrix([]),
                                     ValueError, "empty matrix"),
+    "moment_recurrence_float": (lambda: lbp.moment_recurrence(0.5, 1, 3),
+                                TypeError, "not an exact scalar: float"),
+    "moment_recurrence_float_c": (lambda: lbp.moment_recurrence(Fraction(1, 2), 0.0, 3),
+                                  TypeError, "not an exact scalar: float"),
+    "moment_recurrence_size": (lambda: lbp.moment_recurrence(1, 2, -1),
+                               ValueError, "n_max must be at least 0, got -1"),
+    "schroeder_binomial_sums": (lambda: lbp.schroeder_binomial_sums(-3),
+                                ValueError, "count must be at least 0, got -3"),
+    "toeplitz_closed_form": (lambda: hankel_toeplitz.toeplitz_closed_form(1, 0, 3),
+                             ZeroDivisionError, "c must be nonzero"),
     "RiordanArray": (lambda: RiordanArray(TruncatedSeries([1], 2),
                                           TruncatedSeries([0, 0, 1], 2)),
                      ValueError, "f'(0) must be invertible"),
