@@ -152,6 +152,8 @@ def tfraction_closed_form(b, c, order: int) -> TruncatedSeries:
     """Shifted moments mu~(t) = (1 - ct - sqrt(1 - 2(2b+c)t + c^2 t^2))/(2bt)."""
     check_size("order", order)
     b, c = coerce_scalar(b), coerce_scalar(c)
+    if not b:
+        raise ZeroDivisionError("b must be nonzero")
     root = TruncatedSeries([1, -2 * (2 * b + c), c * c], order + 1).sqrt()
     num = TruncatedSeries([1, -c], order + 1) - root
     return num.shift_down(1) / (2 * b)

@@ -27,6 +27,7 @@ def binomial(n: int, k: int) -> int:
 
 def catalan(n: int) -> int:
     """Catalan number C(2n, n)/(n + 1)."""
+    check_size("n", n)
     return comb(2 * n, n) // (n + 1)
 
 
@@ -71,6 +72,7 @@ def colored_path_count(stats: dict, colors: Fraction) -> Fraction:
 def peak_count_row(stats: dict, n: int) -> list[int]:
     """Row n of the triangle counting Schroeder paths to (2n,0) by peaks,
     read off `stats` = schroeder_path_statistics(n)."""
+    check_size("n", n)
     row = [0] * (n + 1)
     for (_, peaks), count in stats.items():
         row[peaks] += count

@@ -107,20 +107,28 @@ class LBPFamily:
         return self.c_seq[0]
 
 
-def rows_by_recurrence(family: LBPFamily, n_max: int) -> list[list]:
-    """Polynomial rows as ascending coefficient lists; row n has length n+1.
+def rows_by_recurrence(family: LBPFamily, n_max: int, width: int | None = None) -> list[list]:
+    """Polynomial rows as ascending coefficient lists; row n has length n+1,
+    or min(n+1, width) when a width is given.
 
     Row n is x P_{n-1} - c_{n-1} P_{n-1} - b_{n-1} x P_{n-2}, built entry by
-    entry from the previous two rows padded with zeros to length n+1.
+    entry from the previous two rows padded with zeros to length n+1.  Entry
+    k reads entries k-1 and k of the rows before it, so a row cut at width
+    needs only its parents cut there: it is the same recurrence in
+    O(n_max * width) operations.
     """
     check_size("n_max", n_max)
+    if width is not None:
+        check_size("width", width, 1)
     one = family.c_at(0) ** 0
-    rows = [[one], [-family.c_at(0), one]][:n_max + 1]
+    rows = [[one], [-family.c_at(0), one][:width]][:n_max + 1]
     for n in range(2, n_max + 1):
         b, c, prev = family.b_at(n - 1), family.c_at(n - 1), rows[n - 1]
+        # a cut row ends where its cut parents end, with no zero after them
+        end = (0,) if width is None or n < width else ()
         rows.append([
             x_prev - c * p - b * x_prev2
-            for x_prev, p, x_prev2 in zip([0, *prev], [*prev, 0], [0, *rows[n - 2], 0])
+            for x_prev, p, x_prev2 in zip([0, *prev], [*prev, *end], [0, *rows[n - 2], *end])
         ])
     return rows
 
@@ -155,26 +163,28 @@ def moment_production(family: LBPFamily, dim: int) -> list[list]:
     O(dim^2) operations; constant-coefficient families only.
 
     Row i is z_i, a_i, ..., a_1, a_0 (Deutsch, Ferrari and Rinaldi 2005),
-    from columns 1 and 0 of P L = L S on the monic coefficient rows L:
-    a_i = L[i][0] - sum_{k=2..i+1} a_{i-k+1} L[k][1] and
-    z_i = -sum_{k=1..i+1} a_{i-k+1} L[k][0].  a_0 = 1 is taken as L[i][i],
-    which gives each value the type of `production_of_inverse`, the
-    O(dim^3) solve of all of P L = L S.
+    from columns 1 and 0 of P L = L S on the monic coefficient rows L, which
+    are built two columns wide: a_i = L[i][0] - sum_{k=2..i+1} a_{i-k+1}
+    L[k][1], the one O(dim^2) part, and z_i = -sum_{k=1..i+1} a_{i-k+1}
+    L[k][0], which L[k][0] = (-c)^k turns into z_i = c (a_i - z_{i-1}) with
+    z_{-1} = 0.  Each value has the type `production_of_inverse`, the
+    O(dim^3) solve of all of P L = L S, gives it; a_0 = 1 has the type of
+    the diagonal L[i][i], which is 1 - c*0 - b*0 from row 2 on.
     """
     check_size("dim", dim, 1)
     _check_riordan(family)
-    rows = rows_by_recurrence(family, dim)
-    zero = rows[0][0] * 0
-    a, out = [], []
+    b, c = family.b, family.c
+    rows = rows_by_recurrence(family, dim, width=2)
+    one = rows[0][0]
+    zero, diagonal = one * 0, one - c * 0 - b * 0
+    a, z, out = [], zero, []
     for i in range(dim):
         acc = rows[i][0]
         for k in range(2, i + 2):
             acc = acc - a[i - k + 1] * rows[k][1]
         a.append(acc)
-        acc = zero
-        for k in range(1, i + 2):
-            acc = acc - a[i - k + 1] * rows[k][0]
-        out.append(([acc, *a[:0:-1], rows[i][i]] + [zero] * dim)[:dim])
+        z = c * (acc - z)
+        out.append(([z, *a[:0:-1], one if i < 2 else diagonal] + [zero] * dim)[:dim])
     return out
 
 
@@ -214,6 +224,8 @@ def inverse_entry_lagrange(n: int, k: int, b, c):
 def moment_gf(b, c, order: int) -> TruncatedSeries:
     """Closed form (c + 2b - c^2 t - c sqrt(1 - 2(2b+c)t + c^2 t^2)) / (2b)."""
     b, c = coerce_scalar(b), coerce_scalar(c)
+    if not b:
+        raise ZeroDivisionError("b must be nonzero")
     root = TruncatedSeries([1, -2 * (2 * b + c), c * c], order).sqrt()
     num = TruncatedSeries([c + 2 * b, -c * c], order) - c * root
     return num / (2 * b)

@@ -88,6 +88,9 @@ def ortho_inverse_f_closed_form(b, c, order: int) -> TruncatedSeries:
     """
     check_size("order", order)
     b, c = coerce_scalar(b), coerce_scalar(c)
+    for name, value in (("b", b), ("b + c", b + c)):
+        if not value:
+            raise ZeroDivisionError(f"{name} must be nonzero")
     root = TruncatedSeries([1, -2 * (2 * b + c), c * c], order + 1).sqrt()
     num = TruncatedSeries([1, -(2 * b + c)], order + 1) - root
     return num.shift_down(1) / (2 * b * (b + c))

@@ -326,13 +326,15 @@ class TestDenseRoute:
         assert (code, err, len(out.splitlines())) == (0, "", 27)
         assert len(products) <= 26
 
-    @pytest.mark.parametrize("order, ceiling", [("20", 587), ("64", 6109)])
+    @pytest.mark.parametrize("order, ceiling", [("20", 208), ("64", 2078)])
     def test_production_makes_quadratically_many_products(self, capsys, products, order,
                                                           ceiling):
-        """`generate production` reads the block off its A- and Z-sequences:
-        at (sym, sym) 587 DensePoly x DensePoly products at order 20 and
-        6,109 at order 64 as measured, where the O(n^3) solve of P L = L S,
-        the route before, made 1,955 and 49,915."""
+        """`generate production` reads the block off its A- and Z-sequences,
+        on coefficient rows two columns wide: at (sym, sym) 208 DensePoly x
+        DensePoly products at order 20 and 2,078 at order 64 as measured,
+        190 and 2,016 of them in the A-sequence solve.  Full rows and the
+        Z-sequence as a convolution made 587 and 6,109, and the O(n^3) solve
+        of P L = L S 1,955 and 49,915."""
         code, out, err = run_cli(capsys, "generate", "production", "--order", order,
                                  "--b", "sym", "--c", "sym")
         assert (code, err, len(out.splitlines())) == (0, "", int(order) + 1)

@@ -158,6 +158,22 @@ class TestRecurrenceRows:
         assert [len(row) for row in rows] == list(range(1, 9))
         assert [horner(row, x) for row in rows] == values
 
+    @given(st.lists(st.one_of(nonzero_ints, nonzero_fractions), min_size=1, max_size=3),
+           st.lists(st.one_of(nonzero_ints, nonzero_fractions), min_size=1, max_size=3),
+           st.integers(min_value=0, max_value=9), st.integers(min_value=1, max_value=11))
+    @settings(max_examples=60, deadline=None)
+    def test_cut_rows_are_the_full_rows_cut(self, b_seq, c_seq, n_max, width):
+        fam = LBPFamily.periodic(b_seq, c_seq)
+        full = rows_by_recurrence(fam, n_max)
+        assert typed(rows_by_recurrence(fam, n_max, width)) == typed([r[:width] for r in full])
+
+    @pytest.mark.parametrize("width", [1, 2, 3, 7, 9])
+    @pytest.mark.parametrize("b, c", [(X, 1), (X, -X), (PARAM_B, PARAM_C)])
+    def test_cut_symbolic_rows_are_the_full_rows_cut(self, b, c, width):
+        fam = LBPFamily.constant(b, c)
+        full = rows_by_recurrence(fam, 7)
+        assert typed(rows_by_recurrence(fam, 7, width=width)) == typed([r[:width] for r in full])
+
     def test_short_row_counts(self):
         fam = unit_family()
         assert [len(rows_by_recurrence(fam, n)) for n in (0, 1, 2)] == [1, 2, 3]

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from riordanlbp import cfrac, hankel_toeplitz, lbp
+from riordanlbp import cfrac, hankel_toeplitz, lbp, orthopoly
 from riordanlbp.lbp import LBPFamily
 from riordanlbp.riordan import LowerTriangularMatrix, RiordanArray
 from riordanlbp.series import TruncatedSeries
@@ -38,6 +38,15 @@ REFUSALS = {
                                 ValueError, "count must be at least 0, got -3"),
     "toeplitz_closed_form": (lambda: hankel_toeplitz.toeplitz_closed_form(1, 0, 3),
                              ZeroDivisionError, "c must be nonzero"),
+    "moment_gf": (lambda: lbp.moment_gf(0, 1, 3),
+                  ZeroDivisionError, "b must be nonzero"),
+    "tfraction_closed_form": (lambda: cfrac.tfraction_closed_form(0, 1, 3),
+                              ZeroDivisionError, "b must be nonzero"),
+    "ortho_inverse_f_closed_form": (lambda: orthopoly.ortho_inverse_f_closed_form(0, 1, 3),
+                                    ZeroDivisionError, "b must be nonzero"),
+    "ortho_inverse_f_closed_form_b_plus_c": (
+        lambda: orthopoly.ortho_inverse_f_closed_form(2, -2, 3),
+        ZeroDivisionError, "b + c must be nonzero"),
     "RiordanArray": (lambda: RiordanArray(TruncatedSeries([1], 2),
                                           TruncatedSeries([0, 0, 1], 2)),
                      ValueError, "f'(0) must be invertible"),
