@@ -74,8 +74,6 @@ SMALL_SIZES = {
                               "dim must be at least 2, got 1"),
     "rows_by_recurrence_width": (lbp.rows_by_recurrence, (UNIT, 3, 0),
                                  "width must be at least 1, got 0"),
-    "rows_by_recurrence_negative_width": (lbp.rows_by_recurrence, (UNIT, 3, -2),
-                                          "width must be at least 1, got -2"),
     "moment_production": (lbp.moment_production, (UNIT, 0),
                           "dim must be at least 1, got 0"),
     "has_column_shift": (riordan.has_column_shift, ([[1, 0], [1, 1]],),
