@@ -182,7 +182,9 @@ def _generate_data(args) -> list[str]:
     are 0), so (b, c) = (G/D) (B, C).  (b, c) with a sym are computed on
     DensePoly at (b, c) = (x, 1); a rational side r is 1 there, or 0 where
     r is 0, so that LBPFamily refuses it, and only the printer sees r.
-    Entry (n, k) is then rendered from its degree DEGREES[kind](n, k).
+    Entry (n, k) is then rendered from its degree DEGREES[kind](n, k); a
+    zero entry, such as production's right of the superdiagonal, prints as
+    "0" at every degree, so it skips the printer.
     """
     b = _parse_param(args.b, PARAM_B)
     c = _parse_param(args.c, PARAM_C)
@@ -196,7 +198,7 @@ def _generate_data(args) -> list[str]:
                 else partial(_homogeneous_str, b=b, c=c))
         b, c = DensePoly([0, 1]) if b else 0, 1 if c else 0
     degree = DEGREES[args.kind]
-    return [",".join(show(v, degree(n, k)) for k, v in enumerate(row))
+    return [",".join(show(v, degree(n, k)) if v else "0" for k, v in enumerate(row))
             for n, row in enumerate(_table(args, b, c))]
 
 

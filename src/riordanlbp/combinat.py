@@ -60,19 +60,25 @@ def schroeder_path_statistics(n: int) -> dict[tuple[int, int], int]:
     return dict(prefixes[target][0, False])
 
 
-def colored_path_count(stats: dict, colors: Fraction) -> Fraction:
+def colored_path_count(stats: dict, colors: int | Fraction) -> int | Fraction:
     """Weighted count of the paths `stats` tallies: each level step may take
-    any of `colors` colors."""
-    colors, total = as_fraction(colors), Fraction(0)
-    for (levels, _), count in stats.items():
-        total += count * colors ** levels
-    return total
+    any of `colors` colors.  An integral colour count sums in ints and gives
+    an int; any other gives a Fraction."""
+    colors = as_fraction(colors)
+    if colors.denominator == 1:
+        colors = colors.numerator
+    terms = (count * colors ** levels for (levels, _), count in stats.items())
+    return sum(terms, colors * 0)
 
 
 def peak_count_row(stats: dict, n: int) -> list[int]:
     """Row n of the triangle counting Schroeder paths to (2n,0) by peaks,
     read off `stats` = schroeder_path_statistics(n)."""
     check_size("n", n)
+    # (UD)^N, the path with the most peaks, has N of them
+    top = max((peaks for _, peaks in stats), default=0)
+    if n < top:
+        raise ValueError(f"n must be at least the statistics' n = {top}, got {n}")
     row = [0] * (n + 1)
     for (_, peaks), count in stats.items():
         row[peaks] += count

@@ -18,7 +18,7 @@ Sizes are arguments: `binomial_array` takes the order of its series and
 
 from __future__ import annotations
 
-from .scalars import check_size, scalar_inv
+from .scalars import check_size, coerce_scalar, scalar_inv
 from .series import TruncatedSeries
 
 
@@ -172,10 +172,8 @@ class RiordanArray:
 
 def binomial_array(b, order: int) -> RiordanArray:
     """(1/(1-bt), t/(1-bt)); entries binomial(n, k) * b^(n-k)."""
-    return RiordanArray(
-        TruncatedSeries.ratio([1], [1, -b], order),
-        TruncatedSeries.ratio([0, 1], [1, -b], order),
-    )
+    g = TruncatedSeries.ratio([1], [1, -coerce_scalar(b)], order)
+    return RiordanArray(g, g.shift_up(1).truncate(order))
 
 
 def production_of_inverse(lower: LowerTriangularMatrix) -> list[list]:

@@ -38,7 +38,10 @@ from the coefficient types, so int, Fraction and DensePoly series keep
 their plain arithmetic.  Values over different denominators meet in one
 lift to their common denominator, ``RationalFunction._over``.  A
 one-term ``BivarPoly`` operand, and an int or Fraction factor of a
-``RationalFunction``, are scaled copies.  Any other int or Fraction
+``RationalFunction``, are scaled copies.  Every product of a coefficient
+with an int or Fraction constant goes through ``_times``: an int times
+p/q is the integer quotient of v p by q, so scaling by a rational constant
+builds a Fraction only for a non-integral result.  Any other int or Fraction
 operand becomes a polynomial in one place, ``BivarPoly._coerce``, through
 the checked ``BivarPoly.const``; ``RationalFunction._coerce`` puts it over
 the denominator 1.  ``+`` and ``-`` are one ``_combine`` per type.
@@ -97,6 +100,15 @@ def _quotient(a, b):
     return _exact(Fraction(a, b))
 
 
+def _times(v, k):
+    """v * k for a coefficient or scalar v and an int or Fraction k, in
+    coefficient normal form; an int v times a Fraction k is the integer
+    quotient v * num(k) / den(k), a Fraction only when it is not integral."""
+    if type(v) is int and type(k) is Fraction:
+        return _quotient(v * k.numerator, k.denominator)
+    return _exact(v * k)
+
+
 class BivarPoly:
     """Sparse polynomial in b and c: maps exponent pairs (i, j), non-negative
     ints, to coefficients.
@@ -105,10 +117,12 @@ class BivarPoly:
     a ``Fraction`` with denominator > 1 otherwise, and every operation
     restores that form.  The paper's moments, coefficient arrays and
     determinants have integer coefficients, so their arithmetic builds no
-    Fraction at all.  ``terms`` is the public map from exponent pair to exact
-    value, never a float: equality and hashing of polynomials are those of
-    the dict, and callers compare it with dicts of Fractions, which works
-    because an int compares and hashes equal to the integral Fraction.
+    Fraction at all; scaling by a Fraction constant, as ``/`` by an int or
+    Fraction does, builds one only for a non-integral result.  ``terms`` is
+    the public map from exponent pair to exact value, never a float:
+    equality and hashing of polynomials are those of the dict, and callers
+    compare it with dicts of Fractions, which works because an int compares
+    and hashes equal to the integral Fraction.
     """
 
     __slots__ = ("terms",)
@@ -256,8 +270,8 @@ class BivarPoly:
         if isinstance(other, (int, Fraction)):
             if not other:
                 raise ZeroDivisionError("division by zero")
-            inv = Fraction(1) / Fraction(other)
-            return _poly({k: _exact(v * inv) for k, v in self.terms.items()})
+            inv = 1 / Fraction(other)
+            return _poly({k: _times(v, inv) for k, v in self.terms.items()})
         if isinstance(other, BivarPoly):
             return RationalFunction(self, other)
         return NotImplemented
@@ -471,7 +485,7 @@ class RationalFunction:
             # a nonzero constant factor leaves the form reduced
             if not other:
                 return _value(_poly({}), _NO_DEN)
-            num = _poly({k: _exact(v * other) for k, v in self.num.terms.items()})
+            num = _poly({k: _times(v, other) for k, v in self.num.terms.items()})
             return _value(num, self.exps)
         other = self._coerce(other)
         if other is None:
@@ -670,10 +684,12 @@ class DensePoly:
 
     ``coeffs`` is a list of int and Fraction values whose last entry is
     nonzero, so zero has no coefficients.  Arithmetic on int coefficients
-    builds no Fraction.  Only adding or multiplying by a Fraction scalar
-    reduces an integral result to its int: an integral Fraction
-    coefficient compares and prints as its int anyway.  ``/`` is exact
-    division and raises ValueError when the quotient is not a polynomial.
+    builds no Fraction, and multiplying by a Fraction scalar builds one
+    only for a non-integral coefficient.  Only adding or multiplying by a
+    Fraction scalar reduces an integral result to its int: an integral
+    Fraction coefficient compares and prints as its int anyway.  ``/`` is
+    exact division and raises ValueError when the quotient is not a
+    polynomial.
     """
 
     __slots__ = ("coeffs",)
@@ -774,7 +790,7 @@ class DensePoly:
             return self
         if type(k) is int:
             return _dense([v * k for v in self.coeffs])
-        return _dense([_exact(v * k) for v in self.coeffs])
+        return _dense([_times(v, k) for v in self.coeffs])
 
     def __pow__(self, exp: int):
         if exp < 0:

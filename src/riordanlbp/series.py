@@ -11,8 +11,11 @@ per output coefficient.  Each operation chooses how once, from the
 coefficient types it sees: through ``scalars.dot``, which reduces each sum
 to lowest terms once, when a coefficient is a RationalFunction, whose cost
 is per reduction; term by term otherwise, as the plain operators are the
-cheapest route on int, Fraction and DensePoly values.  ``+`` and ``-``
-share ``_combine``.  Coefficients are checked where they enter, built once:
+cheapest route on int, Fraction and DensePoly values.  Products with a
+scalar, the halving of ``sqrt`` and the 1/m of ``reversion`` scale each
+coefficient through ``scalars._times``, so they keep an int series int
+where its values are integral.  ``+`` and ``-`` share ``_combine``.
+Coefficients are checked where they enter, built once:
 ``TruncatedSeries(coeffs, order)`` and the decorator ``_scalar``, for the
 scalar operand of a binary operation, coerce them with ``coerce_scalar``,
 and every operation builds its result with the private ``_series``.
@@ -30,7 +33,8 @@ from itertools import accumulate, repeat
 from operator import add, mul, sub
 
 from .scalars import (
-    DensePoly, RationalFunction, _power, check_size, coerce_scalar, dot, scalar_inv,
+    DensePoly, RationalFunction, _power, _times, check_size, coerce_scalar, dot,
+    scalar_inv,
 )
 
 
@@ -137,7 +141,7 @@ class TruncatedSeries:
     @_scalar
     def __mul__(self, other):
         if not isinstance(other, TruncatedSeries):
-            return _series([v * other for v in self.coeffs])
+            return _series([_times(v, other) for v in self.coeffs])
         n = min(self.order, other.order)
         a, b = self.coeffs, other.coeffs
         # a[k] = 0 below the valuation va and b[k] = 0 below vb, so the
@@ -243,7 +247,7 @@ class TruncatedSeries:
         h = self.shift_down(1).reciprocal()
         powers = accumulate(repeat(h, self.order), mul)
         return _series([self.coeffs[0]] + [
-            power.coeffs[m - 1] * Fraction(1, m) for m, power in enumerate(powers, 1)])
+            _times(power.coeffs[m - 1], Fraction(1, m)) for m, power in enumerate(powers, 1)])
 
     def sqrt(self) -> "TruncatedSeries":
         """Square root of a series with constant term 1."""
@@ -259,7 +263,7 @@ class TruncatedSeries:
                 acc = self.coeffs[m]
                 for k in range(1, m):
                     acc = acc - out[k] * out[m - k]
-            out.append(acc * half)
+            out.append(_times(acc, half))
         return _series(out)
 
     def __str__(self):

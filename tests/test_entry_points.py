@@ -68,10 +68,6 @@ ALLOWED = {
         "recurrence coefficients must be nonzero",
         "LBPFamily's refusal, which `generate` prints at a zero b or c: b and c "
         "are the recurrence coefficients") for slot in ("b", "c")},
-    ("riordan.binomial_array", "b", "str"): (
-        "bad operand type for unary -: 'str'",
-        "Python's refusal of -b, which names the type; a coerce_scalar at entry "
-        "would put `verify all` three calls over its ceiling in test_scenarios.py"),
 }
 
 

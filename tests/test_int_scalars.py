@@ -48,6 +48,7 @@ from riordanlbp import (
     verify_uv_equality,
 )
 from riordanlbp.cfrac import constant_tfraction, moment_jfraction, moment_sfraction
+from riordanlbp.combinat import colored_path_count, schroeder_path_statistics
 from riordanlbp.lbp import MOMENT_ROUTES
 from riordanlbp.orthopoly import ORTHO_KINDS
 
@@ -190,6 +191,22 @@ def test_int_tables_stay_int(point):
         tables.append(ortho_rows_by_recurrence(kind, b, c, 6))
     for table in tables:
         assert all(type(v) is int for v in leaves(table)), table
+
+
+@pytest.mark.parametrize("values", [
+    pytest.param(lambda: catalan_series(9).coeffs, id="catalan_series"),
+    pytest.param(lambda: moment_gf(1, 1, 10).coeffs, id="moment_gf"),
+    pytest.param(lambda: tfraction_closed_form(1, 1, 8).coeffs, id="tfraction_closed_form"),
+    pytest.param(lambda: TruncatedSeries.ratio([0, 1, -2], [1, 1], 8).reversion().coeffs,
+                 id="reversion"),
+    pytest.param(lambda: [colored_path_count(schroeder_path_statistics(6), 2)],
+                 id="colored_path_count"),
+])
+def test_integral_scaled_values_are_ints(values):
+    """Scaling by 1/2, 1/(2b) or 1/m, or counting with an integral number of
+    colours, keeps integral values ints."""
+    got = values()
+    assert all(type(v) is int for v in got), got
 
 
 def test_int_determinant_is_the_fraction_determinant():

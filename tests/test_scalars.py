@@ -16,6 +16,7 @@ from riordanlbp.scalars import (
     DensePoly,
     RationalFunction,
     _homogeneous_str,
+    _times,
     coerce_scalar,
     parse_rational,
     scalar_inv,
@@ -137,6 +138,14 @@ class TestCoefficientNormalForm:
         assert quotient == p
         for result in (p, p + q, p - q, p * q, p ** k, p / s, quotient):
             assert_normal_form(result)
+
+    @given(st.one_of(exact_coefficients, st.integers(-10**30, 10**30)),
+           st.fractions(max_denominator=60).filter(bool))
+    @settings(max_examples=200, deadline=None)
+    def test_times_a_constant_is_an_int_exactly_when_integral(self, v, k):
+        product = _times(v, k)
+        assert product == v * k
+        assert type(product) is (int if Fraction(v * k).denominator == 1 else Fraction)
 
     def test_inexact_division_by_non_monic_divisor_raises(self):
         with pytest.raises(ValueError):

@@ -121,7 +121,8 @@ class TestRunScenario:
 #: exact BivarPoly divisions in one `verify all --order 12`, as the
 #: benchmark's scalars.poly_mul.calls, scalars.ratfunc_new.calls,
 #: hankel_toeplitz.determinant.calls and scalars.divexact.calls count them,
-#: and the validating BivarPoly constructions and coerce_scalar calls.
+#: and the validating BivarPoly constructions, coerce_scalar calls and
+#: Fraction constructions.
 #: One product and one reduction per term of each series convolution
 #: took 11,116 and 3,155; coercing each int or Fraction operand through the
 #: validating constructors, 878 constructions; computing t_{n-1} apart from
@@ -137,18 +138,23 @@ class TestRunScenario:
 #: RationalFunction and 34 BivarPoly constructions.  Reading the Hankel and
 #: Toeplitz minors off a Bareiss pass instead of their recurrences took
 #: 4,021 products, 313 exact divisions and 1,645 coerce_scalar calls.
+#: Scaling int coefficients by a Fraction constant through Fraction
+#: arithmetic, and summing the colored path counts in Fractions, took 5,039
+#: Fraction constructions; building t/(1-bt) as a second series division in
+#: binomial_array, 1,445 coerce_scalar calls.
 SCALAR_OP_CEILINGS = {"BivarPoly.__mul__": 3911, "RationalFunction.__init__": 56,
-                      "BivarPoly.__init__": 10, "scalars.coerce_scalar": 1445,
-                      "hankel_toeplitz.determinant": 20, "BivarPoly.divexact": 250}
+                      "BivarPoly.__init__": 10, "scalars.coerce_scalar": 1436,
+                      "hankel_toeplitz.determinant": 20, "BivarPoly.divexact": 250,
+                      "Fraction.__new__": 805}
 
 
 def test_verify_all_scalar_operation_counts(monkeypatch):
     counts = dict.fromkeys(SCALAR_OP_CEILINGS, 0)
 
     def count(owner, name, key):
-        def counted(*args, _original=getattr(owner, name)):
+        def counted(*args, _original=getattr(owner, name), **kwargs):
             counts[key] += 1
-            return _original(*args)
+            return _original(*args, **kwargs)
         monkeypatch.setattr(owner, name, counted)
 
     count(BivarPoly, "__mul__", "BivarPoly.__mul__")
@@ -157,6 +163,7 @@ def test_verify_all_scalar_operation_counts(monkeypatch):
     count(BivarPoly, "__init__", "BivarPoly.__init__")
     count(BivarPoly, "divexact", "BivarPoly.divexact")
     count(hankel_toeplitz, "determinant", "hankel_toeplitz.determinant")
+    count(Fraction, "__new__", "Fraction.__new__")
     # every module that imported coerce_scalar calls its own binding
     coerce_scalar = scalars.coerce_scalar
     for module in [m for name, m in sys.modules.items() if name.startswith("riordanlbp")]:
