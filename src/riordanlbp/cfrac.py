@@ -194,17 +194,16 @@ def jfraction_from_moments(mu) -> JFraction:
 
 
 def hankel_from_jfraction(sub, n_max: int) -> list:
-    """h_n = prod_k lambda_k^(n+1-k); inverse direction of the extraction."""
+    """h_n = prod_k lambda_k^(n+1-k) = h_{n-1} lambda_1 ... lambda_n; inverse
+    direction of the extraction."""
     check_size("n_max", n_max)
     subs = [coerce_scalar(v) for v in sub]
     if len(subs) < n_max:
         raise ValueError(f"need {n_max} couplings")
-    out = [1]
-    for n in range(1, n_max + 1):
-        acc = 1
-        for k in range(1, n + 1):
-            acc = acc * subs[k - 1] ** (n + 1 - k)
-        out.append(acc)
+    out, running = [1], 1
+    for lam in subs[:n_max]:
+        running = running * lam
+        out.append(out[-1] * running)
     return out
 
 

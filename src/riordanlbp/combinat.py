@@ -71,23 +71,18 @@ def colored_path_count(stats: dict, colors: int | Fraction) -> int | Fraction:
     return sum(terms, colors * 0)
 
 
-def peak_count_row(stats: dict, n: int) -> list[int]:
+def peak_count_row(stats: dict) -> list[int]:
     """Row n of the triangle counting Schroeder paths to (2n,0) by peaks,
-    read off `stats` = schroeder_path_statistics(n)."""
-    check_size("n", n)
-    # (UD)^N, the path with the most peaks, has N of them
-    top = max((peaks for _, peaks in stats), default=0)
-    if n < top:
-        raise ValueError(f"n must be at least the statistics' n = {top}, got {n}")
-    row = [0] * (n + 1)
+    read off `stats` = schroeder_path_statistics(n); n is the largest entry
+    of any key, as L^n has n level steps and (UD)^n has n peaks."""
+    row = [0] * (1 + max((max(key) for key in stats), default=0))
     for (_, peaks), count in stats.items():
         row[peaks] += count
     return row
 
 
-def level_count_row(stats: dict, n: int) -> list[int]:
+def level_count_row(stats: dict) -> list[int]:
     """Row n of the triangle counting Schroeder paths to (2n,0) by level steps,
     read off `stats` = schroeder_path_statistics(n)."""
     # peak_count_row tallies the second entry of each key
-    swapped = {(peaks, levels): count for (levels, peaks), count in stats.items()}
-    return peak_count_row(swapped, n)
+    return peak_count_row({(peaks, levels): count for (levels, peaks), count in stats.items()})

@@ -16,12 +16,13 @@ pivot, as on the b+c = 0 locus where h_2 = 0, or a quotient that leaves the
 ring sends the whole call to `leading_minors`.
 
 `leading_minors` and `determinant` use fraction-free (Bareiss) elimination,
-so intermediate entries stay integral or polynomial.  Each row is cleared
-first, multiplied by the lcm of its denominators: numeric rows (ints and
-Fractions) to int rows, eliminated with exact `//`, and rows of rational
-functions to polynomial rows.  The accumulated row factors are divided back
-out at the end.  Rows that hold a DensePoly have no denominators and are
-eliminated with `DensePoly.divexact` as they are.
+so intermediate entries stay integral or polynomial.  They clear a matrix as
+the recurrences clear a sequence: every entry is multiplied by the one lcm F
+of all its denominators, ints and Fractions to ints, eliminated with exact
+integer division, and rational functions to polynomials, with F kept inside
+`scalars`.  A minor of order m is then divided by F^m at the end.  Entries
+that include a DensePoly have no denominators and are eliminated with
+`DensePoly.divexact` as they are.
 
 The pivots of one Bareiss pass without row swaps are exactly the leading
 principal minors (Bareiss, Math. Comp. 22, 1968, via Sylvester's identity),
@@ -45,51 +46,46 @@ last row 1, x, ..., x^n reproduces P_n(x) after division by t_{n-1}.
 
 from __future__ import annotations
 
-import operator
 from fractions import Fraction
-from itertools import accumulate
 from math import lcm
 
 from .combinat import binomial
-from .scalars import (
-    DensePoly,
-    _lowest,
-    _value,
-    check_size,
-    coerce_scalar,
-    over_lcm,
-    scalar_inv,
-)
+from .scalars import DensePoly, _over_lcm, check_size, coerce_scalar, scalar_inv
 
 
-def _clear(mat: list[list]) -> tuple[list[list], object, list | None]:
+def _int_divexact(a: int, b: int) -> int:
+    """a // b; ValueError where b does not divide a."""
+    q, r = divmod(a, b)
+    if r:
+        raise ValueError("inexact integer division")
+    return q
+
+
+def _clear(mat: list[list]) -> tuple[list[list], object, object]:
     """Entries ready for fraction-free elimination.
 
-    Returns (matrix, exact divide, scales).  Row i is multiplied by the lcm
-    of its denominators, and scales[i] is the product of the factors of rows
-    0..i: a determinant over rows 0..i of the cleared matrix is scales[i]
-    times the original one.  A matrix of ints and Fractions is cleared to
-    ints and eliminated with `//`, which Bareiss makes exact; scales is None
-    when every factor is 1, as for an int matrix.  A matrix that also holds
-    DensePoly values needs no clearing: its rows become DensePoly rows,
-    eliminated with `DensePoly.divexact`, and scales is None.  Any other
-    matrix is cleared to polynomial rows, each scales[i] b^i c^j (b+c)^k
-    kept as its exponents (i, j, k).
+    Returns (rows, exact divide, unscale).  Every entry is multiplied by the
+    one lcm F of all the denominators, so a minor of order m of the cleared
+    rows is F^m times the original one, and unscale(v, m) is v / F^m.  Ints
+    and Fractions clear to ints, divided with `_int_divexact`, and unscale
+    is None when F = 1, as for an int matrix.  Entries that include a
+    DensePoly need no clearing: they become DensePoly values, divided with
+    `DensePoly.divexact`, and unscale is None.  Any other entries clear to
+    polynomials by `scalars._over_lcm`, whose unscale also puts the result
+    back in lowest terms.
     """
-    if all(isinstance(v, (int, Fraction)) for row in mat for v in row):
-        int_rows, scales, cleared = [], [], 1
-        for row in mat:
-            factor = lcm(*(v.denominator for v in row))
-            int_rows.append([v.numerator * (factor // v.denominator) for v in row])
-            cleared *= factor
-            scales.append(cleared)
-        return int_rows, operator.floordiv, None if cleared == 1 else scales
-    if all(isinstance(v, (int, Fraction, DensePoly)) for row in mat for v in row):
-        dense_rows = [[v if type(v) is DensePoly else DensePoly([v]) for v in row] for row in mat]
-        return dense_rows, DensePoly.divexact, None
-    poly_rows, row_exps = zip(*map(over_lcm, mat))
-    scales = list(accumulate(row_exps, lambda s, e: tuple(map(operator.add, s, e))))
-    return list(poly_rows), lambda a, b: a.divexact(b), scales
+    values = [v for row in mat for v in row]
+    if all(isinstance(v, (int, Fraction)) for v in values):
+        factor = lcm(*(v.denominator for v in values))
+        rows = [[v.numerator * (factor // v.denominator) for v in row] for row in mat]
+        return rows, _int_divexact, None if factor == 1 else (
+            lambda v, m: Fraction(v, factor ** m))
+    if all(isinstance(v, (int, Fraction, DensePoly)) for v in values):
+        rows = [[v if type(v) is DensePoly else DensePoly([v]) for v in row] for row in mat]
+        return rows, DensePoly.divexact, None
+    nums, unscale = _over_lcm(values)
+    nums = iter(nums)
+    return [[next(nums) for _ in row] for row in mat], lambda a, b: a.divexact(b), unscale
 
 
 def _bareiss(mat: list[list], divide, swap: bool) -> tuple[int, list]:
@@ -128,13 +124,9 @@ def _bareiss(mat: list[list], divide, swap: bool) -> tuple[int, list]:
     return sign, pivots
 
 
-def _unscale(minors: list, scales: list | None) -> list:
-    """Minors over rows 0..k of a `_clear`ed matrix, divided back to the original."""
-    if scales is None:
-        return minors
-    if type(scales[0]) is int:
-        return [Fraction(v, scale) for v, scale in zip(minors, scales)]
-    return [_value(*_lowest(v, exps)) for v, exps in zip(minors, scales)]
+def _unscale(minors: list, unscale) -> list:
+    """Minors of orders 1, 2, ... of a `_clear`ed matrix, divided back to the original."""
+    return minors if unscale is None else [unscale(v, m) for m, v in enumerate(minors, 1)]
 
 
 def _square(rows) -> list[list]:
@@ -150,15 +142,12 @@ def determinant(rows) -> object:
     """Exact determinant of a square matrix of int / Fraction / polynomial
     scalars; an int matrix has an int determinant."""
     mat = _square(rows)
-    n = len(mat)
-    if n == 0:
+    if not mat:
         return 1
-    if n == 1:
-        return mat[0][0]
-    mat, divide, scales = _clear(mat)
+    mat, divide, unscale = _clear(mat)
     sign, pivots = _bareiss(mat, divide, swap=True)
     det = pivots[-1] if sign == 1 else -pivots[-1]
-    return det if scales is None else _unscale([det], scales[-1:])[0]
+    return det if unscale is None else unscale(det, len(mat))
 
 
 def leading_minors(rows) -> list:
@@ -170,20 +159,12 @@ def leading_minors(rows) -> list:
     without swaps, so each larger block falls back to `determinant`.
     """
     mat = _square(rows)
-    cleared, divide, scales = _clear([row[:] for row in mat])
+    cleared, divide, unscale = _clear(mat)
     _, pivots = _bareiss(cleared, divide, swap=False)
-    return _unscale(pivots, scales) + [
+    return _unscale(pivots, unscale) + [
         determinant([row[:m] for row in mat[:m]])
         for m in range(len(pivots) + 1, len(mat) + 1)
     ]
-
-
-def _int_divexact(a: int, b: int) -> int:
-    """a // b; ValueError where b does not divide a."""
-    q, r = divmod(a, b)
-    if r:
-        raise ValueError("inexact integer division")
-    return q
 
 
 def _minors_by_recurrence(values: list, recurrence, rows) -> list:
@@ -196,18 +177,12 @@ def _minors_by_recurrence(values: list, recurrence, rows) -> list:
     division in the ring of the cleared values, and raises ValueError for a
     quotient outside it and ZeroDivisionError for a zero divisor.
     """
-    [cleared], divide, scales = _clear([[coerce_scalar(v) for v in values]])
-    if divide is operator.floordiv:
-        divide = _int_divexact
+    [cleared], divide, unscale = _clear([[coerce_scalar(v) for v in values]])
     try:
         minors = recurrence(cleared, divide)
     except (ValueError, ZeroDivisionError):
         return leading_minors(rows())
-    if scales is None:
-        return minors
-    scale, orders = scales[0], range(1, len(minors) + 1)
-    return _unscale(minors, [scale ** m for m in orders] if type(scale) is int
-                    else [tuple(m * e for e in scale) for m in orders])
+    return _unscale(minors, unscale)
 
 
 def _chebyshev(mu: list, divide) -> list:
@@ -286,12 +261,12 @@ def hankel_and_shifted(mu, depth: int) -> tuple[list, list]:
     check_size("depth", depth)
     if len(values) < 2 * depth + 2:
         raise ValueError(f"need {2 * depth + 2} moments for depth {depth}")
-    mat, divide, scales = _clear([values[i:i + depth + 2] for i in range(depth + 1)])
+    mat, divide, unscale = _clear([values[i:i + depth + 2] for i in range(depth + 1)])
     _, pivots = _bareiss(mat, divide, swap=False)
     if not pivots[-1]:
         raise ZeroDivisionError(f"vanishing Hankel determinant at depth {len(pivots) - 1}")
-    return (_unscale(pivots, scales),
-            _unscale([mat[n][n + 1] for n in range(depth + 1)], scales))
+    return (_unscale(pivots, unscale),
+            _unscale([mat[n][n + 1] for n in range(depth + 1)], unscale))
 
 
 def hankel_closed_form(b, c, n_max: int) -> list:

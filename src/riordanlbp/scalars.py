@@ -270,7 +270,7 @@ class BivarPoly:
         if isinstance(other, (int, Fraction)):
             if not other:
                 raise ZeroDivisionError("division by zero")
-            inv = 1 / Fraction(other)
+            inv = 1 / other if isinstance(other, Fraction) else Fraction(1, other)
             return _poly({k: _times(v, inv) for k, v in self.terms.items()})
         if isinstance(other, BivarPoly):
             return RationalFunction(self, other)
@@ -652,11 +652,13 @@ def dot(xs, ys):
     return total
 
 
-def over_lcm(values) -> tuple[list[BivarPoly], tuple[int, int, int]]:
-    """Numerators of values over their lcm b^I c^J (b+c)^K, and its exponents (I, J, K)."""
+def _over_lcm(values) -> tuple[list[BivarPoly], object]:
+    """Numerators of values over their lcm F = b^I c^J (b+c)^K, and the map
+    (v, m) -> v / F^m, a RationalFunction in lowest terms."""
     values = [RationalFunction._coerce(v) for v in values]
     exps = tuple(map(max, zip(*(v.exps for v in values))))
-    return [v._over(exps) for v in values], exps
+    return ([v._over(exps) for v in values],
+            lambda v, m: _value(*_lowest(v, tuple(m * e for e in exps))))
 
 
 def _as_bivar(x) -> BivarPoly:

@@ -145,11 +145,11 @@ def scenario_example1(order: int = 12) -> ScenarioReport:
                               shifted_at_1, list(SCHROEDER_PREFIX)))
 
     stats = [schroeder_path_statistics(n) for n in range(9)]
-    path_rows = [peak_count_row(s, n) for n, s in enumerate(stats)]
+    path_rows = [peak_count_row(s) for s in stats]
     checks.append(check_equal("persistent peak statistic matches the triangle",
                               path_rows, expected_rows))
     checks.append(check_equal("level-step statistic matches the peak statistic",
-                              [level_count_row(s, n) for n, s in enumerate(stats)], path_rows))
+                              [level_count_row(s) for s in stats], path_rows))
     for colors in (1, 2, 3):
         got = [colored_path_count(s, colors) for s in stats]
         want = [sum(v * colors ** k for k, v in enumerate(row)) for row in triangle]

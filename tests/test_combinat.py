@@ -100,7 +100,7 @@ class TestPathStatistics:
         # the two one-variable refinements coincide row by row
         for n in range(15):
             stats = schroeder_path_statistics(n)
-            assert level_count_row(stats, n) == peak_count_row(stats, n)
+            assert level_count_row(stats) == peak_count_row(stats)
 
     def test_negative_n_is_refused(self):
         with pytest.raises(ValueError, match="^n must be at least 0, got -1$"):
@@ -110,12 +110,12 @@ class TestPathStatistics:
         # on path statistics the two rows coincide, so tell them apart on
         # made-up (levels, peaks) counts
         stats = {(2, 0): 1, (0, 1): 3, (1, 1): 5}
-        assert level_count_row(stats, 2) == [3, 5, 1]
-        assert peak_count_row(stats, 2) == [1, 8, 0]
+        assert level_count_row(stats) == [3, 5, 1]
+        assert peak_count_row(stats) == [1, 8, 0]
 
     @pytest.mark.parametrize("n", range(6))
     def test_refinement_rows(self, n):
-        assert level_count_row(schroeder_path_statistics(n), n) == STATISTIC_ROWS[n]
+        assert level_count_row(schroeder_path_statistics(n)) == STATISTIC_ROWS[n]
 
     def test_colored_counts(self):
         # one color gives plain Schroeder; more colors weight each flat run
@@ -131,7 +131,7 @@ class TestPathStatistics:
     def test_colored_matches_row_evaluation(self):
         for n in range(6):
             stats = schroeder_path_statistics(n)
-            row = level_count_row(stats, n)
+            row = level_count_row(stats)
             for colors in (1, 2, 3):
                 value = sum(coef * colors**k for k, coef in enumerate(row))
                 assert value == colored_path_count(stats, colors)
@@ -141,5 +141,5 @@ class TestPathStatistics:
         stats.clear()
         assert sum(schroeder_path_statistics(3).values()) == SCHROEDER[3]
         stats = schroeder_path_statistics(3)
-        peak_count_row(stats, 3)[0] = 999
-        assert peak_count_row(stats, 3) == level_count_row(stats, 3) == STATISTIC_ROWS[3]
+        peak_count_row(stats)[0] = 999
+        assert peak_count_row(stats) == level_count_row(stats) == STATISTIC_ROWS[3]

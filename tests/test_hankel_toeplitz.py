@@ -112,6 +112,9 @@ class TestDeterminant:
             max_size=3,
         )
     )
+    # rows over different denominators: 2, 3 and 5
+    @example([[Fraction(1, 2), 1, Fraction(-3, 2)], [Fraction(2, 3), Fraction(-1, 3), 0],
+              [Fraction(1, 5), 2, Fraction(-4, 5)]])
     @settings(max_examples=30, deadline=None)
     def test_random_matches_leibniz(self, raw):
         rows = [[coerce_scalar(v) for v in row] for row in raw]
@@ -134,6 +137,9 @@ class TestLeadingMinors:
         ),
         st.booleans(),
     )
+    # rows over different denominators: 2, 3 and 5
+    @example([[Fraction(1, 2), 1, 0], [Fraction(2, 3), Fraction(-1, 3), 1],
+              [Fraction(1, 5), 2, Fraction(-4, 5)]], False)
     @settings(max_examples=80, deadline=None)
     def test_fraction_matrices(self, raw, zero_corner):
         # zeros are common, so singular leading blocks and zero pivots are
@@ -225,7 +231,7 @@ class TestHankelAndShifted:
     ))
     @settings(max_examples=25, deadline=None)
     def test_rational_function_sequences(self, raw):
-        # entries with denominators exercise the division by the row scales
+        # entries with denominators exercise the division by the clearing factor
         b, c = BivarPoly.b(), BivarPoly.c()
         dens = {"1": BivarPoly.one(), "c": c, "b+c": b + c, "b*c": b * c}
         values = [RationalFunction(p * b + q * c + r, dens[d]) for p, q, r, d in raw]
@@ -348,12 +354,15 @@ class TestIntegerElimination:
         bm = BiInfiniteMoments(values, third, 3)
         assert toeplitz_dets(bm, 3)[0] == toeplitz_closed_form(half, third, 3)
 
-    def test_scales_are_the_running_row_factors(self):
+    def test_one_factor_clears_every_row(self):
+        # F = lcm(2, 3, 4, 10) = 60 multiplies every entry, so a minor of
+        # order m is divided by 60^m
         rows = [[Fraction(1, 2), Fraction(1, 3)], [2, 5], [Fraction(3, 4), Fraction(1, 10)]]
-        cleared, divide, scales = hankel_toeplitz._clear(rows)
-        assert cleared == [[3, 2], [2, 5], [15, 2]]
-        assert divide is operator.floordiv
-        assert scales == [6, 6, 120]
+        cleared, divide, unscale = hankel_toeplitz._clear(rows)
+        assert cleared == [[30, 20], [120, 300], [45, 6]]
+        assert divide is hankel_toeplitz._int_divexact
+        assert unscale(60, 1) == 1
+        assert unscale(7200, 2) == 2
         assert hankel_toeplitz._clear([[1, 2], [Fraction(3), -4]])[2] is None
 
 

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from riordanlbp import cfrac, combinat, hankel_toeplitz, lbp, orthopoly
+from riordanlbp import cfrac, hankel_toeplitz, lbp, orthopoly
 from riordanlbp.lbp import LBPFamily
 from riordanlbp.riordan import LowerTriangularMatrix, RiordanArray
 from riordanlbp.series import TruncatedSeries
@@ -47,10 +47,6 @@ REFUSALS = {
     "ortho_inverse_f_closed_form_b_plus_c": (
         lambda: orthopoly.ortho_inverse_f_closed_form(2, -2, 3),
         ZeroDivisionError, "b + c must be nonzero"),
-    "peak_count_row": (lambda: combinat.peak_count_row(combinat.schroeder_path_statistics(3), 1),
-                       ValueError, "n must be at least the statistics' n = 3, got 1"),
-    "level_count_row": (lambda: combinat.level_count_row(combinat.schroeder_path_statistics(3), 2),
-                        ValueError, "n must be at least the statistics' n = 3, got 2"),
     "RiordanArray": (lambda: RiordanArray(TruncatedSeries([1], 2),
                                           TruncatedSeries([0, 0, 1], 2)),
                      ValueError, "f'(0) must be invertible"),
