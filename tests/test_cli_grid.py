@@ -5,8 +5,8 @@ recorded.
 The grid is every ``generate`` variant (each kind with each of its routes,
 shapes and families) at ``PAIRS`` and orders 0-9, in csv and json; every
 ``verify`` scenario at its default, in json and at orders 8, 10 and 13;
-``oeis-check all``; a few usage errors; and ``hankel`` and ``toeplitz`` at
-``LARGE_ORDERS``.  Each argv runs in-process with ``COLUMNS`` fixed, since
+``oeis-check all``; a few usage errors; ``hankel`` and ``toeplitz`` at
+``LARGE_ORDERS``; and ``production`` at ``PRODUCTION_ORDERS``.  Each argv runs in-process with ``COLUMNS`` fixed, since
 argparse wraps its usage text to the terminal width.  Its digest is the
 first 16 hex digits of the sha256 of its stdout, its stderr and its exit
 code together.
@@ -78,6 +78,13 @@ LARGE_ORDERS = (
     (("--b=sym", "--c=sym"), (12, 16)),
 )
 
+#: production past the grid's orders, on a rational pair of the benchmark
+#: and at (sym, sym)
+PRODUCTION_ORDERS = (
+    (("--b=141/86", "--c=-47/129"), (40, 64, 128)),
+    (("--b=sym", "--c=sym"), (20, 32, 48)),
+)
+
 GRID = (
     [("generate", *variant, f"--b={b}", f"--c={c}", "--order", str(order), *fmt)
      for variant in VARIANTS
@@ -93,6 +100,9 @@ GRID = (
     + [("generate", kind, *params, "--order", str(order))
        for params, orders in LARGE_ORDERS
        for kind in ("hankel", "toeplitz")
+       for order in orders]
+    + [("generate", "production", *params, "--order", str(order))
+       for params, orders in PRODUCTION_ORDERS
        for order in orders]
 )
 
