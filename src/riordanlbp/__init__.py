@@ -36,6 +36,7 @@ from .lbp import (
     moment_matrix,
     moment_production,
     moments,
+    production_sequences,
     rows_by_recurrence,
 )
 from .orthopoly import (
@@ -73,7 +74,7 @@ __all__ = [
     "LBPFamily", "MOMENT_ROUTES", "coefficient_array",
     "coefficient_matrix", "entry_closed_form", "inverse_entry_lagrange",
     "moment_gf", "moment_matrix", "moment_production", "moments",
-    "rows_by_recurrence",
+    "production_sequences", "rows_by_recurrence",
     "ORTHO_KINDS", "ortho_array", "ortho_rows_by_recurrence",
     "verify_factorizations",
     "JFraction", "SFraction", "TFraction", "cf_expand",

@@ -43,9 +43,11 @@ from . import cfrac, oeis
 from .lbp import (
     LBPFamily,
     MOMENT_ROUTES,
+    _production_row,
     coefficient_matrix,
     moment_production,
     moments,
+    production_sequences,
 )
 from .hankel_toeplitz import (
     BiInfiniteMoments,
@@ -115,7 +117,8 @@ def _table(args, b, c) -> list:
     ``ortho-array`` is the O(n^2) three-term recurrence; the O(n^3) series
     route, ``ortho_array(...).matrix``, is its reference (see ``orthopoly``).
     ``production`` is the O(n^2) route by the A- and Z-sequences; the O(n^3)
-    solve ``production_of_inverse`` is its reference.
+    solve ``production_of_inverse`` is its reference.  ``generate
+    production`` prints from the two sequences instead of these rows.
     """
     order = args.order
     # the two kinds that take a zero parameter come before the family
@@ -184,7 +187,10 @@ def _generate_data(args) -> list[str]:
     r is 0, so that LBPFamily refuses it, and only the printer sees r.
     Entry (n, k) is then rendered from its degree DEGREES[kind](n, k); a
     zero entry, such as production's right of the superdiagonal, prints as
-    "0" at every degree, so it skips the printer.
+    "0" at every degree, so it skips the printer.  ``production`` is printed
+    from its two sequences: each a_m and z_i is rendered once, and its lines
+    are laid out from those strings, so it takes O(order) renders where its
+    table holds O(order^2) entries.
     """
     b = _parse_param(args.b, PARAM_B)
     c = _parse_param(args.c, PARAM_C)
@@ -198,6 +204,13 @@ def _generate_data(args) -> list[str]:
                 else partial(_homogeneous_str, b=b, c=c))
         b, c = DensePoly([0, 1]) if b else 0, 1 if c else 0
     degree = DEGREES[args.kind]
+    if args.kind == "production":
+        dim = args.order + 1
+        z, a = production_sequences(LBPFamily.constant(b, c), dim)
+        # a_m is entry (m, 1) of line m and z_i entry (i, 0) of line i
+        a = [show(v, degree(m, 1)) if v else "0" for m, v in enumerate(a)]
+        z = [show(v, degree(i, 0)) if v else "0" for i, v in enumerate(z)]
+        return [",".join(_production_row(z[i], a, i, dim, "0")) for i in range(dim)]
     return [",".join(show(v, degree(n, k)) if v else "0" for k, v in enumerate(row))
             for n, row in enumerate(_table(args, b, c))]
 

@@ -7,8 +7,9 @@ A family is defined by the recurrence
 with P_0 = 1 and P_1 = x - c_0.  When b and c are constant the coefficient
 array is the Riordan array (1/(1+ct), t(1-bt)/(1+ct)) and the moment matrix
 is its inverse; the moment sequence mu_n (the inverse's first column) begins
-1, c, c(b+c), c(b+c)(2b+c), ...  Its production block comes from its A- and
-Z-sequences (`moment_production`).
+1, c, c(b+c), c(b+c)(2b+c), ...  Its production block is fixed by its A- and
+Z-sequences (`production_sequences`), and `moment_production` lays them out
+in rows.
 
 Six independent routes compute the moments and must agree; `moments`
 returns mu_0..mu_n_max by any of them as a plain list:
@@ -158,34 +159,52 @@ def moment_matrix(family: LBPFamily, dim: int) -> LowerTriangularMatrix:
     return coefficient_matrix(family, dim).inverse()
 
 
-def moment_production(family: LBPFamily, dim: int) -> list[list]:
-    """Production block of the moment matrix L^-1, of dimension dim, in
-    O(dim^2) operations; constant-coefficient families only.
+def production_sequences(family: LBPFamily, dim: int) -> tuple[list, list]:
+    """The Z- and A-sequences z_0..z_{dim-1} and a_0..a_{dim-1} of the
+    moment matrix L^-1, in O(dim^2) operations; constant-coefficient
+    families only.
 
-    Row i is z_i, a_i, ..., a_1, a_0 (Deutsch, Ferrari and Rinaldi 2005),
-    from columns 1 and 0 of P L = L S on the monic coefficient rows L, which
-    are built two columns wide: a_i = L[i][0] - sum_{k=2..i+1} a_{i-k+1}
-    L[k][1], the one O(dim^2) part, and z_i = -sum_{k=1..i+1} a_{i-k+1}
-    L[k][0], which L[k][0] = (-c)^k turns into z_i = c (a_i - z_{i-1}) with
-    z_{-1} = 0.  Each value has the type `production_of_inverse`, the
-    O(dim^3) solve of all of P L = L S, gives it; a_0 = 1 has the type of
-    the diagonal L[i][i], which is 1 - c*0 - b*0 from row 2 on.
+    They come from columns 1 and 0 of P L = L S on the monic coefficient
+    rows L, which are built two columns wide: a_i = L[i][0] - sum_{k=2..i+1}
+    a_{i-k+1} L[k][1], the one O(dim^2) part, and z_i = -sum_{k=1..i+1}
+    a_{i-k+1} L[k][0], which L[k][0] = (-c)^k turns into z_i = c (a_i -
+    z_{i-1}) with z_{-1} = 0.  a_0 is L[0][0] = 1.
     """
     check_size("dim", dim, 1)
     _check_riordan(family)
-    b, c = family.b, family.c
+    c = family.c
     rows = rows_by_recurrence(family, dim, width=2)
-    one = rows[0][0]
-    zero, diagonal = one * 0, one - c * 0 - b * 0
-    a, z, out = [], zero, []
+    a, z = [], [rows[0][0] * 0]
     for i in range(dim):
         acc = rows[i][0]
         for k in range(2, i + 2):
             acc = acc - a[i - k + 1] * rows[k][1]
         a.append(acc)
-        z = c * (acc - z)
-        out.append(([z, *a[:0:-1], one if i < 2 else diagonal] + [zero] * dim)[:dim])
-    return out
+        z.append(c * (acc - z[-1]))
+    return z[1:], a
+
+
+def _production_row(z_i, a: list, i: int, dim: int, zero) -> list:
+    """Row i of a production block of dimension dim: z_i, a_i, ..., a_0,
+    then zero, cut to dim entries.  The entries may be values or their
+    printed strings."""
+    return ([z_i, *a[i::-1]] + [zero] * dim)[:dim]
+
+
+def moment_production(family: LBPFamily, dim: int) -> list[list]:
+    """Production block of the moment matrix L^-1, of dimension dim, in
+    O(dim^2) operations; constant-coefficient families only.
+
+    Row i is z_i, a_i, ..., a_1, a_0 (Deutsch, Ferrari and Rinaldi 2005),
+    from `production_sequences`.  Each value has the type
+    `production_of_inverse`, the O(dim^3) solve of all of P L = L S, gives
+    it; a_0 = 1 has the type of the diagonal L[i][i], which is 1 - c*0 -
+    b*0 from row 2 on.
+    """
+    z, a = production_sequences(family, dim)
+    zero, diagonal = a[0] * 0, a[0] - family.c * 0 - family.b * 0
+    later = [diagonal, *a[1:]]
+    return [_production_row(z[i], a if i < 2 else later, i, dim, zero) for i in range(dim)]
 
 
 def entry_closed_form(n: int, k: int, b, c):

@@ -10,7 +10,8 @@ P = M^{-1} S M, S M being M with its top row removed.  For M = L^{-1} it is
 solved from P L = L S against L itself, with no inverse, in O(n^3).  For
 a Riordan array column k >= 2 of P is column 1 pushed down, a test for
 showing that a matrix is NOT Riordan, so columns 0 and 1 (the Z- and
-A-sequences) fix P; `lbp.moment_production` solves only those, in O(n^2).
+A-sequences) fix P; `lbp.production_sequences` solves only those, in
+O(n^2), and `lbp.moment_production` lays them out in the rows of P.
 
 Sizes are arguments: `binomial_array` takes the order of its series and
 `RiordanArray.matrix` the dimension of the block it materializes.

@@ -248,9 +248,15 @@ class BivarPoly:
         if len(small) > len(large):
             small, large = large, small
         if len(small) == 1:
-            # a shifted, scaled copy: no two products share a key, none is 0
+            # a shifted, scaled copy: no two products share a key, none is 0;
+            # _times takes the int factor first, so that an integral product
+            # of an int and a Fraction builds no Fraction, and a product of
+            # two ints is already in normal form
             ((i1, j1), v1), = small.items()
-            return _poly({(i1 + i2, j1 + j2): _exact(v1 * v2)
+            if type(v1) is int:
+                return _poly({(i1 + i2, j1 + j2): v1 * v2 if type(v2) is int else _times(v1, v2)
+                              for (i2, j2), v2 in large.items()})
+            return _poly({(i1 + i2, j1 + j2): _times(v2, v1)
                           for (i2, j2), v2 in large.items()})
         out: dict[tuple[int, int], int | Fraction] = {}
         for (i1, j1), v1 in small.items():

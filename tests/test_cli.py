@@ -340,6 +340,32 @@ class TestDenseRoute:
         assert (code, err, len(out.splitlines())) == (0, "", int(order) + 1)
         assert len(products) <= ceiling
 
+    @pytest.mark.parametrize("params, order", [
+        (("--b=sym", "--c=sym"), 20), (("--b=129/74", "--c=-43/111"), 40),
+        (("--b=sym", "--c=3/2"), 20), (("--b=1", "--c=-1"), 40)], ids=str)
+    def test_production_renders_each_sequence_value_once(self, capsys, monkeypatch, params,
+                                                         order):
+        """`generate production` prints each a_m and z_i of its A- and
+        Z-sequences once and lays its lines out from those strings: at most
+        2(n+1) calls of the printer at order n, on every parameter route and
+        at b+c = 0.  One render per nonzero entry made 251 at (sym, sym)
+        order 20 and 901 at (129/74, -43/111) order 40."""
+        calls = []
+        homogeneous_str, over_powers = cli._homogeneous_str, cli._over_powers
+
+        def counted(show):
+            def render(*args, **kwargs):
+                calls.append(args)
+                return show(*args, **kwargs)
+            return render
+
+        monkeypatch.setattr(cli, "_homogeneous_str", counted(homogeneous_str))
+        monkeypatch.setattr(cli, "_over_powers", lambda scale: counted(over_powers(scale)))
+        code, out, err = run_cli(capsys, "generate", "production", "--order", str(order),
+                                 *params)
+        assert (code, err, len(out.splitlines())) == (0, "", order + 1)
+        assert 0 < len(calls) <= 2 * (order + 1)
+
     def test_rational_parameters_never_touch_dense_polys(self, capsys, monkeypatch):
         def outputs():
             return [run_cli(capsys, "generate", *variant, "--order", "6", "--b=3/2", "--c=-1/3")

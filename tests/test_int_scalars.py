@@ -40,6 +40,7 @@ from riordanlbp import (
     ortho_rows_by_recurrence,
     production_matrix,
     production_of_inverse,
+    production_sequences,
     recover_parameters,
     rows_by_recurrence,
     tfraction_closed_form,
@@ -142,6 +143,7 @@ ROUTES = {
     "production_of_inverse": lambda b, c: production_of_inverse(
         coefficient_matrix(LBPFamily.constant(b, c), 7)),
     "moment_production": lambda b, c: moment_production(LBPFamily.constant(b, c), 6),
+    "production_sequences": lambda b, c: production_sequences(LBPFamily.constant(b, c), 6),
     "has_column_shift": lambda b, c: has_column_shift(production_matrix(
         binomial_array(b, 6).matrix(7))),
     "entry_closed_form": lambda b, c: [entry_closed_form(6, k, b, c) for k in range(7)],
@@ -184,6 +186,7 @@ def test_int_tables_stay_int(point):
     tables = [mu, rows_by_recurrence(fam, 6), hankel_transform(mu, 4),
               production_of_inverse(coefficient_matrix(fam, 7)),
               moment_production(fam, 6),
+              production_sequences(fam, 6),
               [entry_closed_form(6, k, b, c) for k in range(7)]]
     for route in ("catalan_sum", "shifted_tfraction"):
         tables.append(moments(fam, route, 9))

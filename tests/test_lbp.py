@@ -20,6 +20,7 @@ from riordanlbp.lbp import (
     moment_matrix,
     moment_production,
     moments,
+    production_sequences,
     rows_by_recurrence,
 )
 from riordanlbp.riordan import has_column_shift, production_matrix, production_of_inverse
@@ -386,10 +387,32 @@ class TestMomentProduction:
         expected = production_of_inverse(coefficient_matrix(fam, dim + 1))
         assert typed(moment_production(fam, dim)) == typed(expected)
 
+    @pytest.mark.parametrize("dim", range(1, 9))
+    @pytest.mark.parametrize("b, c", [
+        (2, 3), (1, -1), (Fraction(129, 74), Fraction(-43, 111)),
+        (Fraction(3, 2), Fraction(-3, 2)), (X, 1), (X, -X), (X, -2 * X),
+        (PARAM_B, PARAM_C), (PARAM_B, -PARAM_B)])
+    def test_sequences_are_the_block_diagonals(self, b, c, dim):
+        """z_i is entry (i, 0) of the block and a_m entry (m, 1), in value
+        and in type; a_m is every entry (i, i - m + 1) in value.  At b+c = 0
+        a_m is 0 for m >= 1."""
+        fam = LBPFamily.constant(b, c)
+        z, a = production_sequences(fam, dim)
+        block = moment_production(fam, dim)
+        # a_{dim-1} is entry (dim-1, 1) of the next block, and a_0 of the
+        # order-1 block is cut off
+        wider = moment_production(fam, dim + 1)
+        assert typed([z]) == typed([[row[0] for row in block]])
+        assert typed([a]) == typed([[row[1] for row in wider[:dim]]])
+        for i, row in enumerate(block):
+            assert row[1:] == ([*a[i::-1]] + [0] * dim)[:dim - 1], i
+        if not b + c:
+            assert a[0] == 1 and not any(a[1:])
+
     def test_periodic_family_is_refused(self):
         # example2's family, b = 1, 2, 1, 2, ... and c = 1, has no A-sequence
         fam = LBPFamily.periodic([1, 2], [1])
-        for call in (moment_production, coefficient_array):
+        for call in (moment_production, production_sequences, coefficient_array):
             with pytest.raises(ValueError, match="^only constant-coefficient families "
                                                  "form a Riordan array$"):
                 call(fam, 6)
