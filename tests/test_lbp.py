@@ -399,13 +399,13 @@ class TestMomentProduction:
         fam = LBPFamily.constant(b, c)
         z, a = production_sequences(fam, dim)
         block = moment_production(fam, dim)
-        # a_{dim-1} is entry (dim-1, 1) of the next block, and a_0 of the
-        # order-1 block is cut off
+        # column 1 of the block one wider holds all of a; the block of
+        # dimension 1 cuts a_0 off
         wider = moment_production(fam, dim + 1)
         assert typed([z]) == typed([[row[0] for row in block]])
         assert typed([a]) == typed([[row[1] for row in wider[:dim]]])
         for i, row in enumerate(block):
-            assert row[1:] == ([*a[i::-1]] + [0] * dim)[:dim - 1], i
+            assert row[1:] == (a[i::-1] + [0] * dim)[:dim - 1], i
         if not b + c:
             assert a[0] == 1 and not any(a[1:])
 
