@@ -6,7 +6,9 @@ The grid is every ``generate`` variant (each kind with each of its routes,
 shapes and families) at ``PAIRS`` and orders 0-9, in csv and json; every
 ``verify`` scenario at its default, in json and at orders 8, 10 and 13;
 ``oeis-check all``; a few usage errors; ``hankel`` and ``toeplitz`` at
-``LARGE_ORDERS``; and ``production`` at ``PRODUCTION_ORDERS``.  Each argv runs in-process with ``COLUMNS`` fixed, since
+``LARGE_ORDERS``; ``production`` at ``PRODUCTION_ORDERS``; and
+``cfrac-expand`` in each shape at ``CFRAC_ORDERS``.  Each argv runs
+in-process with ``COLUMNS`` fixed, since
 argparse wraps its usage text to the terminal width.  Its digest is the
 first 16 hex digits of the sha256 of its stdout, its stderr and its exit
 code together.
@@ -85,6 +87,13 @@ PRODUCTION_ORDERS = (
     (("--b=sym", "--c=sym"), (20, 32, 48)),
 )
 
+#: cfrac-expand past the grid's orders, at (sym, sym) and on a rational
+#: pair of the benchmark
+CFRAC_ORDERS = (
+    (("--b=sym", "--c=sym"), (18, 32)),
+    (("--b=141/86", "--c=-47/129"), (36, 64)),
+)
+
 GRID = (
     [("generate", *variant, f"--b={b}", f"--c={c}", "--order", str(order), *fmt)
      for variant in VARIANTS
@@ -103,6 +112,10 @@ GRID = (
        for order in orders]
     + [("generate", "production", *params, "--order", str(order))
        for params, orders in PRODUCTION_ORDERS
+       for order in orders]
+    + [("generate", "cfrac-expand", "--shape", shape, *params, "--order", str(order))
+       for params, orders in CFRAC_ORDERS
+       for shape in "sjt"
        for order in orders]
 )
 
