@@ -9,7 +9,8 @@ Three shapes, all in the minus convention:
 Descriptors store a finite prefix of levels; expansion truncates the fraction
 by replacing the first unstored level with 1, which is exact to the order the
 adequacy rule guarantees (level k first touches t^k for S/T shapes and t^(2k)
-for the J shape).
+for the J shape).  `cf_expand` sums the weighted lattice paths the fraction
+counts (Flajolet 1980), height by height, with no series division.
 
 The moment series mu(t) is expanded by the S-fraction with coefficients
 (c, b, b+c, b, b+c, ...) and by the J-fraction with diagonal (c, 2b+c,
@@ -23,9 +24,12 @@ and the closed form at b = 1.
 
 from __future__ import annotations
 
+from itertools import accumulate
+from operator import add, mul
+
 from .hankel_toeplitz import hankel_and_shifted
-from .scalars import check_size, coerce_scalar, scalar_inv
-from .series import TruncatedSeries, catalan_series
+from .scalars import RationalFunction, check_size, coerce_scalar, dot, scalar_inv
+from .series import TruncatedSeries, _series, catalan_series
 
 
 class SFraction:
@@ -75,21 +79,26 @@ class TFraction:
 def cf_expand(cf, order: int) -> TruncatedSeries:
     """Truncated series of the fraction, exact through the requested order.
 
-    The convergent is A_0/B_0, built backward over the stored levels from
-    A = B = 1 (the first unstored level replaced by 1) by the Euler-Wallis
-    recurrence A_k = B_{k+1}, B_k = (1 - d_k t) B_{k+1} - n_k t^s A_{k+1},
-    with s = 1 for the S and T shapes and 2 for the J shape (Jones & Thron,
-    *Continued Fractions*, 1980).  A and B are coefficient lists truncated
-    mod t^(order+1), so the cost is O(N^2) scalar operations and one series
-    division, where a reciprocal per level costs O(N^3).  B_0(0) = 1, so the
-    division always succeeds.
+    The fraction is the generating function of weighted lattice paths from
+    height 0 back to 0 (Flajolet, "Combinatorial aspects of continued
+    fractions", Discrete Math. 32, 1980).  A level step at height k weighs
+    the diagonal entry d_k (c_k of the T shape; the S shape has none) and
+    takes one unit of length.  An up step from height k weighs the
+    numerator below level k, e_(k+1) (a, l or b), and takes s units: s = 2
+    for the J shape (Motzkin paths), 1 for the S and T shapes (Dyck and
+    Schroeder paths).  A down step costs nothing, so a path is fixed by its
+    steps through the last one that is not down, and [t^n] sums the paths
+    of length n wherever they stand.  With H_n[k] the weight of those that
+    stand at height k or above, [t^n] = H_n[0] and
 
-    B_0 is also the denominator Q_L of the convergent with L levels, which
-    the forward recurrence Q_{k+1} = (1 - d_k t) Q_k - n_{k-1} t^s Q_{k-1}
-    gives.  For a T-fraction with diagonal c_0, c_1, ... and numerators
-    b_1, b_2, ... that is `lbp.rows_by_recurrence`: x^k Q_k(1/x) is the LBP
-    row P_k (Hendriksen & van Rossum 1986; Zhedanov 1998).  For the moment
-    J-fraction the reversed Q_k are the "q" rows (Flajolet 1980).
+        H_n[k] = d_k H_(n-1)[k] + e_k H_(n-s)[k-1] + H_n[k+1],
+
+    from H_0 = [1].  Heights stop at the first unstored level, where only
+    down steps are taken: the fraction's tail replaced by 1.  That takes
+    O(N^2) products, each a level entry times a path sum, and no series
+    division.  Where an entry is a RationalFunction, each H_n[k] is one
+    ``scalars.dot``, reduced once; otherwise the plain operators sum a row
+    of products.
     """
     check_size("order", order)
     if isinstance(cf, SFraction):
@@ -100,25 +109,38 @@ def cf_expand(cf, order: int) -> TruncatedSeries:
         step, diag, nums = 1, cf.diag, cf.num
     else:
         raise TypeError(f"not a continued fraction descriptor: {type(cf).__name__}")
-    levels = cf.levels_for(order)
     entries = diag + nums
     one = entries[0] ** 0 if entries else 1
-    num, den = [one], [one]
-    for k in reversed(range(levels)):
-        new = _minus_shifted(den, 1, diag[k], den, order) if diag else den
-        if k < len(nums):
-            new = _minus_shifted(new, step, nums[k], num, order)
-        num, den = den, new
-    return TruncatedSeries(num, order) / TruncatedSeries(den, order)
-
-
-def _minus_shifted(p: list, s: int, coeff, q: list, order: int) -> list:
-    """Coefficients of p - coeff t^s q, truncated mod t^(order+1)."""
-    zero = p[0] - p[0]
-    out = p + [zero] * (min(len(q) + s, order + 1) - len(p))
-    for i, v in zip(range(s, len(out)), q):
-        out[i] = out[i] - coeff * v
-    return out
+    fused = RationalFunction in map(type, entries)
+    levels = cf.levels_for(order)
+    diag, nums = diag[:levels], nums[:levels]
+    # above[n][k] is H_n[k]; stay and climb are the rows a level step and
+    # an up step into row n leave from
+    above = [[one]]
+    for n in range(1, order + 1):
+        stay = above[n - 1]
+        climb = above[n - step] if n >= step else ()
+        if fused:
+            flat, rise = min(len(diag), len(stay)), min(len(nums), len(climb))
+            row = []
+            for k in range(max(flat - 1, rise), -1, -1):
+                weights, paths = ([diag[k]], [stay[k]]) if k < flat else ([], [])
+                if 0 < k <= rise:
+                    weights.append(nums[k - 1])
+                    paths.append(climb[k - 1])
+                if row:
+                    weights.append(1)
+                    paths.append(row[-1])
+                row.append(dot(weights, paths))
+            above.append(row[::-1])
+            continue
+        level = [*map(mul, diag, stay)] or [0]
+        up = [*map(mul, nums, climb)]
+        # level[k] and up[k - 1] both end at height k
+        cells = [level[0], *map(add, level[1:], up), *level[len(up) + 1:],
+                 *up[len(level) - 1:]]
+        above.append(list(accumulate(reversed(cells)))[::-1])
+    return _series([row[0] for row in above])
 
 
 def moment_sfraction(b, c, order: int) -> SFraction:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from riordanlbp import cfrac, hankel_toeplitz
+from riordanlbp import cfrac, hankel_toeplitz, series
 from riordanlbp.cfrac import (
     JFraction,
     SFraction,
@@ -22,9 +22,9 @@ from riordanlbp.cfrac import (
     verify_uv_equality,
 )
 from riordanlbp.combinat import catalan
-from riordanlbp.lbp import LBPFamily, moment_gf, moments, shifted_moment_sum
+from riordanlbp.lbp import LBPFamily, moment_gf, moments, rows_by_recurrence, shifted_moment_sum
 from riordanlbp.orthopoly import ortho_rows_by_recurrence
-from riordanlbp.scalars import PARAM_B, PARAM_C, coerce_scalar
+from riordanlbp.scalars import PARAM_B, PARAM_C, DensePoly, coerce_scalar
 from riordanlbp.series import TruncatedSeries
 
 ORDER = 10
@@ -131,6 +131,12 @@ def fractions_and_orders(draw):
 
 BUILDERS = (moment_sfraction, moment_jfraction, constant_tfraction)
 
+X = DensePoly([0, 1])
+
+#: (x, 1) and coprime integers: (9, -2) is the benchmark's (141/86, -47/129)
+#: scaled, then the b+c = 0 and 2b+c = 0 loci and two signs
+GENERATE_POINTS = ((X, 1), (9, -2), (1, -1), (1, -2), (2, 3), (-3, 2))
+
 
 @st.composite
 def builder_descriptors(draw):
@@ -159,6 +165,32 @@ class TestConvergentRecurrence:
         assert same_series(got, reference_expand(cf, order))
         assert same_series(got, levels_expand(cf, order))
 
+    @pytest.mark.parametrize("b, c", GENERATE_POINTS)
+    @pytest.mark.parametrize("builder", BUILDERS)
+    def test_generate_descriptors(self, builder, b, c):
+        # the descriptors generate builds: (b, c) = (x, 1) on DensePoly for
+        # a symbolic side, coprime integers for rational ones
+        for order in range(21):
+            cf = builder(b, c, order)
+            got = cf_expand(cf, order)
+            assert got.order == order
+            assert got == reference_expand(cf, order), order
+            if type(b) is int:
+                assert all(type(v) is int for v in got.coeffs), order
+
+
+class TestNoSeriesDivision:
+    @pytest.mark.parametrize("b, c", [(PARAM_B, PARAM_C), (X, 1), (9, -2)])
+    @pytest.mark.parametrize("builder", BUILDERS)
+    def test_expansion_divides_no_series(self, builder, b, c, monkeypatch):
+        def refused(num, den):
+            raise AssertionError("series division")
+
+        cf = builder(b, c, 14)
+        want = reference_expand(cf, 14)
+        monkeypatch.setattr(series, "_series_div", refused)
+        assert cf_expand(cf, 14) == want
+
 
 def jfraction_denominators(jf, n_max):
     """Q_0..Q_n_max by Q_{k+1} = (1 - d_k t) Q_k - l_k t^2 Q_{k-1}, where
@@ -180,6 +212,34 @@ class TestJFractionDenominators:
         # polynomials, here x^k Q_k(1/x) = the "q" family row k
         rows = jfraction_denominators(moment_jfraction(b, c, 14), 8)
         assert [row[::-1] for row in rows] == ortho_rows_by_recurrence("q", b, c, 8)
+
+
+def tfraction_denominators(tf, n_max):
+    """Q_0..Q_n_max by Q_{k+1} = (1 - c_k t) Q_k - b_k t Q_{k-1}, where
+    b_k = tf.num[k-1] is the numerator below level k-1."""
+    one = tf.diag[0] ** 0
+    rows = [[one], [one, -tf.diag[0]]]
+    for k in range(1, n_max):
+        c, b, prev, prev2 = tf.diag[k], tf.num[k - 1], rows[k], rows[k - 1]
+        rows.append([p - c * q - b * r
+                     for p, q, r in zip(prev + [0], [0] + prev, [0] + prev2 + [0])])
+    return rows
+
+
+class TestTFractionDenominators:
+    @pytest.mark.parametrize("family", [
+        LBPFamily.constant(PARAM_B, PARAM_C),
+        LBPFamily.constant(Fraction(141, 86), Fraction(-47, 129)),
+        LBPFamily.periodic((2, Fraction(-1, 2), 3), (Fraction(1, 3), 5)),
+    ], ids=["sym", "rational", "periodic"])
+    def test_reversed_denominators_are_lbp_rows(self, family):
+        # Hendriksen & van Rossum 1986, Zhedanov 1998: the T-fraction with
+        # diagonal c_0, c_1, ... and numerators b_1, b_2, ... has the
+        # denominators x^k Q_k(1/x) = P_k, the LBP rows
+        tf = TFraction([family.c_at(k) for k in range(8)],
+                       [family.b_at(k + 1) for k in range(8)])
+        rows = tfraction_denominators(tf, 7)
+        assert [row[::-1] for row in rows] == rows_by_recurrence(family, 7)
 
 
 class TestExpansion:
