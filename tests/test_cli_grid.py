@@ -6,12 +6,12 @@ The grid is every ``generate`` variant (each kind with each of its routes,
 shapes and families) at ``PAIRS`` and orders 0-9, in csv and json; every
 ``verify`` scenario at its default, in json and at orders 8, 10 and 13;
 ``oeis-check all``; a few usage errors; ``hankel`` and ``toeplitz`` at
-``LARGE_ORDERS``; ``production`` at ``PRODUCTION_ORDERS``; and
-``cfrac-expand`` in each shape at ``CFRAC_ORDERS``.  Each argv runs
-in-process with ``COLUMNS`` fixed, since
-argparse wraps its usage text to the terminal width.  Its digest is the
-first 16 hex digits of the sha256 of its stdout, its stderr and its exit
-code together.
+``LARGE_ORDERS``; ``production`` at ``PRODUCTION_ORDERS``;
+``cfrac-expand`` in each shape at ``CFRAC_ORDERS``; and ``moments`` by the
+``shifted_tfraction`` route at ``TFRACTION_ORDERS``, in csv.  Each argv
+runs in-process with ``COLUMNS`` fixed, since argparse wraps its usage text
+to the terminal width.  Its digest is the first 16 hex digits of the sha256
+of its stdout, its stderr and its exit code together.
 
 ``tests/data/cli_grid.json`` is the list of the digests in grid order.  To
 record, set an entry to ``null``, or append an argv to the grid, and run
@@ -94,6 +94,13 @@ CFRAC_ORDERS = (
     (("--b=141/86", "--c=-47/129"), (36, 64)),
 )
 
+#: moments by the shifted_tfraction route past the grid's orders, at
+#: (sym, sym) and on a rational pair of the benchmark
+TFRACTION_ORDERS = (
+    (("--b=sym", "--c=sym"), (26, 56)),
+    (("--b=141/86", "--c=-47/129"), (56, 128)),
+)
+
 GRID = (
     [("generate", *variant, f"--b={b}", f"--c={c}", "--order", str(order), *fmt)
      for variant in VARIANTS
@@ -116,6 +123,9 @@ GRID = (
     + [("generate", "cfrac-expand", "--shape", shape, *params, "--order", str(order))
        for params, orders in CFRAC_ORDERS
        for shape in "sjt"
+       for order in orders]
+    + [("generate", "moments", "--route", "shifted_tfraction", *params, "--order", str(order))
+       for params, orders in TFRACTION_ORDERS
        for order in orders]
 )
 
