@@ -15,11 +15,12 @@ counts (Flajolet 1980), height by height, with no series division.
 The moment series mu(t) is expanded by the S-fraction with coefficients
 (c, b, b+c, b, b+c, ...) and by the J-fraction with diagonal (c, 2b+c,
 2b+c, ...) over couplings (bc, b(b+c), b(b+c), ...).  The T-fraction with
-constant coefficients expands the shifted moments mu~(t), where
-mu(t) = 1 + c t mu~(t).  The J-fraction is also recoverable from raw moments
-through ratios of Hankel determinants.  `verify_uv_equality` returns one
-bool: the constant T-fraction in c equals the S-fraction (c+1, 1, c+1, ...)
-and the closed form at b = 1.
+diagonal c_0, c_1, ... over numerators b_1, b_2, ... expands the shifted
+moments mu~(t), where mu(t) = 1 + c_0 t mu~(t), periodic families too.
+The J-fraction is also recoverable from raw moments through ratios of
+Hankel determinants.  `verify_uv_equality` returns one bool: the constant
+T-fraction in c equals the S-fraction (c+1, 1, c+1, ...) and the closed
+form at b = 1.
 """
 
 from __future__ import annotations
@@ -28,8 +29,8 @@ from itertools import accumulate
 from operator import add, mul
 
 from .hankel_toeplitz import hankel_and_shifted
-from .scalars import RationalFunction, check_size, coerce_scalar, dot, scalar_inv
-from .series import TruncatedSeries, _series, catalan_series
+from .scalars import check_size, coerce_scalar, dot, scalar_inv
+from .series import TruncatedSeries, _holds_ratfunc, _series, catalan_series
 
 
 class SFraction:
@@ -111,7 +112,7 @@ def cf_expand(cf, order: int) -> TruncatedSeries:
         raise TypeError(f"not a continued fraction descriptor: {type(cf).__name__}")
     entries = diag + nums
     one = entries[0] ** 0 if entries else 1
-    fused = RationalFunction in map(type, entries)
+    fused = _holds_ratfunc(entries)
     levels = cf.levels_for(order)
     diag, nums = diag[:levels], nums[:levels]
     # above[n][k] is H_n[k]; stay and climb are the rows a level step and
@@ -233,6 +234,6 @@ def verify_uv_equality(c, order: int) -> bool:
     """The constant T-fraction u in c equals the S-fraction v = (c+1, 1, c+1, ...)
     and the shifted-moment closed form at b = 1."""
     c = coerce_scalar(c)
-    u = cf_expand(TFraction((c,) * order, (1,) * order), order)
+    u = cf_expand(constant_tfraction(1, c, order), order)
     alphas = tuple(c + 1 if i % 2 == 0 else 1 for i in range(order))
     return u == cf_expand(SFraction(alphas), order) and u == tfraction_closed_form(1, c, order)

@@ -177,7 +177,7 @@ def _minors_by_recurrence(values: list, recurrence, rows) -> list:
     division in the ring of the cleared values, and raises ValueError for a
     quotient outside it and ZeroDivisionError for a zero divisor.
     """
-    [cleared], divide, unscale = _clear([[coerce_scalar(v) for v in values]])
+    [cleared], divide, unscale = _clear([values])
     try:
         minors = recurrence(cleared, divide)
     except (ValueError, ZeroDivisionError):
@@ -243,8 +243,9 @@ def hankel_transform(mu, n_max: int) -> list:
     check_size("n_max", n_max)
     if len(values) < 2 * n_max + 1:
         raise ValueError(f"need {2 * n_max + 1} moments for depth {n_max}")
+    values = [coerce_scalar(v) for v in values[:2 * n_max + 1]]
     size = range(n_max + 1)
-    return _minors_by_recurrence(values[:2 * n_max + 1], _chebyshev,
+    return _minors_by_recurrence(values, _chebyshev,
                                  lambda: [[values[i + j] for j in size] for i in size])
 
 

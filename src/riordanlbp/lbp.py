@@ -21,8 +21,9 @@ returns mu_0..mu_n_max by any of them as a plain list:
                         binomial-Catalan sum `shifted_moment_sum`
                         mu~_n = sum_k C(n+k, 2k) c^(n-k) b^k C_k;
 * lagrange           -- the k = 0 case of the Lagrange-inversion entry formula;
-* shifted_tfraction  -- solve u = 1/(1 - ct - btu) order by order and shift
-                        through mu(t) = 1 + c t u(t);
+* shifted_tfraction  -- expand the T-fraction c_0, c_1, ... over b_1, b_2,
+                        ... by `cfrac.cf_expand` and shift through
+                        mu(t) = 1 + c_0 t u(t) (periodic families too);
 * gf_expansion       -- expand the closed form
                         (c + 2b - c^2 t - c sqrt(1 - 2(2b+c)t + c^2 t^2))/(2b);
 * p_recurrence       -- the P-recurrence of that algebraic series, O(n)
@@ -38,6 +39,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from . import cfrac
 from .combinat import binomial, catalan
 from .riordan import LowerTriangularMatrix, RiordanArray
 from .scalars import DensePoly, _quotient, check_size, coerce_scalar
@@ -250,19 +252,6 @@ def moment_gf(b, c, order: int) -> TruncatedSeries:
     return num / (2 * b)
 
 
-def tfraction_fixed_point(b, c, order: int) -> TruncatedSeries:
-    """Solve u = 1/(1 - ct - btu), i.e. u_n = c u_{n-1} + b [t^(n-1)] u^2."""
-    check_size("order", order)
-    b, c = coerce_scalar(b), coerce_scalar(c)
-    u = [b ** 0]
-    for n in range(1, order + 1):
-        square = u[0] * 0
-        for i in range(n):
-            square = square + u[i] * u[n - 1 - i]
-        u.append(c * u[n - 1] + b * square)
-    return TruncatedSeries(u)
-
-
 def shifted_moment_sum(b, c, n: int):
     """mu~_n = sum_k binom(n+k, 2k) c^(n-k) b^k C_k."""
     check_size("n", n)
@@ -311,7 +300,8 @@ def moment_recurrence(b, c, n_max: int) -> list:
 def moments(family: LBPFamily, route: str, n_max: int) -> list:
     """mu_0..mu_n_max by the named route, as a list.
 
-    Every route but matrix_inverse needs a constant-coefficient family.
+    matrix_inverse and shifted_tfraction take any family, constant or
+    periodic; the other routes need a constant-coefficient family.
     p_recurrence takes O(n) operations, every other route O(n^2) or more.
     """
     if route not in MOMENT_ROUTES:
@@ -319,6 +309,13 @@ def moments(family: LBPFamily, route: str, n_max: int) -> list:
     check_size("n_max", n_max)
     if route == "matrix_inverse":
         return coefficient_matrix(family, n_max + 1).inverse_column(0)
+    if route == "shifted_tfraction":
+        depth = max(n_max - 1, 0)
+        levels = range(max(depth, 1))
+        tfraction = cfrac.TFraction([family.c_at(k) for k in levels],
+                                    [family.b_at(k + 1) for k in levels])
+        c = family.c_at(0)
+        return [c ** 0] + [c * u for u in cfrac.cf_expand(tfraction, depth).coeffs[:n_max]]
     if not family.is_constant:
         raise ValueError(f"route {route!r} applies to constant-coefficient families only")
     b, c = family.b, family.c
@@ -326,9 +323,6 @@ def moments(family: LBPFamily, route: str, n_max: int) -> list:
         return [b ** 0] + [c * shifted_moment_sum(b, c, n - 1) for n in range(1, n_max + 1)]
     if route == "lagrange":
         return [inverse_entry_lagrange(n, 0, b, c) for n in range(n_max + 1)]
-    if route == "shifted_tfraction":
-        u = tfraction_fixed_point(b, c, max(n_max - 1, 0))
-        return [b ** 0] + [c * u.coeffs[n - 1] for n in range(1, n_max + 1)]
     if route == "p_recurrence":
         return moment_recurrence(b, c, n_max)
     return list(moment_gf(b, c, n_max).coeffs)  # gf_expansion

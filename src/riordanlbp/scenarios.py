@@ -30,7 +30,6 @@ from .lbp import (
     rows_by_recurrence,
     schroeder_binomial_sums,
     shifted_moment_sum,
-    tfraction_fixed_point,
 )
 from .report import Check, ScenarioReport, check_equal
 from .riordan import binomial_array, has_column_shift, production_matrix, production_of_inverse
@@ -260,8 +259,9 @@ def scenario_factorizations(order: int = 12) -> ScenarioReport:
     checks = list(base.checks)
 
     qt_inv = orthopoly.ortho_array("qtilde", PARAM_B, PARAM_C, depth).inverse()
+    shifted = cfrac.cf_expand(cfrac.constant_tfraction(PARAM_B, PARAM_C, depth), depth)
     checks.append(Check("first column of qtilde-array inverse gives the shifted moments",
-                        qt_inv.g == tfraction_fixed_point(PARAM_B, PARAM_C, depth)))
+                        qt_inv.g == shifted))
 
     for kind in orthopoly.ORTHO_KINDS:
         arr = orthopoly.ortho_array(kind, PARAM_B, PARAM_C, 6).matrix(7)

@@ -49,7 +49,7 @@ from riordanlbp.riordan import (
     production_matrix,
 )
 from riordanlbp.scalars import PARAM_B, PARAM_C, coerce_scalar
-from riordanlbp.scenarios import run_scenario
+from riordanlbp.scenarios import PERIODIC_MOMENT_TABLE, run_scenario
 from riordanlbp.series import TruncatedSeries
 
 
@@ -154,6 +154,7 @@ def test_criterion_06_periodic_family():
     (report,) = run_scenario("example2", order=12)
     assert report.passed, [chk.name for chk in report.checks if not chk.passed]
     fam = LBPFamily.periodic([1, 2], [1], order=8)
+    assert moments(fam, "shifted_tfraction", 7) == [row[0] for row in PERIODIC_MOMENT_TABLE]
     periodic_block = production_matrix(moment_matrix(fam, 8))
     assert not has_column_shift(periodic_block), "periodic block must not shift"
     const = LBPFamily.constant(PARAM_B, PARAM_C, order=8)

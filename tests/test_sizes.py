@@ -20,7 +20,6 @@ NEGATIVE_SIZES = {
     "ortho_rows_qhat": (orthopoly.ortho_rows_by_recurrence, ("qhat", 1, 1, -1), "n_max"),
     "hankel_closed_form": (hankel_toeplitz.hankel_closed_form, (1, 1, -1), "n_max"),
     "toeplitz_closed_form": (hankel_toeplitz.toeplitz_closed_form, (1, 1, -1), "n_max"),
-    "tfraction_fixed_point": (lbp.tfraction_fixed_point, (1, 1, -2), "order"),
     "shifted_moment_sum": (lbp.shifted_moment_sum, (1, 1, -1), "n"),
     "hankel_from_jfraction": (cfrac.hankel_from_jfraction, ([1, 2], -1), "n_max"),
     "moment_sfraction": (cfrac.moment_sfraction, (1, 1, -1), "order"),
