@@ -192,6 +192,47 @@ class TestNoSeriesDivision:
         assert cf_expand(cf, 14) == want
 
 
+#: a RationalFunction entry: cf_expand sums each path row with one
+#: scalars.dot where an entry is one, wherever it stands
+RATIONAL_ENTRY = PARAM_B / (PARAM_B + PARAM_C)
+PLAIN_ENTRIES = (2, Fraction(-1, 3), 1, 3, Fraction(1, 2))
+
+
+def mixed_descriptor(shape, where):
+    """A descriptor for order 5 on PLAIN_ENTRIES, with RATIONAL_ENTRY put
+    in as its first or last entry (diagonal before numerators), or nowhere."""
+    if shape == "s":
+        parts = [list(PLAIN_ENTRIES)]
+    elif shape == "j":
+        parts = [list(PLAIN_ENTRIES[:3]), list(PLAIN_ENTRIES[3:])]
+    else:
+        parts = [list(PLAIN_ENTRIES), list(PLAIN_ENTRIES[1:])]
+    if where == "first":
+        parts[0][0] = RATIONAL_ENTRY
+    elif where == "last":
+        parts[-1][-1] = RATIONAL_ENTRY
+    return {"s": SFraction, "j": JFraction, "t": TFraction}[shape](*parts)
+
+
+class TestKernelChoice:
+    @pytest.mark.parametrize("where", ["first", "last", "none"])
+    @pytest.mark.parametrize("shape", "sjt")
+    def test_any_rational_function_entry_takes_the_fused_sums(self, shape, where,
+                                                              monkeypatch):
+        cf = mixed_descriptor(shape, where)
+        want = reference_expand(cf, 5)
+        calls = []
+        fused_dot = cfrac.dot
+
+        def counted(*args):
+            calls.append(args)
+            return fused_dot(*args)
+
+        monkeypatch.setattr(cfrac, "dot", counted)
+        assert same_series(cf_expand(cf, 5), want)
+        assert bool(calls) == (where != "none")
+
+
 def jfraction_denominators(jf, n_max):
     """Q_0..Q_n_max by Q_{k+1} = (1 - d_k t) Q_k - l_k t^2 Q_{k-1}, where
     l_k = jf.sub[k-1] is the coupling below level k-1."""

@@ -431,6 +431,48 @@ def same_typed(got, ref):
     assert [shown(v) for v in got] == [shown(v) for v in ref]
 
 
+_B, _C = BivarPoly.b(), BivarPoly.c()
+#: BivarPoly values, which coerce to RationalFunction: the geometric ones
+#: have h_1 = 0, so the recurrence fails and the fallback reads the values
+BIVAR_VALUES = {
+    "geometric": [_B ** k for k in range(7)],
+    "mixed": [BivarPoly.one(), _C, _B + _C, _B * _C, _B * _B - _C, _C * _C * _C, _B + 1],
+}
+
+
+class TestValuesCoercedOnce:
+    """hankel_transform coerces the values it reads, after its checks;
+    toeplitz_dets reads the moments BiInfiniteMoments coerced."""
+
+    @pytest.mark.parametrize("n", range(4))
+    @pytest.mark.parametrize("kind", BIVAR_VALUES)
+    def test_bivariate_values_act_as_rational_functions(self, kind, n):
+        values = BIVAR_VALUES[kind]
+        same_typed(hankel_transform(values, n),
+                   hankel_transform([RationalFunction(v) for v in values], n))
+
+    def test_values_past_the_depth_are_not_read(self):
+        assert hankel_transform([1, 1, 2, "unread"], 1) == [1, 1]
+
+    @pytest.mark.parametrize("n_max, message", [
+        (1, "need 3 moments for depth 1"), (-1, "n_max must be at least 0, got -1")])
+    def test_sizes_are_checked_before_values(self, n_max, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            hankel_transform(["unread"], n_max)
+
+    def test_inexact_value_rejected(self):
+        with pytest.raises(TypeError, match="^not an exact scalar: float$"):
+            hankel_transform([1, 1.5, 2], 1)
+
+    def test_toeplitz_reads_the_coerced_moments(self):
+        forward = [BivarPoly.one(), _C, _B + _C, _B * _C, _C * _C]
+        got = toeplitz_dets(BiInfiniteMoments(forward, _C, 3), 3)
+        want = toeplitz_dets(BiInfiniteMoments([RationalFunction(v) for v in forward],
+                                               PARAM_C, 3), 3)
+        for got_seq, want_seq in zip(got, want):
+            same_typed(got_seq, want_seq)
+
+
 def assert_recurrences_match_bareiss(mu, c, n):
     """hankel_transform and toeplitz_dets equal the Bareiss leading minors
     in value, type and print; Toeplitz only where c is invertible."""
